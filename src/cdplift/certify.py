@@ -34,6 +34,8 @@ from .diffraction import (
     MeasurementFrame,
     _apply_A_adjoint_any,
     _apply_A_any,
+    _offset_blocks,
+    _truncate,
     apply_A,
     apply_A_adjoint,
     apply_R,
@@ -150,19 +152,17 @@ def check_near_isotropy_exact(dist: MaskDistribution, d: int, budget: int = 10**
     breaks the identity and the returned deviation records by how much.
     """
     _enumeration_size(dist, d, budget)
+    basis = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # basis[i, j] = E_ij
+    acc = np.zeros_like(basis)
+    for eps, p in _enumerate_masks(dist, d):
+        blocks = _offset_blocks(eps)
+        for i in range(d):
+            for j in range(d):
+                coeffs = _apply_A_any(blocks, basis[i, j]) * p[:, None]
+                acc[i, j] += _apply_A_adjoint_any(blocks, coeffs)
     scale = 1.0 / (dist.nu**2 * d)
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            acc = np.zeros((d, d), dtype=complex)
-            for eps, p in _enumerate_masks(dist, d):
-                coeffs = _apply_A_any(eps, E) * p[:, None]
-                acc += _apply_A_adjoint_any(eps, coeffs)
-            target = E + (np.eye(d) if i == j else 0.0)
-            worst = max(worst, float(np.max(np.abs(acc * scale - target))))
-    return worst
+    target = basis + np.einsum("ij,ab->ijab", np.eye(d), np.eye(d))  # E_ij + delta_ij Id
+    return float(np.max(np.abs(acc * scale - target)))
 
 
 def symmetric_projector(d: int) -> np.ndarray:
@@ -269,11 +269,9 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     sigma = np.linalg.svd(Z, compute_uv=False)
     if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
         raise ValueError("Z must lie in a tangent space (rank <= 2)")
-    dist = frame.distribution
-    threshold = 2.0**1.5 * dist.b**2 * gamma * math.log(frame.d) * float(np.linalg.norm(Z))
-    vals = _apply_A_any(frame.masks.epsilon, Z).real
-    exceed = int(np.sum(np.abs(vals) > threshold))
-    total = int(vals.size)
+    keep, _ = _truncate(frame.blocks, frame.distribution.b, gamma, Z)
+    total = int(keep.size)
+    exceed = total - int(keep.sum())
     return TruncationStats(
         empirical_prob=exceed / total if total else 0.0,
         bound=4.0 * frame.d ** (-gamma),
@@ -341,10 +339,11 @@ def variance_bound_check(
     trace_acc = 0.0
     n_terms = 0
     for eps, p in batches:
-        coeffs = _apply_A_any(eps, Z).real
+        blocks = _offset_blocks(eps)
+        coeffs = _apply_A_any(blocks, Z).real
         for row in range(eps.shape[0]):
             M = hermitize(
-                _apply_A_adjoint_any(eps[row : row + 1], coeffs[row : row + 1]) * scale
+                _apply_A_adjoint_any(blocks[:, row : row + 1], coeffs[row : row + 1]) * scale
             )
             second_moment += p[row] * (M @ M)
             PM = tangent.project(M)
@@ -444,6 +443,15 @@ class IterationRecord:
     complement_norm: float
 
 
+#: bound on ||P_Tperp(Y)||_inf that a dual certificate must meet
+_COMPLEMENT_BOUND = 0.5
+
+
+def _tangent_bound(dist: MaskDistribution, d: int) -> float:
+    """Bound nu / (4 b^2 sqrt(d)) on ||P_T(Y) - X||_2 for a dual certificate."""
+    return dist.nu / (4.0 * dist.b**2 * math.sqrt(d))
+
+
 @dataclass(frozen=True, eq=False)
 class DualCertificate:
     """Golfing output Y with its diagnostics and range-membership witness.
@@ -464,12 +472,11 @@ class DualCertificate:
 
     @property
     def tangent_bound(self) -> float:
-        dist = self.masks.distribution
-        return dist.nu / (4.0 * dist.b**2 * math.sqrt(self.masks.d))
+        return _tangent_bound(self.masks.distribution, self.masks.d)
 
     @property
     def complement_bound(self) -> float:
-        return 0.5
+        return _COMPLEMENT_BOUND
 
     @property
     def valid(self) -> bool:
@@ -544,14 +551,11 @@ def golfing_construct(
         masks = sample_masks(dist, d, L_i, int(rng.integers(2**63)))
         masks_sampled += L_i
         eps = masks.epsilon
-        threshold = (
-            2.0**1.5 * dist.b**2 * p.gamma * math.log(d) * q_prev_norm
-        )
-        raw = _apply_A_any(eps, Q).real
-        keep = np.abs(raw) <= threshold
+        blocks = _offset_blocks(eps)
+        keep, kept = _truncate(blocks, dist.b, p.gamma, Q)
         ntrunc = int(keep.size - keep.sum())
-        coeffs = raw * keep / (dist.nu**2 * d * L_i)
-        RQ = hermitize(_apply_A_adjoint_any(eps, coeffs))
+        coeffs = kept / (dist.nu**2 * d * L_i)
+        RQ = hermitize(_apply_A_adjoint_any(blocks, coeffs))
         candidate = RQ - float(np.trace(Q).real) * np.eye(d)
         dev_inf = norm(tangent.project_complement(candidate), "operator")
         dev_two = float(np.linalg.norm(tangent.project(candidate) - Q))
@@ -653,17 +657,16 @@ def verify_certificate(
         )
     tangent = TangentSpace(x)
     X = np.outer(x, x.conj())
-    dist = frame.distribution
     tangent_residual = float(np.linalg.norm(tangent.project(Y_rec) - X))
     complement_norm = norm(tangent.project_complement(Y_rec), "operator")
-    tangent_bound = dist.nu / (4.0 * dist.b**2 * math.sqrt(frame.d))
+    t_bound = _tangent_bound(frame.distribution, frame.d)
     return CertificateCheck(
         tangent_residual=tangent_residual,
         complement_norm=complement_norm,
-        tangent_bound=tangent_bound,
-        complement_bound=0.5,
-        tangent_ok=tangent_residual <= tangent_bound,
-        complement_ok=complement_norm <= 0.5,
+        tangent_bound=t_bound,
+        complement_bound=_COMPLEMENT_BOUND,
+        tangent_ok=tangent_residual <= t_bound,
+        complement_ok=complement_norm <= _COMPLEMENT_BOUND,
     )
 
 

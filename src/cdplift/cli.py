@@ -156,10 +156,9 @@ def recover_cmd(d, L, seed, mode, max_iterations):
 @main.command("certify")
 @click.option("--d", type=int, default=15, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--injectivity-L", "inj_L", type=int, default=200, show_default=True)
 @click.option("--log/--no-log", "show_log", default=False,
               help="Print the golfing construction log.")
-def certify_cmd(d, seed, inj_L, show_log):
+def certify_cmd(d, seed, show_log):
     """Construct and verify a dual certificate for one random signal."""
     dist = ternary_mask_distribution()
     rng = np.random.default_rng(seed)
@@ -170,10 +169,10 @@ def certify_cmd(d, seed, inj_L, show_log):
         if show_log:
             click.echo(format_construction_log(cert.construction_log))
         raise SystemExit(1)
-    check = verify_certificate(cert, x)
-    inj_masks = sample_masks(dist, d, inj_L, derive_seed(seed, d, inj_L, "inj"))
-    inj = injectivity_spectrum(MeasurementFrame(inj_masks), x, seed=seed)
-    verdict = certify_optimality(x, MeasurementFrame(cert.masks), cert, inj)
+    frame = MeasurementFrame(cert.masks)
+    check = verify_certificate(cert, x, frame)
+    inj = injectivity_spectrum(frame, x, seed=seed)
+    verdict = certify_optimality(x, frame, cert, inj)
     click.echo(f"d={d} seed={seed} masks used={cert.masks.L}")
     click.echo(
         f"tangent residual = {check.tangent_residual:.3e} (bound {check.tangent_bound:.3e})"

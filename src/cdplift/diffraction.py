@@ -14,9 +14,21 @@ The inner product is conjugate-linear in the first argument, which makes
 On the lifted (matrix) side the same data is ``tr(F_{k,l} X)`` for
 ``X = x x*`` with rank-1 frame elements ``F_{k,l} = D_l f_k f_k* D_l``.  This
 module exposes the forward map ``A``, its adjoint ``A*``, the normalized Gram
-operator ``R = A* A / (nu^2 d L)`` and its truncated variant, all applied via
-length-d FFTs (O(L d^2 log d) per matrix argument); a dense O(L d^3) reference
-path is retained for oracle testing.
+operator ``R = A* A / (nu^2 d L)`` and its truncated variant.
+
+Offset-block form: with ``z_m[a] = Z[a, a+m mod d]`` and the real (L, d)
+blocks ``E_m[l, a] = eps_{l,a} eps_{l,a+m}``,
+
+    tr(F_{k,l} Z) = sum_m omega^{mk} (E_m z_m)[l].
+
+So ``A`` is one contraction per offset and L length-d FFTs, ``A*`` one FFT of
+the coefficients, one contraction and a scatter back to ``Z[a, a+m]``, and
+``A(Z) = y`` splits into d systems ``E_m z_m = t_m`` (``t`` the per-mask
+inverse DFT of ``y``); as ``||Z||_F^2 = sum_m ||z_m||^2``, least squares
+splits the same way.  The m = 0 block holds the patterns ``eps^2``: two equal
+columns there are exactly a mask collision (``e_a`` and ``e_b`` measure
+alike), the lower-bound argument.  At even d, offset d/2 pairs a with a + d/2
+and back, so its block has equal columns a and a + d/2.
 
 Mask entries are drawn i.i.d. from a finite distribution with the moment
 profile E[eps] = E[eps^3] = 0, E[eps^4] = 2 E[eps^2]^2, |eps| <= b.
@@ -27,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +58,7 @@ __all__ = [
     "dft2_vector",
     "sample_masks",
     "measure",
-    "frame_matrix",
     "apply_A",
-    "apply_A_dense",
     "apply_A_adjoint",
     "apply_R",
     "apply_R_truncated",
@@ -238,6 +249,13 @@ class MeasurementFrame:
     def L(self) -> int:
         return self.masks.L
 
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The offset blocks E_m of the masks, (d, L, d), built on first use."""
+        blocks = _offset_blocks(self.masks.epsilon)
+        blocks.setflags(write=False)
+        return blocks
+
     @classmethod
     def sample(cls, dist: MaskDistribution, d: int, L: int, seed: int) -> "MeasurementFrame":
         return cls(masks=sample_masks(dist, d, L, seed))
@@ -254,8 +272,12 @@ class MeasurementVector:
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 2:
             raise ValueError(f"y must be (L, d), got shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("intensities must be finite")
         if y.size and float(y.min()) < -POLICY.hermitian_tol:
             raise ValueError("intensities must be nonnegative up to roundoff")
+        if self.y0 is not None and not math.isfinite(self.y0):
+            raise ValueError(f"y0 must be finite, got {self.y0}")
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
@@ -283,6 +305,7 @@ class MeasurementVector:
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementVector":
+        """Read ``to_csv`` output; every (l, k) row must appear exactly once."""
         lines = Path(path).read_text().splitlines()
         y0 = None
         rows = []
@@ -296,6 +319,11 @@ class MeasurementVector:
             raise ValueError("empty measurement CSV")
         L = max(r[0] for r in rows)
         d = max(r[1] for r in rows)
+        cells = {(l, k) for l, k, _ in rows}
+        if len(cells) != len(rows):
+            raise ValueError("measurement CSV repeats an (l, k) row")
+        if cells != {(l, k) for l in range(1, L + 1) for k in range(1, d + 1)}:
+            raise ValueError(f"measurement CSV must hold every row l = 1..{L}, k = 1..{d}")
         y = np.zeros((L, d))
         for l, k, v in rows:
             y[l - 1, k - 1] = v
@@ -341,38 +369,69 @@ def measure(x, masks: MaskSet) -> MeasurementVector:
     return MeasurementVector(y=y, y0=float(np.linalg.norm(x)) ** 2)
 
 
-def frame_matrix(masks: MaskSet, l: int, k: int) -> np.ndarray:
-    """Dense lifted frame element F_{k,l} = D_l f_k f_k* D_l (rank 1)."""
-    u = masks.epsilon[l] * dft_vector(masks.d, k)
-    return np.outer(u, u.conj())
+@lru_cache(maxsize=None)
+def _offset_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair with Z[idx][m, a] = Z[a, a+m mod d] = z_m[a]; read-only."""
+    a = np.arange(d)
+    idx = (a[None, :], (a[:, None] + a[None, :]) % d)
+    for part in idx:
+        part.setflags(write=False)
+    return idx
 
 
-def _apply_A_any(epsilon: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
+    """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d)."""
+    columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
+    return (columns[_offset_index(epsilon.shape[1])[1]] * columns).transpose(0, 2, 1)
+
+
+def _per_offset(C: np.ndarray) -> np.ndarray:
+    """t of shape (d, L) with C[l, k-1] = sum_m omega^{mk} t[m, l].
+
+    The inverse of the forward map's FFT step: A(Z) = y reads E_m z_m = t_m.
+    """
+    return np.fft.fft(np.roll(C, 1, axis=1), axis=1, norm="forward").T
+
+
+def _contract(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """blocks[m] @ v[m], reading complex v as float pairs so blocks stay real."""
+    pairs = np.ascontiguousarray(v, dtype=complex).view(float).reshape(*v.shape, 2)
+    return (blocks @ pairs).view(complex)[..., 0]
+
+
+def _apply_A_any(blocks: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """tr(F_{k,l} Z) for arbitrary complex Z, returned as an (L, d) array.
 
-    Per mask: with W = (eps eps^T) .* Z = D Z D,
-    tr(F_k W') = sum_{a,b} W[a,b] omega^{(b-a)k}, which is one inverse FFT
-    along rows followed by a forward FFT along columns, diagonal-sampled.
+    ``blocks`` is _offset_blocks of the masks, which may be any raw batch.
+    With s[m, l] = (E_m z_m)[l], tr(F_{k,l} Z) = sum_m omega^{mk} s[m, l].
     """
-    W = epsilon[:, :, None] * epsilon[:, None, :] * Z[None, :, :]
     d = Z.shape[0]
-    H = d * np.fft.ifft(W, axis=2)
-    G = np.fft.fft(H, axis=1)
-    diag = np.einsum("lkk->lk", G)
-    return np.roll(diag, -1, axis=1)
+    s = _contract(blocks, np.asarray(Z, dtype=complex)[_offset_index(d)])
+    return np.roll(np.fft.ifft(s, axis=0, norm="forward"), -1, axis=0).T
 
 
-def _apply_A_adjoint_any(epsilon: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _apply_A_adjoint_any(blocks: np.ndarray, C: np.ndarray) -> np.ndarray:
     """sum_{k,l} C[l,k] F_{k,l} for complex coefficients C of shape (L, d).
 
-    The k-sum against omega^{(a-b)k} is a circulant profile obtained from one
-    inverse FFT per mask; the masks enter as an entrywise outer-product factor.
+    Offset m of the result is d E_m^T t_m with t = _per_offset(C).
     """
-    d = epsilon.shape[1]
-    t = d * np.fft.ifft(np.roll(C, 1, axis=1), axis=1)
-    idx = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-    profiles = t[:, idx]
-    return np.einsum("la,lb,lab->ab", epsilon, epsilon, profiles)
+    d = blocks.shape[0]
+    out = np.empty((d, d), dtype=complex)
+    out[_offset_index(d)] = _contract(blocks.transpose(0, 2, 1), d * _per_offset(C))
+    return out
+
+
+def _truncate(blocks: np.ndarray, b: float, gamma: float, anchor_Z, Z=None):
+    """Keep mask of |tr(F_{k,l} anchor_Z)| <= 2^{3/2} b^2 gamma log(d) ||anchor_Z||_2
+    (boundary kept) and the coefficients tr(F_{k,l} Z) zeroed off it; Z
+    defaults to the anchor.  Both are real (L, d) arrays.
+    """
+    d = blocks.shape[0]
+    threshold = 2.0**1.5 * b**2 * gamma * math.log(d) * float(np.linalg.norm(anchor_Z))
+    anchor_vals = _apply_A_any(blocks, anchor_Z).real
+    keep = np.abs(anchor_vals) <= threshold
+    vals = anchor_vals if Z is None else _apply_A_any(blocks, Z).real
+    return keep, vals * keep
 
 
 def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
@@ -384,20 +443,7 @@ def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
     Z = as_hermitian(Z)
     if Z.shape[0] != frame.d:
         raise ValueError(f"matrix dimension {Z.shape[0]} != frame dimension {frame.d}")
-    return _apply_A_any(frame.masks.epsilon, Z).real.reshape(-1)
-
-
-def apply_A_dense(frame: MeasurementFrame, Z) -> np.ndarray:
-    """Reference O(L d^3) forward map via dense frame elements."""
-    Z = as_hermitian(Z)
-    if Z.shape[0] != frame.d:
-        raise ValueError(f"matrix dimension {Z.shape[0]} != frame dimension {frame.d}")
-    out = np.empty(frame.L * frame.d)
-    for l in range(frame.L):
-        for k in range(1, frame.d + 1):
-            u = frame.masks.epsilon[l] * dft_vector(frame.d, k)
-            out[l * frame.d + (k - 1)] = float(np.real(u.conj() @ Z @ u))
-    return out
+    return _apply_A_any(frame.blocks, Z).real.reshape(-1)
 
 
 def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
@@ -405,7 +451,7 @@ def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (frame.L * frame.d,):
         raise ValueError(f"coefficient length {c.shape} != ({frame.L * frame.d},)")
-    out = _apply_A_adjoint_any(frame.masks.epsilon, c.reshape(frame.L, frame.d))
+    out = _apply_A_adjoint_any(frame.blocks, c.reshape(frame.L, frame.d))
     return hermitize(out)
 
 
@@ -443,14 +489,9 @@ def apply_R_truncated(
     if frame.L == 0:
         return np.zeros_like(Z), 0
     dist = frame.distribution
-    threshold = (
-        2.0**1.5 * dist.b**2 * gamma * math.log(frame.d) * float(np.linalg.norm(anchor_Z))
-    )
-    anchor_vals = _apply_A_any(frame.masks.epsilon, anchor_Z).real
-    keep = np.abs(anchor_vals) <= threshold
-    coeffs = _apply_A_any(frame.masks.epsilon, Z).real * keep
+    keep, coeffs = _truncate(frame.blocks, dist.b, gamma, anchor_Z, Z)
     scale = 1.0 / (dist.nu**2 * frame.d * frame.L)
-    out = hermitize(_apply_A_adjoint_any(frame.masks.epsilon, coeffs) * scale)
+    out = hermitize(_apply_A_adjoint_any(frame.blocks, coeffs) * scale)
     return out, int(keep.size - keep.sum())
 
 

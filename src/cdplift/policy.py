@@ -3,8 +3,7 @@
 Every module draws its default tolerances from :data:`POLICY` so there is a
 single tuning point.  The individual fields exist because different contracts
 pin different accuracies (moment identities are checked to 1e-12, adjoint
-pairings to 1e-9 relative, etc.); the generic ``abs_tol``/``rel_tol`` pair
-covers everything that is not explicitly pinned.
+pairings to 1e-9 relative, etc.).
 """
 
 from dataclasses import dataclass
@@ -14,8 +13,6 @@ __all__ = ["NumericPolicy", "POLICY"]
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
     #: allowed Hermitian-symmetry / real-trace drift after construction
     hermitian_tol: float = 1e-12
     #: distribution moment identities (exact-arithmetic comparisons)

@@ -4,10 +4,11 @@ Two modes:
 
 * ``feasibility`` — find a PSD matrix satisfying the lifted affine constraints
   ``A(X) = y`` together with the known-intensity constraint ``tr(X) = y0``,
-  by alternating projections (POCS).  The affine projection is computed by a
-  warm-startable preconditioned conjugate-gradient solve of the normal
-  equations ``(B B*) zeta = b - B(X)`` so only FFT-fast applications of
-  ``A``/``A*`` are ever needed.
+  by alternating projections (POCS).  The affine projection is exact: in the
+  offset-block form of ``A`` (see ``cdplift.diffraction``) the constraints
+  split into one small real system per offset, and the Frobenius norm splits
+  the same way, so the projection is a least-squares correction per block
+  with pseudo-inverses built once per solve.
 * ``trace_min`` — minimize the nuclear norm (= trace, on the PSD cone)
   subject to the same measurements, by proximal gradient descent on
   ``0.5 ||A(X) - y||^2`` with an eigenvalue soft-threshold step and
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffraction import MeasurementFrame, MeasurementVector, apply_A, apply_A_adjoint
+from .diffraction import _offset_index, _per_offset
 from .hermitian import as_hermitian, hermitize, psd_project
 
 __all__ = [
@@ -81,16 +83,6 @@ class SolveResult:
     # projections, may be positive in trace_min at continuation steps
     monotonicity_violations: int = 0
 
-    def summary(self) -> dict:
-        """JSON-friendly record of the solve (matrix omitted)."""
-        return {
-            "iterations": self.iterations_used,
-            "residual": self.final_residual,
-            "converged": self.converged,
-            "monotonicity_violations": self.monotonicity_violations,
-            "top_eigenvalues": [float(v) for v in self.eigen_spectrum[::-1][:4]],
-        }
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -100,96 +92,54 @@ class FeasibilityReport:
     trace_deviation: float | None
 
 
-class _AffineSystem:
-    """The stacked constraint map B(X) = (A(X), tr X) and its machinery."""
+def _affine_projection(frame: MeasurementFrame, y_flat: np.ndarray, y0: float):
+    """Frobenius projection onto {A(X) = y, tr X = y0}, block by block.
 
-    def __init__(self, frame: MeasurementFrame, y_flat: np.ndarray, y0: float):
-        self.frame = frame
-        self.b = np.concatenate([y_flat, [y0]])
-        eps_power = np.sum(frame.masks.epsilon**2, axis=1)  # per-mask sum of eps^2
-        diag = np.concatenate([np.repeat(eps_power**2, frame.d), [float(frame.d)]])
-        diag[diag <= 0] = 1.0  # all-zero masks contribute empty rows; keep PCG sane
-        self.precond = 1.0 / diag
-
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        return np.concatenate([apply_A(self.frame, X), [float(np.trace(X).real)]])
-
-    def adjoint(self, zeta: np.ndarray) -> np.ndarray:
-        M = apply_A_adjoint(self.frame, zeta[:-1])
-        return M + zeta[-1] * np.eye(self.frame.d)
-
-    def normal(self, zeta: np.ndarray) -> np.ndarray:
-        return self.forward(self.adjoint(zeta))
-
-    def project(self, X: np.ndarray, zeta0: np.ndarray, abs_target: float, max_iter: int):
-        """Nearest point to X on {B(X') = b}: X + B*(zeta), zeta from PCG."""
-        rhs = self.b - self.forward(X)
-        if float(np.linalg.norm(rhs)) <= abs_target:
-            return hermitize(X), np.zeros_like(zeta0)
-        zeta = _pcg(self.normal, rhs, zeta0, self.precond, abs_target, max_iter)
-        return hermitize(X + self.adjoint(zeta)), zeta
-
-
-def _pcg(apply_op, rhs, x0, precond, abs_target, max_iter):
-    """Preconditioned CG for a PSD (possibly singular, consistent) system.
-
-    Returns the iterate with the smallest residual seen: on singular systems
-    driven below the attainable accuracy, late CG iterates can diverge, so
-    the best one — not the last — is the usable solve.
+    The constraints read E_m z_m = t_m and ||X||_F^2 = sum_m ||z_m||^2, so the
+    nearest point is z_m + E_m^+ (t_m - E_m z_m) for every m; as y and E are
+    real, it is Hermitian.  The trace row [1 ... 1 | y0] joins the m = 0 block
+    scaled by 1/sqrt(d), since ||A(X) - y||^2 = d sum_m ||E_m z_m - t_m||^2:
+    on inconsistent data this gives the least-squares projection.
     """
-    x = x0.copy()
-    r = rhs - apply_op(x)
-    best_x, best_r = x.copy(), float(np.linalg.norm(r))
-    if best_r <= abs_target:
-        return best_x
-    z = precond * r
-    p = z.copy()
-    rz = float(r @ z)
-    rhs_norm = float(np.linalg.norm(rhs))
-    for _ in range(max_iter):
-        Ap = apply_op(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0 or not np.isfinite(pAp):
-            break
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rn = float(np.linalg.norm(r))
-        if rn < best_r:
-            best_r = rn
-            best_x = x.copy()
-        if rn <= abs_target or rn > 100.0 * rhs_norm:
-            break
-        z = precond * r
-        rz_next = float(r @ z)
-        if rz_next <= 0 or not np.isfinite(rz_next):
-            break
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    return best_x
+    d = frame.d
+    E = np.concatenate([frame.blocks, np.zeros((d, 1, d))], axis=1)
+    t = np.concatenate([_per_offset(y_flat.reshape(frame.L, d)), np.zeros((d, 1))], axis=1)
+    E[0, -1], t[0, -1] = 1.0 / np.sqrt(d), y0 / np.sqrt(d)  # the trace row
+    # the lstsq cutoff drops exactly dependent columns: zero columns, and the
+    # equal columns a, a + d/2 of offset d/2 at even d
+    pinv = np.linalg.pinv(E, rcond=max(E.shape[1:]) * np.finfo(float).eps)
+    keep = np.eye(d) - pinv @ E  # projector onto the null space of each block
+    shift = (pinv @ t[..., None])[..., 0]  # E_m^+ t_m
+
+    idx = _offset_index(d)
+
+    def project(X: np.ndarray) -> np.ndarray:
+        out = np.empty_like(X)
+        out[idx] = (keep @ X[idx][..., None])[..., 0] + shift
+        return out
+
+    return project
 
 
 def _solve_feasibility(frame, y_flat, cfg) -> SolveResult:
     d = frame.d
     y0 = float(cfg.trace_target)
-    system = _AffineSystem(frame, y_flat, y0)
-    bnorm = max(float(np.linalg.norm(system.b)), 1e-300)
-    inner_target = 0.01 * cfg.residual_tolerance * bnorm
-    inner_max = max(200, 2 * (frame.L * d + 1))
+    project = _affine_projection(frame, y_flat, y0)
+    b = np.concatenate([y_flat, [y0]])
+    bnorm = max(float(np.linalg.norm(b)), 1e-300)
     relax = cfg.step_or_relaxation
 
     X = (y0 / d) * np.eye(d, dtype=complex)
-    zeta = np.zeros(frame.L * d + 1)
     history = []
     converged = False
     iterations = 0
     prev = np.inf
     bumps = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        X_affine, zeta = system.project(X, zeta, inner_target, inner_max)
-        X_psd = psd_project(X_affine)
+        X_psd = psd_project(project(X))
         X = hermitize(X + relax * (X_psd - X)) if relax != 1.0 else X_psd
-        res = float(np.linalg.norm(system.forward(X_psd) - system.b)) / bnorm
+        residual = np.append(apply_A(frame, X_psd), np.trace(X_psd).real) - b
+        res = float(np.linalg.norm(residual)) / bnorm
         history.append(res)
         if res > prev * 1.01:
             bumps += 1

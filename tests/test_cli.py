@@ -109,3 +109,20 @@ def test_certify_log_flag(runner):
     result = runner.invoke(main, ["certify", "--d", "15", "--seed", "3", "--log"])
     assert result.exit_code == 0, result.output
     assert "i phase L" in result.output
+
+
+def test_certify_checks_injectivity_on_the_certificate_masks(runner, monkeypatch):
+    import cdplift.cli as cli
+
+    frames = []
+    original = cli.injectivity_spectrum
+
+    def recording(frame, *args, **kwargs):
+        frames.append(frame)
+        return original(frame, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "injectivity_spectrum", recording)
+    result = runner.invoke(main, ["certify", "--d", "15", "--seed", "3"])
+    assert result.exit_code == 0, result.output
+    used = int(result.output.split("masks used=")[1].split()[0])
+    assert [f.L for f in frames] == [used]

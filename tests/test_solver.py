@@ -5,11 +5,12 @@ from cdplift.diffraction import MeasurementFrame, apply_A, measure, sample_masks
 from cdplift.hermitian import phase_aligned_distance
 from cdplift.solver import (
     SolverConfig,
+    _affine_projection,
     extract_signal,
     solve_phaselift,
     verify_feasibility,
 )
-from util import random_hermitian, unit_signal
+from util import dense_affine_projection, random_hermitian, unit_signal
 
 
 def make_instance(d, L, seed):
@@ -30,8 +31,9 @@ def test_config_validation():
         SolverConfig(mode="trace_min", max_iterations=0, trace_target=None)
 
 
-def test_feasibility_recovers_well_conditioned_instance():
-    x, frame, y = make_instance(5, 20, seed=0)
+@pytest.mark.parametrize("d, L", [(5, 20), (6, 24)])
+def test_feasibility_recovers_well_conditioned_instance(d, L):
+    x, frame, y = make_instance(d, L, seed=0)
     cfg = SolverConfig(mode="feasibility", trace_target=y.y0)
     res = solve_phaselift(frame, y, cfg)
     assert res.converged
@@ -41,6 +43,18 @@ def test_feasibility_recovers_well_conditioned_instance():
     report = verify_feasibility(frame, y, res.X_hat, y0=y.y0)
     assert report.max_violation <= 1e-5
     assert report.min_eigenvalue >= -1e-8
+
+
+@pytest.mark.parametrize("d, L", [(5, 3), (5, 8), (6, 4), (6, 9)])
+def test_blockwise_projection_matches_dense_oracle(d, L):
+    # random intensities: consistent when L < d, least squares when L > d
+    rng = np.random.default_rng(d * 100 + L)
+    masks = sample_masks(ternary_mask_distribution(), d, L, seed=L)
+    y_flat = rng.random(L * d)
+    X = random_hermitian(rng, d)
+    projected = _affine_projection(MeasurementFrame(masks), y_flat, 1.3)(X)
+    expected = dense_affine_projection(masks.epsilon, y_flat, 1.3, X)
+    assert np.max(np.abs(projected - expected)) <= 1e-10
 
 
 def test_zero_measurements_give_zero_matrix():

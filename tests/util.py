@@ -69,3 +69,35 @@ def tangent_basis_gram_schmidt(x):
             basis.append(v / nrm)
     assert len(basis) == 2 * d - 1
     return basis
+
+
+def hermitian_basis(d):
+    """Orthonormal basis of the real space of d x d Hermitian matrices."""
+    basis = []
+    for a in range(d):
+        for b in range(a, d):
+            if a == b:
+                B = np.zeros((d, d), dtype=complex)
+                B[a, a] = 1.0
+                basis.append(B)
+                continue
+            for phase in (1.0, 1j):
+                B = np.zeros((d, d), dtype=complex)
+                B[a, b] = phase / np.sqrt(2.0)
+                B[b, a] = np.conj(phase) / np.sqrt(2.0)
+                basis.append(B)
+    return basis
+
+
+def dense_affine_projection(eps, y_flat, y0, X):
+    """Frobenius least-squares projection of Hermitian X onto {A(X) = y, tr X = y0}.
+
+    The constraint matrix is built column by column from dense_apply_A plus the
+    trace row, in the coordinates of an orthonormal Hermitian basis; the
+    correction is the minimum-norm least-squares step.
+    """
+    basis = hermitian_basis(eps.shape[1])
+    M = np.array([np.append(dense_apply_A(eps, B), np.trace(B).real) for B in basis]).T
+    coords = np.array([np.trace(B.conj().T @ X).real for B in basis])
+    step, *_ = np.linalg.lstsq(M, np.append(y_flat, y0) - M @ coords, rcond=None)
+    return sum(c * B for c, B in zip(coords + step, basis))
