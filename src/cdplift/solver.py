@@ -1,32 +1,35 @@
-"""First-order PhaseLift solvers over the PSD cone.
+"""PhaseLift over the PSD cone by Douglas–Rachford splitting.
 
-Two modes:
+Both modes solve ``min rho tr(X)`` over the intersection of an affine set and
+the PSD cone, with one Douglas–Rachford loop (Lions–Mercier) that alternates
+the two exact projections:
 
-* ``feasibility`` — find a PSD matrix satisfying the lifted affine constraints
-  ``A(X) = y`` together with the known-intensity constraint ``tr(X) = y0``,
-  by alternating projections (POCS).  The affine projection is exact: in the
-  offset-block form of ``A`` (see ``cdplift.diffraction``) the constraints
-  split into one small real system per offset, and the Frobenius norm splits
-  the same way, so the projection is a least-squares correction per block
-  with pseudo-inverses built once per solve.
-* ``trace_min`` — minimize the nuclear norm (= trace, on the PSD cone)
-  subject to the same measurements, by proximal gradient descent on
-  ``0.5 ||A(X) - y||^2`` with an eigenvalue soft-threshold step and
-  geometric continuation on the trace weight.
+    X = P_aff(V),   W = P_psd(2X - V - rho Id),   V += lambda (W - X).
 
-Neither mode needs the measurement matrix in dense form.
+The affine set is ``{A(X) = y}`` in ``trace_min`` mode (PhaseLift: trace, the
+nuclear norm on the PSD cone, is what gets minimized) and ``{A(X) = y,
+tr X = y0}`` in ``feasibility`` mode, where the trace term is constant on the
+set and the loop finds a feasible point.  The mode decides nothing else.  The
+trace weight ``rho = sum(y) / (nu d^2 L)`` comes from the data: it estimates
+``||x||^2 / d``, so the shift is on the scale of the solution's eigenvalues.
+
+The affine projection is exact: in the offset-block form of ``A`` (see
+``cdplift.diffraction``) the constraints split into one small real system per
+offset, and the Frobenius norm splits the same way, so the projection is a
+least-squares correction per block with pseudo-inverses built once per solve.
+The data residual of each PSD iterate comes from the same blocks, so neither
+step needs ``A`` in dense form, nor a call of the public forward map.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffraction import MeasurementFrame, MeasurementVector, apply_A, apply_A_adjoint
-from .diffraction import _offset_index, _per_offset
-from .hermitian import as_hermitian, hermitize, psd_project
+from .diffraction import MeasurementFrame, MeasurementVector, apply_A
+from .diffraction import _contract, _offset_index, _per_offset
+from .hermitian import as_hermitian, psd_project
 
 __all__ = [
     "SolverConfig",
@@ -37,8 +40,6 @@ __all__ = [
     "verify_feasibility",
 ]
 
-logger = logging.getLogger(__name__)
-
 _MODES = ("feasibility", "trace_min")
 
 
@@ -46,10 +47,12 @@ _MODES = ("feasibility", "trace_min")
 class SolverConfig:
     """Knobs for solve_phaselift.
 
-    ``step_or_relaxation`` is the POCS over-relaxation factor in feasibility
-    mode (1.0 = plain alternating projections) and the gradient step safety
-    factor in trace_min mode.  ``trace_target`` (y0) is mandatory in
-    feasibility mode.
+    ``step_or_relaxation`` is the Douglas–Rachford relaxation lambda in
+    (0, 2] (1.0 = plain Douglas–Rachford).  ``trace_target`` (y0) is
+    mandatory in feasibility mode and unused in trace_min mode.  A solve
+    converges when the PSD iterate W meets both ``||W - X||_F <= tol
+    ||W||_F`` and a relative data residual ``<= tol``, with tol =
+    ``residual_tolerance``.
     """
 
     mode: str = "feasibility"
@@ -79,8 +82,8 @@ class SolveResult:
     converged: bool
     eigen_spectrum: np.ndarray
     residual_history: np.ndarray
-    # residual increases beyond 1% slack; expected 0 for plain alternating
-    # projections, may be positive in trace_min at continuation steps
+    # residual increases beyond 1% slack, counted: Douglas-Rachford is not
+    # monotone in the data residual, so this may be positive on any solve
     monotonicity_violations: int = 0
 
 
@@ -92,8 +95,8 @@ class FeasibilityReport:
     trace_deviation: float | None
 
 
-def _affine_projection(frame: MeasurementFrame, y_flat: np.ndarray, y0: float):
-    """Frobenius projection onto {A(X) = y, tr X = y0}, block by block.
+class _AffineSet:
+    """{A(X) = y}, with tr X = y0 when y0 is given, in offset-block form.
 
     The constraints read E_m z_m = t_m and ||X||_F^2 = sum_m ||z_m||^2, so the
     nearest point is z_m + E_m^+ (t_m - E_m z_m) for every m; as y and E are
@@ -101,126 +104,36 @@ def _affine_projection(frame: MeasurementFrame, y_flat: np.ndarray, y0: float):
     scaled by 1/sqrt(d), since ||A(X) - y||^2 = d sum_m ||E_m z_m - t_m||^2:
     on inconsistent data this gives the least-squares projection.
     """
-    d = frame.d
-    E = np.concatenate([frame.blocks, np.zeros((d, 1, d))], axis=1)
-    t = np.concatenate([_per_offset(y_flat.reshape(frame.L, d)), np.zeros((d, 1))], axis=1)
-    E[0, -1], t[0, -1] = 1.0 / np.sqrt(d), y0 / np.sqrt(d)  # the trace row
-    # the lstsq cutoff drops exactly dependent columns: zero columns, and the
-    # equal columns a, a + d/2 of offset d/2 at even d
-    pinv = np.linalg.pinv(E, rcond=max(E.shape[1:]) * np.finfo(float).eps)
-    keep = np.eye(d) - pinv @ E  # projector onto the null space of each block
-    shift = (pinv @ t[..., None])[..., 0]  # E_m^+ t_m
 
-    idx = _offset_index(d)
+    def __init__(self, frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None):
+        d = frame.d
+        E, t = frame.blocks, _per_offset(y_flat.reshape(frame.L, d))
+        if y0 is not None:
+            E = np.concatenate([E, np.zeros((d, 1, d))], axis=1)
+            t = np.concatenate([t, np.zeros((d, 1))], axis=1)
+            E[0, -1], t[0, -1] = 1.0 / np.sqrt(d), y0 / np.sqrt(d)  # the trace row
+        # the lstsq cutoff drops exactly dependent columns: zero columns, and the
+        # equal columns a, a + d/2 of offset d/2 at even d
+        pinv = np.linalg.pinv(E, rcond=max(E.shape[1:]) * np.finfo(float).eps)
+        self._keep = np.eye(d) - pinv @ E  # projector onto the null space of each block
+        self._shift = (pinv @ t[..., None])[..., 0]  # E_m^+ t_m
+        self._E, self._t, self._d = E, t, d
+        self._idx = _offset_index(d)
 
-    def project(X: np.ndarray) -> np.ndarray:
+    def project(self, X: np.ndarray) -> np.ndarray:
         out = np.empty_like(X)
-        out[idx] = (keep @ X[idx][..., None])[..., 0] + shift
+        out[self._idx] = (self._keep @ X[self._idx][..., None])[..., 0] + self._shift
         return out
 
-    return project
+    def residual(self, X: np.ndarray) -> float:
+        """||A(X) - y|| (with the trace row: ||(A(X), tr X) - (y, y0)||)."""
+        r = _contract(self._E, X[self._idx]) - self._t
+        return float(np.sqrt(self._d * np.vdot(r, r).real))
 
 
-def _solve_feasibility(frame, y_flat, cfg) -> SolveResult:
-    d = frame.d
-    y0 = float(cfg.trace_target)
-    project = _affine_projection(frame, y_flat, y0)
-    b = np.concatenate([y_flat, [y0]])
-    bnorm = max(float(np.linalg.norm(b)), 1e-300)
-    relax = cfg.step_or_relaxation
-
-    X = (y0 / d) * np.eye(d, dtype=complex)
-    history = []
-    converged = False
-    iterations = 0
-    prev = np.inf
-    bumps = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        X_psd = psd_project(project(X))
-        X = hermitize(X + relax * (X_psd - X)) if relax != 1.0 else X_psd
-        residual = np.append(apply_A(frame, X_psd), np.trace(X_psd).real) - b
-        res = float(np.linalg.norm(residual)) / bnorm
-        history.append(res)
-        if res > prev * 1.01:
-            bumps += 1
-            if bumps <= 3:
-                logger.warning(
-                    "feasibility residual increased at sweep %d: %.3e -> %.3e",
-                    iterations, prev, res,
-                )
-        prev = res
-        if res <= cfg.residual_tolerance:
-            X = X_psd
-            converged = True
-            break
-    if bumps > 3:
-        logger.warning("feasibility residual increased on %d sweeps in total", bumps)
-    spectrum = np.linalg.eigvalsh(hermitize(X))
-    return SolveResult(
-        X_hat=hermitize(X),
-        iterations_used=iterations,
-        final_residual=history[-1] if history else 0.0,
-        converged=converged,
-        eigen_spectrum=spectrum,
-        residual_history=np.asarray(history),
-        monotonicity_violations=bumps,
-    )
-
-
-def _operator_norm_estimate(frame, iters: int = 20) -> float:
-    """Power-iteration upper estimate of ||A* A|| on Hermitian matrices."""
-    rng = np.random.default_rng(0)
-    d = frame.d
-    Z = hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    Z /= np.linalg.norm(Z)
-    lam = 1.0
-    for _ in range(iters):
-        W = apply_A_adjoint(frame, apply_A(frame, Z))
-        lam = max(float(np.linalg.norm(W)), 1e-300)
-        Z = W / lam
-    return 1.1 * lam  # small safety factor so tau stays a valid step
-
-
-def _solve_trace_min(frame, y_flat, cfg) -> SolveResult:
-    d = frame.d
-    dist = frame.distribution
-    ynorm = max(float(np.linalg.norm(y_flat)), 1e-300)
-    tau = cfg.step_or_relaxation / _operator_norm_estimate(frame)
-
-    X = hermitize(
-        apply_A_adjoint(frame, y_flat) / (dist.nu**2 * d * frame.L)
-    )
-    lam0 = float(np.linalg.eigvalsh(X)[-1])
-    mu = 0.1 * max(lam0, 1e-300) / tau
-    mu_floor = cfg.residual_tolerance * mu
-    history = []
-    converged = False
-    iterations = 0
-    bumps = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        grad = apply_A_adjoint(frame, apply_A(frame, X) - y_flat)
-        lam, V = np.linalg.eigh(hermitize(X - tau * grad))
-        lam = np.maximum(lam - tau * mu, 0.0)
-        X = hermitize((V * lam) @ V.conj().T)
-        res = float(np.linalg.norm(apply_A(frame, X) - y_flat)) / ynorm
-        if history and res > history[-1] * 1.01:
-            bumps += 1
-        history.append(res)
-        if iterations % 20 == 0:
-            mu = max(0.25 * mu, mu_floor)
-        if res <= cfg.residual_tolerance and mu <= mu_floor * (1 + 1e-12):
-            converged = True
-            break
-    spectrum = np.linalg.eigvalsh(X)
-    return SolveResult(
-        X_hat=X,
-        iterations_used=iterations,
-        final_residual=history[-1] if history else 0.0,
-        converged=converged,
-        eigen_spectrum=spectrum,
-        residual_history=np.asarray(history),
-        monotonicity_violations=bumps,
-    )
+def _affine_projection(frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None = None):
+    """Frobenius projection onto the affine set of _AffineSet, as a function."""
+    return _AffineSet(frame, y_flat, y0).project
 
 
 def solve_phaselift(
@@ -230,28 +143,46 @@ def solve_phaselift(
 
     Non-convergence within ``cfg.max_iterations`` is reported through the
     ``converged`` flag (with diagnostics in ``residual_history``), never as an
-    exception; dimension mismatches do raise.
+    exception; dimension mismatches do raise.  The returned ``X_hat`` is the
+    last PSD iterate.
     """
     if y.y.shape != (frame.L, frame.d):
         raise ValueError(
             f"measurement shape {y.y.shape} does not match frame ({frame.L}, {frame.d})"
         )
     y_flat = y.ravel()
-    if float(np.linalg.norm(y_flat)) == 0.0 and (y.y0 is None or abs(y.y0) == 0.0) and (
-        cfg.trace_target is None or abs(cfg.trace_target) == 0.0
-    ):
-        Z = np.zeros((frame.d, frame.d), dtype=complex)
-        return SolveResult(
-            X_hat=Z,
-            iterations_used=0,
-            final_residual=0.0,
-            converged=True,
-            eigen_spectrum=np.zeros(frame.d),
-            residual_history=np.zeros(0),
-        )
-    if cfg.mode == "feasibility":
-        return _solve_feasibility(frame, y_flat, cfg)
-    return _solve_trace_min(frame, y_flat, cfg)
+    d = frame.d
+    target = cfg.trace_target if cfg.mode == "feasibility" else None
+    aff = _AffineSet(frame, y_flat, target)
+    rho = float(np.sum(y_flat)) / (frame.distribution.nu * d * d * frame.L)
+    shift = rho * np.eye(d)
+    relax = cfg.step_or_relaxation
+    tol = cfg.residual_tolerance
+
+    V = np.zeros((d, d), dtype=complex)
+    bnorm = max(aff.residual(V), 1e-300)  # the residual of 0 is ||(y, y0)||
+    history = []
+    converged = False
+    for iterations in range(1, cfg.max_iterations + 1):
+        X = aff.project(V)
+        W = psd_project(2 * X - V - shift)
+        step = W - X
+        V += relax * step
+        res = aff.residual(W) / bnorm
+        history.append(res)
+        if res <= tol and np.linalg.norm(step) <= tol * np.linalg.norm(W):
+            converged = True
+            break
+    history = np.asarray(history)
+    return SolveResult(
+        X_hat=W,
+        iterations_used=iterations,
+        final_residual=float(history[-1]),
+        converged=converged,
+        eigen_spectrum=np.linalg.eigvalsh(W),
+        residual_history=history,
+        monotonicity_violations=int(np.sum(history[1:] > history[:-1] * 1.01)),
+    )
 
 
 def extract_signal(X_hat) -> tuple[np.ndarray, float]:

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from cdplift.diffraction import MeasurementFrame, apply_A, measure, sample_masks, ternary_mask_distribution
+from cdplift.diffraction import (
+    MeasurementFrame,
+    MeasurementVector,
+    apply_A,
+    measure,
+    sample_masks,
+    ternary_mask_distribution,
+)
 from cdplift.hermitian import phase_aligned_distance
 from cdplift.solver import (
     SolverConfig,
+    _AffineSet,
     _affine_projection,
     extract_signal,
     solve_phaselift,
@@ -156,3 +164,70 @@ def test_solve_phaselift_shape_checks():
     bad = MeasurementVector(y=np.ones((3, 5)), y0=1.0)
     with pytest.raises(ValueError):
         solve_phaselift(frame, bad, SolverConfig(mode="feasibility", trace_target=1.0))
+
+
+@pytest.mark.parametrize("d, L", [(5, 3), (5, 8), (6, 4), (6, 9)])
+def test_blockwise_projection_without_trace_row_matches_dense_oracle(d, L):
+    rng = np.random.default_rng(d * 100 + L + 1)
+    masks = sample_masks(ternary_mask_distribution(), d, L, seed=L + 1)
+    y_flat = rng.random(L * d)
+    X = random_hermitian(rng, d)
+    projected = _affine_projection(MeasurementFrame(masks), y_flat, None)(X)
+    expected = dense_affine_projection(masks.epsilon, y_flat, None, X)
+    assert np.max(np.abs(projected - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("y0", [None, 1.3])
+def test_blockwise_residual_matches_forward_map(y0):
+    rng = np.random.default_rng(9)
+    masks = sample_masks(ternary_mask_distribution(), 6, 5, seed=9)
+    frame = MeasurementFrame(masks)
+    y_flat = rng.random(30)
+    X = random_hermitian(rng, 6)
+    residual = apply_A(frame, X) - y_flat
+    if y0 is not None:
+        residual = np.append(residual, np.trace(X).real - y0)
+    expected = np.linalg.norm(residual)
+    assert _AffineSet(frame, y_flat, y0).residual(X) == pytest.approx(expected, rel=1e-12)
+
+
+def test_trace_min_converges_when_the_data_fix_the_solution():
+    x, frame, y = make_instance(15, 30, seed=11)
+    res = solve_phaselift(frame, y, SolverConfig(mode="trace_min", max_iterations=50))
+    assert res.converged
+    x_hat, _ = extract_signal(res.X_hat)
+    assert phase_aligned_distance(x, x_hat) <= 1e-6
+
+
+def test_trace_min_minimizes_trace_when_the_data_leave_it_free():
+    x, frame, y = make_instance(15, 8, seed=12)
+    E0 = frame.blocks[0]  # offset 0: A(X) = y fixes E_0 diag(X), and tr X = 1 . diag(X)
+    ones = np.ones(15)
+    coef, *_ = np.linalg.lstsq(E0.T, ones, rcond=None)
+    assert np.linalg.norm(E0.T @ coef - ones) > 1e-3  # 1 is not in rowspace(E_0)
+    res = solve_phaselift(frame, y, SolverConfig(mode="trace_min"))
+    assert res.converged
+    report = verify_feasibility(frame, y, res.X_hat)
+    assert report.relative_violation <= 1e-6
+    assert report.min_eigenvalue >= -1e-10
+    # x x* is feasible, so the minimum trace is at most ||x||^2
+    assert np.trace(res.X_hat).real <= np.linalg.norm(x) ** 2 + 1e-6
+
+
+@pytest.mark.parametrize("mode", ["feasibility", "trace_min"])
+@pytest.mark.parametrize("L", [10, 30])
+@pytest.mark.parametrize("sigma", [1e-2, 1e-4])
+def test_noisy_intensities_give_a_stable_estimate(mode, L, sigma):
+    # relative Gaussian noise makes A(X) = y inconsistent on the PSD cone: the
+    # solve runs to its cap and must still return a bounded PSD estimate
+    x, frame, y = make_instance(15, L, seed=13)
+    rng = np.random.default_rng(14)
+    noisy = MeasurementVector(y=np.abs(y.y * (1 + sigma * rng.standard_normal(y.y.shape))), y0=y.y0)
+    cfg = SolverConfig(mode=mode, max_iterations=300, trace_target=y.y0)
+    res = solve_phaselift(frame, noisy, cfg)
+    assert not res.converged
+    assert np.all(np.isfinite(res.X_hat))
+    assert np.linalg.eigvalsh(res.X_hat)[0] >= -1e-10
+    assert np.linalg.norm(res.X_hat) <= 2 * y.y0
+    x_hat, _ = extract_signal(res.X_hat)
+    assert phase_aligned_distance(x, x_hat) <= 5 * sigma

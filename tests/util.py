@@ -94,10 +94,15 @@ def dense_affine_projection(eps, y_flat, y0, X):
 
     The constraint matrix is built column by column from dense_apply_A plus the
     trace row, in the coordinates of an orthonormal Hermitian basis; the
-    correction is the minimum-norm least-squares step.
+    correction is the minimum-norm least-squares step.  With y0 = None there
+    is no trace row: the projection onto {A(X) = y}.
     """
     basis = hermitian_basis(eps.shape[1])
     M = np.array([np.append(dense_apply_A(eps, B), np.trace(B).real) for B in basis]).T
+    if y0 is None:
+        M, b = M[:-1], y_flat
+    else:
+        b = np.append(y_flat, y0)
     coords = np.array([np.trace(B.conj().T @ X).real for B in basis])
-    step, *_ = np.linalg.lstsq(M, np.append(y_flat, y0) - M @ coords, rcond=None)
+    step, *_ = np.linalg.lstsq(M, b - M @ coords, rcond=None)
     return sum(c * B for c, B in zip(coords + step, basis))
