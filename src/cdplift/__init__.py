@@ -46,7 +46,6 @@ from .certify import (
     variance_bound_check,
     verify_certificate,
 )
-from .experiments import ExperimentConfig, run_experiment, run_lower_bound
 from .policy import POLICY, NumericPolicy
 from .solver import SolveResult, SolverConfig, extract_signal, solve_phaselift, verify_feasibility
 
@@ -95,3 +94,15 @@ __all__ = [
     "extract_signal",
     "verify_feasibility",
 ]
+
+# The experiment harness (yaml, csv, a thread pool) loads on first use, so a
+# process that only solves or certifies does not pay for it (PEP 562).
+_LAZY = {"ExperimentConfig", "run_experiment", "run_lower_bound"}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

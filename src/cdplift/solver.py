@@ -16,9 +16,12 @@ trace weight ``rho = sum(y) / (nu d^2 L)`` comes from the data: it estimates
 The affine projection is exact: in the offset-block form of ``A`` (see
 ``cdplift.diffraction``) the constraints split into one small real system per
 offset, and the Frobenius norm splits the same way, so the projection is a
-least-squares correction per block with pseudo-inverses built once per solve.
-The data residual of each PSD iterate comes from the same blocks, so neither
-step needs ``A`` in dense form, nor a call of the public forward map.
+least-squares correction per block, factored once per solve.  A block with at
+least d rows whose Gram matrix shows kappa_2 <= 1e3 (almost every block when
+L >= d) is solved by its normal equations, which then lose at most about
+1e6 eps, and has no null space; every other block keeps a pseudo-inverse from
+the SVD.  The data residual of each PSD iterate comes from the same blocks, so
+neither step needs ``A`` in dense form, nor a call of the public forward map.
 """
 
 from __future__ import annotations
@@ -95,6 +98,41 @@ class FeasibilityReport:
     trace_deviation: float | None
 
 
+# Gate of the normal equations: the Gram solve loses about kappa_2(E_m)^2 eps,
+# which stays below the 1e-10 of the oracle tests for kappa_2(E_m) <= 1e3.
+_KAPPA_MAX = 1e3
+
+
+def _lstsq_factors(E: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """keep_m = I - E_m^+ E_m and shift_m = E_m^+ t_m for a stack E of (r, d) blocks.
+
+    A block with r >= d whose Gram matrix G_m = E_m^T E_m shows kappa_2(E_m)
+    <= _KAPPA_MAX has full column rank, so keep_m = 0 exactly and shift_m =
+    G_m^{-1} E_m^T t_m.  Every other block takes the SVD, whose lstsq cutoff
+    drops exactly dependent columns: wide blocks (r < d), zero columns, the
+    equal columns a, a + d/2 of offset d/2 at even d, and any block the gate
+    rejects.  The eigenvalue gate gives a true bound and, unlike a batched
+    Cholesky or solve, does not fail the whole stack on one singular block.
+    """
+    n, r, d = E.shape
+    keep, shift = np.zeros((n, d, d)), np.empty((n, d), dtype=complex)
+    gram = np.zeros(n, dtype=bool)
+    if r >= d:
+        G = E.transpose(0, 2, 1) @ E
+        lam = np.linalg.eigvalsh(G)
+        gram = lam[:, 0] > lam[:, -1] / _KAPPA_MAX**2
+        rhs = _contract(E[gram].transpose(0, 2, 1), t[gram])
+        # complex right-hand sides as float pairs, so the solve stays real
+        pairs = rhs.view(float).reshape(*rhs.shape, 2)
+        shift[gram] = np.linalg.solve(G[gram], pairs).view(complex)[..., 0]
+    svd = ~gram
+    if svd.any():
+        pinv = np.linalg.pinv(E[svd], rcond=max(r, d) * np.finfo(float).eps)
+        keep[svd] = np.eye(d) - pinv @ E[svd]  # projector onto the null space
+        shift[svd] = _contract(pinv, t[svd])
+    return keep, shift
+
+
 class _AffineSet:
     """{A(X) = y}, with tr X = y0 when y0 is given, in offset-block form.
 
@@ -102,22 +140,23 @@ class _AffineSet:
     nearest point is z_m + E_m^+ (t_m - E_m z_m) for every m; as y and E are
     real, it is Hermitian.  The trace row [1 ... 1 | y0] joins the m = 0 block
     scaled by 1/sqrt(d), since ||A(X) - y||^2 = d sum_m ||E_m z_m - t_m||^2:
-    on inconsistent data this gives the least-squares projection.
+    on inconsistent data this gives the least-squares projection.  The other
+    blocks keep their L rows, so each stack goes to _lstsq_factors with its
+    true row count, and with L >= d almost every block takes the Gram path.
     """
 
     def __init__(self, frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None):
         d = frame.d
         E, t = frame.blocks, _per_offset(y_flat.reshape(frame.L, d))
-        if y0 is not None:
-            E = np.concatenate([E, np.zeros((d, 1, d))], axis=1)
-            t = np.concatenate([t, np.zeros((d, 1))], axis=1)
-            E[0, -1], t[0, -1] = 1.0 / np.sqrt(d), y0 / np.sqrt(d)  # the trace row
-        # the lstsq cutoff drops exactly dependent columns: zero columns, and the
-        # equal columns a, a + d/2 of offset d/2 at even d
-        pinv = np.linalg.pinv(E, rcond=max(E.shape[1:]) * np.finfo(float).eps)
-        self._keep = np.eye(d) - pinv @ E  # projector onto the null space of each block
-        self._shift = (pinv @ t[..., None])[..., 0]  # E_m^+ t_m
-        self._E, self._t, self._d = E, t, d
+        if y0 is None:
+            keep, shift = _lstsq_factors(E, t)
+        else:  # the trace row [1 ... 1 | y0] / sqrt(d) joins block 0 only
+            E0 = np.concatenate([E[:1], np.full((1, 1, d), 1.0 / np.sqrt(d))], axis=1)
+            t0 = np.append(t[0], y0 / np.sqrt(d))[None]
+            parts = _lstsq_factors(E0, t0), _lstsq_factors(E[1:], t[1:])
+            keep, shift = (np.concatenate(p) for p in zip(*parts))
+        self._keep, self._shift = keep, shift
+        self._E, self._t, self._y0, self._d = E, t, y0, d
         self._idx = _offset_index(d)
 
     def project(self, X: np.ndarray) -> np.ndarray:
@@ -128,7 +167,10 @@ class _AffineSet:
     def residual(self, X: np.ndarray) -> float:
         """||A(X) - y|| (with the trace row: ||(A(X), tr X) - (y, y0)||)."""
         r = _contract(self._E, X[self._idx]) - self._t
-        return float(np.sqrt(self._d * np.vdot(r, r).real))
+        res2 = self._d * np.vdot(r, r).real
+        if self._y0 is not None:
+            res2 += abs(np.trace(X) - self._y0) ** 2
+        return float(np.sqrt(res2))
 
 
 def _affine_projection(frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None = None):

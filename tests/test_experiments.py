@@ -1,7 +1,11 @@
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +364,22 @@ def test_run_experiment_dispatch(tmp_path):
     res = run_experiment(cfg)
     assert res.trial_path.name == "lower_bound_trials.csv"
     assert len(res.trial_rows) == 5
+
+
+# ---------------------------------------------------------------------------
+# package import
+
+
+def test_solver_and_certify_imports_leave_the_experiment_harness_unloaded():
+    src = str(Path(exp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = """
+import sys, cdplift, cdplift.certify, cdplift.solver
+assert "yaml" not in sys.modules and "cdplift.experiments" not in sys.modules
+from cdplift import ExperimentConfig, run_experiment, run_lower_bound
+from cdplift import experiments as exp
+assert (ExperimentConfig, run_experiment, run_lower_bound) == (
+    exp.ExperimentConfig, exp.run_experiment, exp.run_lower_bound)
+assert {"ExperimentConfig", "run_experiment", "run_lower_bound"} <= set(cdplift.__all__)
+"""
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdplift.diffraction import (
+    MaskSet,
     MeasurementFrame,
     MeasurementVector,
     apply_A,
@@ -14,6 +15,7 @@ from cdplift.solver import (
     SolverConfig,
     _AffineSet,
     _affine_projection,
+    _lstsq_factors,
     extract_signal,
     solve_phaselift,
     verify_feasibility,
@@ -231,3 +233,56 @@ def test_noisy_intensities_give_a_stable_estimate(mode, L, sigma):
     assert np.linalg.norm(res.X_hat) <= 2 * y.y0
     x_hat, _ = extract_signal(res.X_hat)
     assert phase_aligned_distance(x, x_hat) <= 5 * sigma
+
+
+# Which offsets take the Gram path of _lstsq_factors, by case: tall
+# well-conditioned blocks; a position masked to 0 in every mask (a zero column
+# in every block but the one the trace row joins); even d (offset d/2 has
+# equal columns); wide blocks; and d = 7, L = 6, where only the trace row
+# makes block 0 square.
+@pytest.mark.parametrize(
+    "d, L, zero_column, y0, gram_offsets",
+    [
+        (15, 30, False, None, range(15)),
+        (15, 30, False, 1.3, range(15)),
+        (15, 30, True, None, ()),
+        (15, 30, True, 1.3, (0,)),  # the trace row fills column 3 of block 0
+        (6, 24, False, None, (0, 1, 2, 4, 5)),
+        (6, 24, False, 1.3, (0, 1, 2, 4, 5)),
+        (15, 10, False, None, ()),
+        (15, 10, False, 1.3, ()),
+        (7, 6, False, None, ()),
+        (7, 6, False, 1.3, (0,)),
+    ],
+    ids=[f"{case}-{row}" for case in ("tall", "zero-column", "even-d", "wide", "mixed")
+         for row in ("no-trace-row", "trace-row")],
+)
+def test_every_factorisation_branch_matches_dense_oracle(d, L, zero_column, y0, gram_offsets):
+    rng = np.random.default_rng(d * 100 + L)
+    masks = sample_masks(ternary_mask_distribution(), d, L, seed=L + 2)
+    if zero_column:
+        eps = masks.epsilon.copy()
+        eps[:, 3] = 0.0
+        masks = MaskSet(epsilon=eps, distribution=masks.distribution)
+    y_flat = rng.random(L * d)
+    X = random_hermitian(rng, d)
+    aff = _AffineSet(MeasurementFrame(masks), y_flat, y0)
+    assert list(np.flatnonzero(~aff._keep.any(axis=(1, 2)))) == list(gram_offsets)
+    expected = dense_affine_projection(masks.epsilon, y_flat, y0, X)
+    assert np.max(np.abs(aff.project(X) - expected)) <= 1e-10
+
+
+def test_block_beyond_the_condition_gate_takes_the_svd():
+    # kappa_2 = 1e6 is full rank, but the normal equations would lose about
+    # kappa^2 eps = 1e-4 of the shift
+    rng = np.random.default_rng(21)
+    E = rng.standard_normal((3, 10, 6))
+    U, _, Vt = np.linalg.svd(E[1], full_matrices=False)
+    E[1] = U @ np.diag(np.logspace(0, -6, 6)) @ Vt
+    t = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+    keep, shift = _lstsq_factors(E, t)
+    pinv = np.linalg.pinv(E, rcond=10 * np.finfo(float).eps)
+    expected = (pinv @ t[..., None])[..., 0]
+    assert np.linalg.norm(shift - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert not keep[[0, 2]].any()  # the well-conditioned blocks take the Gram path
+    assert np.max(np.abs(keep[1])) <= 1e-10  # full rank: no null space either way

@@ -92,13 +92,17 @@ def hermitian_basis(d):
 def dense_affine_projection(eps, y_flat, y0, X):
     """Frobenius least-squares projection of Hermitian X onto {A(X) = y, tr X = y0}.
 
-    The constraint matrix is built column by column from dense_apply_A plus the
-    trace row, in the coordinates of an orthonormal Hermitian basis; the
-    correction is the minimum-norm least-squares step.  With y0 = None there
-    is no trace row: the projection onto {A(X) = y}.
+    The constraint matrix holds tr(F_{k,l} B) for the dense frame elements
+    (rows in dense_apply_A's order) plus the trace row, in the coordinates of
+    an orthonormal Hermitian basis B; the correction is the minimum-norm
+    least-squares step.  With y0 = None there is no trace row: the projection
+    onto {A(X) = y}.
     """
-    basis = hermitian_basis(eps.shape[1])
-    M = np.array([np.append(dense_apply_A(eps, B), np.trace(B).real) for B in basis]).T
+    L, d = eps.shape
+    basis = hermitian_basis(d)
+    F = np.array([dense_frame_element(eps[l], k) for l in range(L) for k in range(1, d + 1)])
+    M = np.einsum("iab,jba->ij", F, np.array(basis)).real
+    M = np.vstack([M, [np.trace(B).real for B in basis]])
     if y0 is None:
         M, b = M[:-1], y_flat
     else:
