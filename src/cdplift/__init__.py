@@ -23,6 +23,7 @@ from .diffraction import (
     sample_masks,
     ternary_mask_distribution,
     truncation_rate,
+    validate_moments,
 )
 from .hermitian import (
     TangentSpace,
@@ -42,7 +43,6 @@ from .certify import (
     golfing_construct,
     injectivity_spectrum,
     truncation_statistics,
-    validate_moments,
     variance_bound_check,
     verify_certificate,
 )

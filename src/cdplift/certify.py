@@ -3,12 +3,17 @@
 Each operation here turns one piece of the guarantee machinery into a
 numerical check on concrete mask realizations:
 
-* moment validation of a mask distribution (exact rational arithmetic);
+* moment validation of a mask distribution (exact rational arithmetic;
+  defined in ``cdplift.diffraction``, where every MaskDistribution runs it,
+  and re-exported here);
 * exact near-isotropy of the expected Gram operator, E[R](Z) = Z + tr(Z)*Id,
-  by full enumeration of the finite mask distribution — and the companion
-  2-design identity (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP;
+  by full enumeration of the finite mask distribution, read off the
+  probability-weighted offset Grams sum p E_m^T E_m — and the companion
+  2-design identity (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, checked
+  densely as the independent oracle;
 * the restricted-spectrum injectivity check: 1 + lambda_min(P_T (R - E[R]) P_T)
-  must exceed 1/4 for the measurements to separate tangent directions;
+  must exceed 1/4 for the measurements to separate tangent directions; R
+  enters through the frame's offset Grams E_m^T E_m, one batched product;
 * truncation-event statistics against the 4 d^{-gamma} tail bound;
 * per-mask variance bounds (30 and 60 times b^8/nu^4);
 * the golfing scheme: an iterative, resampled construction of an approximate
@@ -17,14 +22,14 @@ numerical check on concrete mask realizations:
   certificate;
 * the final optimality verdict, which is the conjunction of a valid
   certificate and a passing injectivity report — nothing more is computed,
-  matching the logic of the guarantee.
+  matching the logic of the guarantee — and which rejects an anchor or a
+  frame other than the certificate's own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +37,18 @@ from .diffraction import (
     MaskDistribution,
     MaskSet,
     MeasurementFrame,
+    MomentReport,
     _apply_A_adjoint_any,
     _apply_A_any,
     _offset_blocks,
+    _offset_gram,
+    _offset_index,
     _truncate,
     apply_A,
     apply_A_adjoint,
-    apply_R,
     sample_masks,
     truncation_rate,
+    validate_moments,
 )
 from .hermitian import TangentSpace, as_hermitian, as_signal, hermitize, norm
 from .policy import POLICY
@@ -72,51 +80,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# moment validation
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact moments E[eps^p], p = 1..4, and the per-condition verdicts."""
-
-    moments: tuple[float, float, float, float]
-    conditions: dict[str, bool]
-    ok: bool
-
-
-def validate_moments(support, probabilities=None) -> MomentReport:
-    """Check the mask moment profile in exact rational arithmetic.
-
-    Accepts either a MaskDistribution or raw (support, probabilities)
-    sequences — the latter admits deliberately invalid distributions (for
-    example plain Rademacher, which fails the fourth-moment condition and can
-    therefore never be constructed as a MaskDistribution).
-    """
-    if isinstance(support, MaskDistribution):
-        dist = support
-        support, probabilities = dist.support, dist.probabilities
-    if probabilities is None:
-        raise ValueError("probabilities required when support is a raw sequence")
-    if len(support) != len(probabilities) or not len(support):
-        raise ValueError("support and probabilities must be nonempty and equal-length")
-    probs = [Fraction(p) for p in probabilities]
-    vals = [Fraction(v) for v in support]
-    moments = tuple(
-        float(sum(p * v**k for p, v in zip(probs, vals))) for k in range(1, 5)
-    )
-    tol = POLICY.moment_tol
-    conditions = {
-        "probabilities_normalized": abs(float(sum(probs)) - 1.0) <= tol
-        and all(p >= 0 for p in probs),
-        "mean_zero": abs(moments[0]) <= tol,
-        "variance_positive": moments[1] > tol,
-        "third_moment_zero": abs(moments[2]) <= tol,
-        "fourth_moment_condition": abs(moments[3] - 2.0 * moments[1] ** 2) <= tol,
-    }
-    return MomentReport(moments=moments, conditions=conditions, ok=all(conditions.values()))
-
-
-# ---------------------------------------------------------------------------
 # exact enumeration checks
 
 
@@ -143,26 +106,25 @@ def _enumeration_size(dist: MaskDistribution, d: int, budget: int) -> int:
 
 
 def check_near_isotropy_exact(dist: MaskDistribution, d: int, budget: int = 10**6) -> float:
-    """Max deviation of the exact E[R](E_ij) from E_ij + delta_ij * Id.
+    """Max entry deviation of the exact E[R] from Z -> Z + tr(Z)*Id.
 
-    Enumerates every mask realization with its exact probability and pushes
-    each standard basis matrix through the same FFT-backed measurement code
-    the estimators use (R extends complex-linearly, so non-Hermitian E_ij are
-    fine).  For odd d the deviation is roundoff-level; even d genuinely
-    breaks the identity and the returned deviation records by how much.
+    Enumerates every mask realization with its exact probability p and
+    accumulates the offset Grams sum p E_m^T E_m over them.  E[R] acts on
+    offset m as that sum over nu^2, and the target acts as I at every offset
+    plus the all-ones matrix at offset 0 (tr(Z) = 1^T z_0, and Id sits on
+    offset 0).  Entry (a, i) of offset m is entry (a, a+m) of E[R](E_{i,i+m})
+    less its target, so the result equals the largest entry deviation of
+    E[R](E_ij) from E_ij + delta_ij * Id over all standard basis matrices.
+    For odd d the deviation is roundoff-level; even d genuinely breaks the
+    identity and the returned deviation records by how much.
     """
     _enumeration_size(dist, d, budget)
-    basis = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # basis[i, j] = E_ij
-    acc = np.zeros_like(basis)
+    H = np.zeros((d, d, d))
     for eps, p in _enumerate_masks(dist, d):
-        blocks = _offset_blocks(eps)
-        for i in range(d):
-            for j in range(d):
-                coeffs = _apply_A_any(blocks, basis[i, j]) * p[:, None]
-                acc[i, j] += _apply_A_adjoint_any(blocks, coeffs)
-    scale = 1.0 / (dist.nu**2 * d)
-    target = basis + np.einsum("ij,ab->ijab", np.eye(d), np.eye(d))  # E_ij + delta_ij Id
-    return float(np.max(np.abs(acc * scale - target)))
+        H += _offset_gram(_offset_blocks(eps), p)
+    target = np.tile(np.eye(d), (d, 1, 1))
+    target[0] += 1.0
+    return float(np.max(np.abs(H / dist.nu**2 - target)))
 
 
 def symmetric_projector(d: int) -> np.ndarray:
@@ -207,28 +169,34 @@ def injectivity_spectrum(
 ) -> InjectivityReport:
     """Spectrum of the tangent-restricted deviation operator P_T(R - E[R])P_T.
 
-    E[R] is taken analytically as Z + tr(Z)*Id (the near-isotropy identity);
-    only R itself touches the sampled masks.  The report also carries the
-    worst-case margin of the deterministic upper bound
+    In an orthonormal basis B_beta of T the operator's matrix is
+    M = <B_alpha, R(B_beta)> - <B_alpha, B_beta> - t_alpha t_beta with
+    t = tr(B): E[R] is taken analytically as Z + tr(Z)*Id (the near-isotropy
+    identity), and only R touches the sampled masks.  R acts on offset m as
+    H_m / (nu^2 L) with the offset Grams H_m = E_m^T E_m, so its part is
+    Re sum_m b_alpha,m^* H_m b_beta,m / (nu^2 L) over the basis elements'
+    offset vectors, from one Gram of the frame's blocks.  The report also
+    carries the worst-case margin of the deterministic upper bound
     b^4 d ||Z||_2^2 - (1/dL)||A(Z)||^2 over ``probes`` random Hermitian Z,
-    which must never be negative.
+    evaluated through ``apply_A`` (an independent path), which must never be
+    negative.
     """
     x = as_signal(x)
-    tangent = TangentSpace(x)
-    basis = tangent.basis()
+    basis = TangentSpace(x).basis()
     dim = basis.shape[0]
     d = frame.d
-    images = np.empty_like(basis)
-    for beta in range(dim):
-        B = basis[beta]
-        deviation = apply_R(frame, B) - (B + float(np.trace(B).real) * np.eye(d))
-        images[beta] = tangent.project(deviation)
-    M = np.real(np.einsum("aij,bji->ab", basis, images))
+    dist = frame.distribution
+    offsets = basis[(slice(None), *_offset_index(d))].transpose(1, 2, 0)  # b[m, a, beta]
+    H = _offset_gram(frame.blocks)
+    scale = 1.0 / (dist.nu**2 * frame.L) if frame.L else 0.0
+    M = (offsets.conj().transpose(0, 2, 1) @ (H @ offsets)).real.sum(axis=0) * scale
+    pairs = basis.reshape(dim, -1).view(float)  # Re<B_alpha, B_beta> = pairs @ pairs.T
+    traces = np.trace(basis, axis1=1, axis2=2).real
+    M -= pairs @ pairs.T + np.outer(traces, traces)
     M = (M + M.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(M)[0])
 
     rng = np.random.default_rng(seed)
-    dist = frame.distribution
     margin = np.inf
     for _ in range(probes):
         Z = hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -683,8 +651,19 @@ def certify_optimality(
 
     When both hypotheses hold, X = x x* is the unique optimum of the lifted
     program for this mask realization; no further computation is involved —
-    the verdict simply names any failing hypothesis.
+    the verdict simply names any failing hypothesis.  The verdict is only
+    meaningful for the certificate's own anchor and masks, so ``x`` must
+    match ``cert.anchor`` within ``POLICY.anchor_tol`` and ``frame`` must hold
+    the certificate's masks; otherwise ValueError.
     """
+    x = as_signal(x)
+    anchor = cert.anchor
+    if x.shape != anchor.shape or float(np.linalg.norm(x - anchor)) > POLICY.anchor_tol:
+        raise ValueError("x is not the anchor the certificate was built for")
+    if frame.masks is not cert.masks and not np.array_equal(
+        frame.masks.epsilon, cert.masks.epsilon
+    ):
+        raise ValueError("frame does not hold the masks the certificate was built on")
     failing = []
     if cert.tangent_residual > cert.tangent_bound:
         failing.append("dual certificate tangent bound ||Y_T - X||_2")

@@ -30,6 +30,15 @@ columns there are exactly a mask collision (``e_a`` and ``e_b`` measure
 alike), the lower-bound argument.  At even d, offset d/2 pairs a with a + d/2
 and back, so its block has equal columns a and a + d/2.
 
+The composition ``A* A`` acts on each offset alone: offset m of
+``A*(A(Z))`` is ``d E_m^T E_m z_m``, so with the real d x d offset Grams
+``H_m = E_m^T E_m`` (``_offset_gram``),
+
+    ||A(Z)||^2 = d sum_m z_m^* H_m z_m,     R(Z)_m = H_m z_m / (nu^2 L).
+
+Every second-order quantity of the frame (the tangent-restricted spectrum,
+the mask-average E[R] of exact enumeration) is read off these d Grams.
+
 Mask entries are drawn i.i.d. from a finite distribution with the moment
 profile E[eps] = E[eps^3] = 0, E[eps^4] = 2 E[eps^2]^2, |eps| <= b.
 """
@@ -48,6 +57,8 @@ from .hermitian import as_hermitian, as_signal, hermitize
 from .policy import POLICY
 
 __all__ = [
+    "MomentReport",
+    "validate_moments",
     "MaskDistribution",
     "MaskSet",
     "MeasurementFrame",
@@ -68,13 +79,55 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class MomentReport:
+    """Exact moments E[eps^p], p = 1..4, and the per-condition verdicts."""
+
+    moments: tuple[float, float, float, float]
+    conditions: dict[str, bool]
+    ok: bool
+
+
+def validate_moments(support, probabilities=None) -> MomentReport:
+    """Check the mask moment profile in exact rational arithmetic.
+
+    Accepts either a MaskDistribution or raw (support, probabilities)
+    sequences — the latter admits deliberately invalid distributions (for
+    example plain Rademacher, which fails the fourth-moment condition and can
+    therefore never be constructed as a MaskDistribution).
+    """
+    if isinstance(support, MaskDistribution):
+        dist = support
+        support, probabilities = dist.support, dist.probabilities
+    if probabilities is None:
+        raise ValueError("probabilities required when support is a raw sequence")
+    if len(support) != len(probabilities) or not len(support):
+        raise ValueError("support and probabilities must be nonempty and equal-length")
+    probs = [Fraction(p) for p in probabilities]
+    vals = [Fraction(v) for v in support]
+    moments = tuple(
+        float(sum(p * v**k for p, v in zip(probs, vals))) for k in range(1, 5)
+    )
+    tol = POLICY.moment_tol
+    conditions = {
+        "probabilities_normalized": abs(float(sum(probs)) - 1.0) <= tol
+        and all(p >= 0 for p in probs),
+        "mean_zero": abs(moments[0]) <= tol,
+        "variance_positive": moments[1] > tol,
+        "third_moment_zero": abs(moments[2]) <= tol,
+        "fourth_moment_condition": abs(moments[3] - 2.0 * moments[1] ** 2) <= tol,
+    }
+    return MomentReport(moments=moments, conditions=conditions, ok=all(conditions.values()))
+
+
+@dataclass(frozen=True)
 class MaskDistribution:
     """Finite real distribution for mask entries, moment-validated.
 
-    The constructor verifies (in exact rational arithmetic over the binary
-    float values) that E[eps] = E[eps^3] = 0 and E[eps^4] = 2 E[eps^2]^2 within
-    1e-12, that all support values are bounded by ``b``, and that the declared
-    variance ``nu`` matches E[eps^2] > 0.
+    The constructor runs ``validate_moments`` (exact rational arithmetic over
+    the binary float values: E[eps] = E[eps^3] = 0 and E[eps^4] =
+    2 E[eps^2]^2 within 1e-12, probabilities normalized) and raises on any
+    failed condition; it also checks that all support values are bounded by
+    ``b`` and that the declared variance ``nu`` matches E[eps^2] > 0.
     """
 
     support: tuple[float, ...]
@@ -84,24 +137,16 @@ class MaskDistribution:
     name: str = "custom"
 
     def __post_init__(self):
-        if len(self.support) == 0 or len(self.support) != len(self.probabilities):
-            raise ValueError("support and probabilities must be nonempty and equal-length")
-        if any(p < 0 for p in self.probabilities):
-            raise ValueError("probabilities must be nonnegative")
+        report = validate_moments(self.support, self.probabilities)
+        failed = [name for name, ok in report.conditions.items() if not ok]
+        if failed:
+            raise ValueError("mask moment conditions violated: " + ", ".join(failed))
         tol = POLICY.moment_tol
-        if abs(math.fsum(self.probabilities) - 1.0) > tol:
-            raise ValueError("probabilities must sum to 1")
         if any(abs(s) > self.b + tol for s in self.support):
             raise ValueError(f"support value exceeds bound b = {self.b}")
-        m = [self.moment(p) for p in range(1, 5)]
-        if abs(m[0]) > tol or abs(m[2]) > tol:
-            raise ValueError("odd moments E[eps], E[eps^3] must vanish")
-        if m[1] <= tol:
-            raise ValueError("variance E[eps^2] must be positive")
-        if abs(m[3] - 2.0 * m[1] ** 2) > tol:
-            raise ValueError("fourth-moment condition E[eps^4] = 2 E[eps^2]^2 violated")
-        if abs(self.nu - m[1]) > tol:
-            raise ValueError(f"declared nu = {self.nu} does not match E[eps^2] = {m[1]}")
+        nu = report.moments[1]
+        if abs(self.nu - nu) > tol:
+            raise ValueError(f"declared nu = {self.nu} does not match E[eps^2] = {nu}")
         if self.nu > self.b**2 + tol:
             raise ValueError("nu must not exceed b^2")
 
@@ -383,6 +428,15 @@ def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
     """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d)."""
     columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
     return (columns[_offset_index(epsilon.shape[1])[1]] * columns).transpose(0, 2, 1)
+
+
+def _offset_gram(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """H_m = E_m^T diag(w) E_m for every offset, a real (d, d, d) array.
+
+    ``weights`` holds one weight per mask (row of each block); None means 1.
+    """
+    left = blocks if weights is None else blocks * weights[:, None]
+    return left.transpose(0, 2, 1) @ blocks
 
 
 def _per_offset(C: np.ndarray) -> np.ndarray:

@@ -34,7 +34,14 @@ from cdplift.diffraction import (
 )
 from cdplift.hermitian import TangentSpace, norm
 from test_diffraction import five_point_distribution
-from util import dense_frame_element, random_hermitian, random_tangent, unit_signal
+from util import (
+    dense_frame_element,
+    dense_injectivity_lambda_min,
+    dense_isotropy_deviation,
+    random_hermitian,
+    random_tangent,
+    unit_signal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +160,15 @@ def test_near_isotropy_even_dimension_fails():
     assert check_near_isotropy_exact(ternary_mask_distribution(), 4) > 1e-6
 
 
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_near_isotropy_matches_dense_enumeration(law, d):
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    assert check_near_isotropy_exact(dist, d) == pytest.approx(
+        dense_isotropy_deviation(dist, d), abs=1e-12
+    )
+
+
 def test_enumeration_budget_enforced():
     dist = ternary_mask_distribution()
     with pytest.raises(ValueError, match="budget"):
@@ -188,6 +204,17 @@ def test_injectivity_passes_at_comfortable_mask_count():
     assert report.passes_quarter_bound
     assert 1 + report.lambda_min_restricted > 0.25
     assert report.upper_bound_margin >= 0.0
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d, L", [(5, 3), (6, 4), (7, 20), (15, 30)])
+def test_injectivity_matches_dense_oracle(d, L, law):
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    x = unit_signal(np.random.default_rng(d + L), d)
+    masks = sample_masks(dist, d, L, seed=L)
+    report = injectivity_spectrum(MeasurementFrame(masks), x, seed=0, probes=1)
+    expected = dense_injectivity_lambda_min(masks.epsilon, dist.nu, x)
+    assert report.lambda_min_restricted == pytest.approx(expected, abs=1e-10)
 
 
 def test_injectivity_quadratic_form_identity():
@@ -565,3 +592,33 @@ def test_certify_optimality_names_failures(certificate):
     assert "complement" in joined
     assert "injectivity" in joined
     assert len(verdict.failing_hypotheses) == 3
+
+
+def test_certify_optimality_rejects_another_anchor(certificate):
+    x, cert = certificate
+    frame = MeasurementFrame(cert.masks)
+    inj = InjectivityReport(
+        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0
+    )
+    other = x.copy()
+    other[0] += 1e-6
+    with pytest.raises(ValueError, match="anchor"):
+        certify_optimality(other, frame, cert, inj)
+
+
+def test_certify_optimality_rejects_another_frame(certificate):
+    x, cert = certificate
+    inj = InjectivityReport(
+        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0
+    )
+    eps = cert.masks.epsilon.copy()
+    eps[0] = -eps[0]
+    flipped = MeasurementFrame(MaskSet(epsilon=eps, distribution=cert.masks.distribution))
+    with pytest.raises(ValueError, match="masks"):
+        certify_optimality(x, flipped, cert, inj)
+    fresh = MeasurementFrame(sample_masks(cert.masks.distribution, x.size, 30, seed=1))
+    with pytest.raises(ValueError, match="masks"):
+        certify_optimality(x, fresh, cert, inj)
+    copy = MeasurementFrame(MaskSet(epsilon=cert.masks.epsilon.copy(),
+                                    distribution=cert.masks.distribution))
+    assert certify_optimality(x, copy, cert, inj).certified

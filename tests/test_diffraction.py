@@ -24,6 +24,13 @@ from cdplift.diffraction import (
     ternary_mask_distribution,
     truncation_rate,
 )
+from cdplift.diffraction import (
+    _apply_A_adjoint_any,
+    _apply_A_any,
+    _offset_blocks,
+    _offset_gram,
+    _offset_index,
+)
 from util import (
     dense_apply_A,
     dense_apply_A_adjoint,
@@ -513,3 +520,92 @@ def test_measure_nonnegative_and_matches_lift(seed, d, L):
     assert (y.y >= -1e-12).all()
     frame = MeasurementFrame(masks)
     assert np.allclose(apply_A(frame, np.outer(x, x.conj())), y.ravel(), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# operator properties on random frames, odd and even d
+#
+# Each test draws d = 2h + parity, so both parities are always covered: the
+# offset d/2 block at even d is the case where the algebra degenerates.
+
+frames = dict(
+    seed=st.integers(0, 10**6),
+    h=st.integers(1, 4),
+    L=st.integers(1, 5),
+    law=st.sampled_from(["ternary", "five-point"]),
+)
+
+
+def _frame(seed, d, L, law):
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    return MeasurementFrame(sample_masks(dist, d, L, seed=seed))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=15, deadline=None)
+@given(**frames)
+def test_adjoint_pairing_property(parity, seed, h, L, law):
+    d = 2 * h + parity
+    frame = _frame(seed, d, L, law)
+    rng = np.random.default_rng(seed)
+    Z = random_hermitian(rng, d)
+    c = rng.standard_normal(d * L)
+    lhs = float(apply_A(frame, Z) @ c)
+    rhs = float(np.trace(Z @ apply_A_adjoint(frame, c)).real)
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=15, deadline=None)
+@given(**frames)
+def test_per_mask_parseval_property(parity, seed, h, L, law):
+    # sum_k |<f_k, D_l x>|^2 = d ||D_l x||^2, and its lift
+    # sum_k tr(F_{k,l} Z) = d tr(D_l^2 Z) for every Hermitian Z
+    d = 2 * h + parity
+    frame = _frame(seed, d, L, law)
+    eps = frame.masks.epsilon
+    rng = np.random.default_rng(seed)
+    x = unit_signal(rng, d)
+    y = measure(x, frame.masks).y
+    assert np.allclose(y.sum(axis=1), d * np.sum(np.abs(eps * x) ** 2, axis=1), atol=1e-12)
+    Z = random_hermitian(rng, d)
+    rows = apply_A(frame, Z).reshape(L, d).sum(axis=1)
+    assert np.allclose(rows, d * (eps**2 @ np.diag(Z).real), atol=1e-10)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=15, deadline=None)
+@given(m=st.integers(0, 8), **frames)
+def test_A_star_A_maps_each_offset_to_itself(parity, m, seed, h, L, law):
+    # A*(A(Z)) keeps a Z supported on offset m on offset m, as d H_m z_m
+    d = 2 * h + parity
+    m %= d
+    blocks = _offset_blocks(_frame(seed, d, L, law).masks.epsilon)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    a = np.arange(d)
+    Z = np.zeros((d, d), dtype=complex)
+    Z[a, (a + m) % d] = z
+    out = _apply_A_adjoint_any(blocks, _apply_A_any(blocks, Z))
+    on_offset = np.zeros((d, d), dtype=bool)
+    on_offset[a, (a + m) % d] = True
+    assert np.allclose(out[~on_offset], 0.0, atol=1e-10)
+    H = _offset_gram(blocks)
+    assert np.allclose(out[a, (a + m) % d], d * H[m] @ z, atol=1e-10)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=15, deadline=None)
+@given(**frames)
+def test_forward_energy_is_the_offset_gram_form(parity, seed, h, L, law):
+    # ||A(Z)||^2 = d sum_m z_m^* H_m z_m with z_m[a] = Z[a, a+m], H_m = E_m^T E_m
+    d = 2 * h + parity
+    frame = _frame(seed, d, L, law)
+    Z = random_hermitian(np.random.default_rng(seed), d)
+    z = Z[_offset_index(d)]
+    H = _offset_gram(frame.blocks)
+    gram_form = d * np.einsum("ma,mab,mb->", z.conj(), H, z)
+    energy = float(np.sum(apply_A(frame, Z) ** 2))
+    assert gram_form.real == pytest.approx(energy, rel=1e-10)
+    assert abs(gram_form.imag) <= 1e-10 * energy
+

@@ -1,5 +1,7 @@
 """Shared test helpers: random draws and independent dense oracles."""
 
+import itertools
+
 import numpy as np
 
 from cdplift.diffraction import dft_vector
@@ -110,3 +112,40 @@ def dense_affine_projection(eps, y_flat, y0, X):
     coords = np.array([np.trace(B.conj().T @ X).real for B in basis])
     step, *_ = np.linalg.lstsq(M, b - M @ coords, rcond=None)
     return sum(c * B for c, B in zip(coords + step, basis))
+
+
+def dense_injectivity_lambda_min(eps, nu, x):
+    """lambda_min of P_T(R - E[R])P_T from dense forward images of a tangent basis.
+
+    In the Gram-Schmidt basis B of T, <B_a, R(B_b)> = <A(B_a), A(B_b)> / (nu^2 d L)
+    and <B_a, E[R](B_b)> = <B_a, B_b> + tr(B_a) tr(B_b); lambda_min does not
+    depend on which orthonormal basis spans T.
+    """
+    L, d = eps.shape
+    basis = tangent_basis_gram_schmidt(x)
+    images = np.array([dense_apply_A(eps, B) for B in basis])
+    flat = np.array([B.reshape(-1) for B in basis])
+    traces = np.array([np.trace(B).real for B in basis])
+    M = images @ images.T / (nu**2 * d * L)
+    M -= (flat.conj() @ flat.T).real + np.outer(traces, traces)
+    return float(np.linalg.eigvalsh((M + M.T) / 2)[0])
+
+
+def dense_isotropy_deviation(dist, d):
+    """Max entry deviation of E[R](E_ij) from E_ij + delta_ij Id by brute force.
+
+    Every mask realization comes from itertools with its probability as a
+    product of floats.  E[R](E_ij) = (1/nu^2 d) sum_k E[tr(F_k E_ij) F_k] with
+    tr(F E_ij) = F[j, i], summed over dense frame elements: no offset blocks,
+    no FFT.
+    """
+    probs = dict(zip(dist.support, dist.probabilities))
+    acc = np.zeros((d, d, d, d), dtype=complex)
+    for combo in itertools.product(dist.support, repeat=d):
+        F = np.array([dense_frame_element(np.asarray(combo), k) for k in range(1, d + 1)])
+        p = np.prod([probs[v] for v in combo])
+        acc += p * np.einsum("kji,kab->ijab", F, F)
+    acc /= dist.nu**2 * d
+    target = np.einsum("ia,jb->ijab", np.eye(d), np.eye(d))  # E_ij
+    target += np.einsum("ij,ab->ijab", np.eye(d), np.eye(d))  # delta_ij Id
+    return float(np.max(np.abs(acc - target)))
