@@ -7,10 +7,11 @@ numerical check on concrete mask realizations:
   defined in ``cdplift.diffraction``, where every MaskDistribution runs it,
   and re-exported here);
 * exact near-isotropy of the expected Gram operator, E[R](Z) = Z + tr(Z)*Id,
-  by full enumeration of the finite mask distribution, read off the
-  probability-weighted offset Grams sum p E_m^T E_m — and the companion
-  2-design identity (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, checked
-  densely as the independent oracle;
+  and the companion 2-design identity
+  (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, both by full enumeration
+  of the finite mask distribution and both read off probability-weighted
+  Grams of paired mask entries: difference pairs (a, a+m) give the offset
+  Grams sum p E_m^T E_m, sum pairs (a, s-a) the 2-design's d x d blocks;
 * the restricted-spectrum injectivity check: 1 + lambda_min(P_T (R - E[R]) P_T)
   must exceed 1/4 for the measurements to separate tangent directions; R
   enters through the frame's offset Grams E_m^T E_m, one batched product;
@@ -23,7 +24,8 @@ numerical check on concrete mask realizations:
 * the final optimality verdict, which is the conjunction of a valid
   certificate and a passing injectivity report — nothing more is computed,
   matching the logic of the guarantee — and which rejects an anchor or a
-  frame other than the certificate's own.
+  frame other than the ones the certificate and the injectivity report were
+  computed for.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ __all__ = [
     "validate_moments",
     "check_near_isotropy_exact",
     "check_two_design_exact",
-    "symmetric_projector",
     "injectivity_spectrum",
     "truncation_statistics",
     "variance_bound_check",
@@ -105,6 +106,30 @@ def _enumeration_size(dist: MaskDistribution, d: int, budget: int) -> int:
     return total
 
 
+def _pair_gram_deviation(
+    dist: MaskDistribution, d: int, budget: int, partner: np.ndarray, target: np.ndarray
+) -> float:
+    """Max entry of |sum_n p_n P_j^T P_j / nu^2 - target[j]| over pair index j.
+
+    ``partner[j, a]`` pairs column a with column partner[j, a]: block j of
+    the masks is P_j[n, a] = eps_{n,a} eps_{n,partner[j,a]} (``_offset_blocks``),
+    and its Gram weighted by the exact probabilities p (``_offset_gram``) is
+    accumulated over every mask realization, enumerated afresh on each call
+    within ``budget``.
+
+    Difference pairs (a, a+m) give the offset Grams H_m of near-isotropy;
+    sum pairs (a, s-a) give the 2-design Grams G_s.  The two are one array
+    read two ways, G_s[a, b] = H_{(s-a-b) mod d}[a, b], and their targets
+    delta_ab + [m = 0] and delta_ab + [a+b = s mod d] coincide under the
+    same relabeling, so both checks return the same deviation up to roundoff.
+    """
+    _enumeration_size(dist, d, budget)
+    gram = np.zeros((d, d, d))
+    for eps, p in _enumerate_masks(dist, d):
+        gram += _offset_gram(_offset_blocks(eps, partner), p)
+    return float(np.max(np.abs(gram / dist.nu**2 - target)))
+
+
 def check_near_isotropy_exact(dist: MaskDistribution, d: int, budget: int = 10**6) -> float:
     """Max entry deviation of the exact E[R] from Z -> Z + tr(Z)*Id.
 
@@ -118,50 +143,41 @@ def check_near_isotropy_exact(dist: MaskDistribution, d: int, budget: int = 10**
     For odd d the deviation is roundoff-level; even d genuinely breaks the
     identity and the returned deviation records by how much.
     """
-    _enumeration_size(dist, d, budget)
-    H = np.zeros((d, d, d))
-    for eps, p in _enumerate_masks(dist, d):
-        H += _offset_gram(_offset_blocks(eps), p)
     target = np.tile(np.eye(d), (d, 1, 1))
     target[0] += 1.0
-    return float(np.max(np.abs(H / dist.nu**2 - target)))
-
-
-def symmetric_projector(d: int) -> np.ndarray:
-    """Projector onto the totally symmetric subspace of C^d tensor C^d."""
-    swap = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
-    return (np.eye(d * d) + swap) / 2.0
+    return _pair_gram_deviation(dist, d, budget, _offset_index(d)[1], target)
 
 
 def check_two_design_exact(dist: MaskDistribution, d: int, budget: int = 10**6) -> float:
     """Max entry deviation of (1/nu^2 d) sum_k E[F_k tensor F_k] from 2 P_sym.
 
-    Builds both d^2 x d^2 matrices explicitly.  Each F_k is rank one, so its
-    self-tensor is the outer product of kron(u, u) with itself, u = D_l f_k.
+    With u = D f_k, entry ((a,c),(b,e)) of the left side is
+    (1/nu^2 d) sum_k E[eps_a eps_c eps_b eps_e] omega^{k(a+c-b-e)}, so the
+    sum over k leaves E[eps_a eps_c eps_b eps_e] / nu^2 on the pattern
+    a + c = b + e (mod d) and exact zeros off it, where 2 P_sym = I + SWAP
+    vanishes too.  On the pattern, with s = a + c, it is the sum-pair Gram
+    G_s = S_s^T diag(p) S_s of S_s[n, a] = eps_{n,a} eps_{n,s-a}, over nu^2,
+    and I + SWAP reads delta_ab + [b = s-a mod d].
     """
-    _enumeration_size(dist, d, budget)
-    js = np.arange(1, d + 1)
-    fk = np.exp(2j * np.pi * np.outer(np.arange(1, d + 1), js) / d)  # fk[k-1, j-1]
-    lhs = np.zeros((d * d, d * d), dtype=complex)
-    for eps, p in _enumerate_masks(dist, d):
-        u = eps[:, None, :] * fk[None, :, :]  # (n, k, d) masked DFT vectors
-        v = np.einsum("nka,nkb->nkab", u, u).reshape(u.shape[0], d, d * d)
-        w = (v * np.sqrt(p)[:, None, None]).reshape(-1, d * d)
-        lhs += w.T @ w.conj()
-    lhs /= dist.nu**2 * d
-    rhs = 2.0 * symmetric_projector(d)
-    return float(np.max(np.abs(lhs - rhs)))
+    a = np.arange(d)
+    partner = (a[:, None] - a[None, :]) % d  # partner[s, a] = s - a
+    target = np.eye(d) + (partner[:, :, None] == a)
+    return _pair_gram_deviation(dist, d, budget, partner, target)
 
 
 # ---------------------------------------------------------------------------
 # robust injectivity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InjectivityReport:
+    """The injectivity spectrum's verdict, bound to the anchor and masks it read."""
+
     lambda_min_restricted: float
     passes_quarter_bound: bool
     upper_bound_margin: float
+    anchor: np.ndarray
+    masks: MaskSet
 
 
 def injectivity_spectrum(
@@ -209,6 +225,8 @@ def injectivity_spectrum(
         lambda_min_restricted=lam_min,
         passes_quarter_bound=bool(1.0 + lam_min > 0.25),
         upper_bound_margin=float(margin),
+        anchor=x,
+        masks=frame.masks,
     )
 
 
@@ -652,18 +670,20 @@ def certify_optimality(
     When both hypotheses hold, X = x x* is the unique optimum of the lifted
     program for this mask realization; no further computation is involved —
     the verdict simply names any failing hypothesis.  The verdict is only
-    meaningful for the certificate's own anchor and masks, so ``x`` must
-    match ``cert.anchor`` within ``POLICY.anchor_tol`` and ``frame`` must hold
-    the certificate's masks; otherwise ValueError.
+    meaningful when the certificate and the injectivity report were both
+    computed for ``x`` and for ``frame``'s masks: each one's anchor must match
+    ``x`` within ``POLICY.anchor_tol`` and its masks must be ``frame``'s
+    (the same MaskSet, or equal mask entries); otherwise ValueError.
     """
     x = as_signal(x)
-    anchor = cert.anchor
-    if x.shape != anchor.shape or float(np.linalg.norm(x - anchor)) > POLICY.anchor_tol:
-        raise ValueError("x is not the anchor the certificate was built for")
-    if frame.masks is not cert.masks and not np.array_equal(
-        frame.masks.epsilon, cert.masks.epsilon
+    for name, anchor, masks in (
+        ("certificate", cert.anchor, cert.masks),
+        ("injectivity report", injectivity.anchor, injectivity.masks),
     ):
-        raise ValueError("frame does not hold the masks the certificate was built on")
+        if x.shape != anchor.shape or float(np.linalg.norm(x - anchor)) > POLICY.anchor_tol:
+            raise ValueError(f"x is not the anchor the {name} was built for")
+        if frame.masks is not masks and not np.array_equal(frame.masks.epsilon, masks.epsilon):
+            raise ValueError(f"frame does not hold the masks the {name} was built on")
     failing = []
     if cert.tangent_residual > cert.tangent_bound:
         failing.append("dual certificate tangent bound ||Y_T - X||_2")

@@ -424,10 +424,16 @@ def _offset_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx
 
 
-def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
-    """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d)."""
+def _offset_blocks(epsilon: np.ndarray, partner: np.ndarray | None = None) -> np.ndarray:
+    """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d).
+
+    ``partner[m, a]`` replaces the column a+m paired with column a; the exact
+    2-design check passes the sum pairs a -> m-a.
+    """
+    if partner is None:
+        partner = _offset_index(epsilon.shape[1])[1]
     columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
-    return (columns[_offset_index(epsilon.shape[1])[1]] * columns).transpose(0, 2, 1)
+    return (columns[partner] * columns).transpose(0, 2, 1)
 
 
 def _offset_gram(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

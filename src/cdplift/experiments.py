@@ -5,7 +5,9 @@ Four experiment kinds are supported:
 ``phase_transition``
     Recovery success rate over a (d, L) grid: sample signal and masks,
     measure, solve the lifted program, extract, and compare up to global
-    phase against the 1e-3 success threshold.
+    phase against the 1e-3 success threshold.  A solve that fails with
+    ``numpy.linalg.LinAlgError`` is a non-success whose class name fills the
+    ``failure`` column; any other exception propagates.
 ``golfing_rate``
     Certificate construction success rate: golfing_construct followed by a
     from-scratch verify_certificate on every reported success.
@@ -151,7 +153,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One recovery trial; ``success`` iff error <= the configured threshold."""
+    """One recovery trial; ``success`` iff error <= the configured threshold.
+
+    ``failure`` names the exception class of a solve that failed numerically
+    (its error is then inf); it is empty on every trial that ran to the end.
+    """
 
     experiment: str
     d: int
@@ -161,6 +167,7 @@ class TrialRecord:
     success: bool
     recovery_error: float
     iterations: int
+    failure: str
     wall_time: float
 
 
@@ -237,13 +244,16 @@ def _recovery_trial(cfg: ExperimentConfig, dist, d: int, L: int, trial: int) -> 
         residual_tolerance=cfg.residual_tolerance,
         trace_target=y.y0 if cfg.solver_mode == "feasibility" else None,
     )
+    failure = ""
     try:
         result = solve_phaselift(frame, y, solver_cfg)
         x_hat, _ = extract_signal(result.X_hat)
         error = phase_aligned_distance(x, x_hat)
         iterations = result.iterations_used
-    except Exception:
-        # a solver failure is a non-success, never a sweep abort
+    except np.linalg.LinAlgError as exc:
+        # a numerical failure is a recorded non-success, never a sweep abort;
+        # anything else is a fault in the program and propagates
+        failure = type(exc).__name__
         error = math.inf
         iterations = 0
     return TrialRecord(
@@ -255,6 +265,7 @@ def _recovery_trial(cfg: ExperimentConfig, dist, d: int, L: int, trial: int) -> 
         success=bool(error <= cfg.success_threshold),
         recovery_error=float(error),
         iterations=iterations,
+        failure=failure,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -293,9 +304,11 @@ def run_phase_transition(cfg: ExperimentConfig) -> ExperimentResult:
     trial_path = _write_csv(
         out / "phase_transition_trials.csv",
         "phase_transition",
-        ["d", "L", "trial", "seed", "success", "recovery_error", "iterations", "wall_time"],
+        ["d", "L", "trial", "seed", "success", "recovery_error", "iterations", "failure",
+         "wall_time"],
         [
-            (r.d, r.L, r.trial, r.seed, r.success, r.recovery_error, r.iterations, r.wall_time)
+            (r.d, r.L, r.trial, r.seed, r.success, r.recovery_error, r.iterations, r.failure,
+             r.wall_time)
             for r in records
         ],
     )

@@ -17,7 +17,6 @@ from cdplift.certify import (
     format_construction_log,
     golfing_construct,
     injectivity_spectrum,
-    symmetric_projector,
     truncation_statistics,
     validate_moments,
     variance_bound_check,
@@ -38,8 +37,10 @@ from util import (
     dense_frame_element,
     dense_injectivity_lambda_min,
     dense_isotropy_deviation,
+    dense_two_design_deviation,
     random_hermitian,
     random_tangent,
+    symmetric_projector,
     unit_signal,
 )
 
@@ -189,6 +190,26 @@ def test_two_design_identity_odd_and_even():
     dist = ternary_mask_distribution()
     assert check_two_design_exact(dist, 3) <= 1e-13
     assert check_two_design_exact(dist, 4) > 1e-6
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_two_design_matches_dense_enumeration(law, d):
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    assert check_two_design_exact(dist, d) == pytest.approx(
+        dense_two_design_deviation(dist, d), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_two_design_and_near_isotropy_are_one_check_realigned(law, d):
+    # G_s[a, b] = H_{(s-a-b) mod d}[a, b], and the targets agree under the
+    # same relabeling, so both exact checks return the same deviation
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    assert check_two_design_exact(dist, d) == pytest.approx(
+        check_near_isotropy_exact(dist, d), abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +603,8 @@ def test_certify_optimality_names_failures(certificate):
     x, cert = certificate
     frame = MeasurementFrame(cert.masks)
     inj_bad = InjectivityReport(
-        lambda_min_restricted=-0.9, passes_quarter_bound=False, upper_bound_margin=1.0
+        lambda_min_restricted=-0.9, passes_quarter_bound=False, upper_bound_margin=1.0,
+        anchor=x, masks=cert.masks,
     )
     cert_bad = dataclasses.replace(cert, complement_norm=0.9, tangent_residual=1.0)
     verdict = certify_optimality(x, frame, cert_bad, inj_bad)
@@ -598,7 +620,8 @@ def test_certify_optimality_rejects_another_anchor(certificate):
     x, cert = certificate
     frame = MeasurementFrame(cert.masks)
     inj = InjectivityReport(
-        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0
+        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0,
+        anchor=x, masks=cert.masks,
     )
     other = x.copy()
     other[0] += 1e-6
@@ -609,7 +632,8 @@ def test_certify_optimality_rejects_another_anchor(certificate):
 def test_certify_optimality_rejects_another_frame(certificate):
     x, cert = certificate
     inj = InjectivityReport(
-        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0
+        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0,
+        anchor=x, masks=cert.masks,
     )
     eps = cert.masks.epsilon.copy()
     eps[0] = -eps[0]
@@ -622,3 +646,24 @@ def test_certify_optimality_rejects_another_frame(certificate):
     copy = MeasurementFrame(MaskSet(epsilon=cert.masks.epsilon.copy(),
                                     distribution=cert.masks.distribution))
     assert certify_optimality(x, copy, cert, inj).certified
+
+
+def test_certify_optimality_rejects_a_report_for_another_frame_or_anchor(certificate):
+    x, cert = certificate
+    d = x.size
+    frame = MeasurementFrame(cert.masks)
+    fresh = MeasurementFrame(sample_masks(cert.masks.distribution, d, 40, seed=1))
+    flat = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+    stray = injectivity_spectrum(fresh, flat, seed=0, probes=10)
+    assert stray.passes_quarter_bound  # a passing report, just not for this instance
+    with pytest.raises(ValueError, match="injectivity report"):
+        certify_optimality(x, frame, cert, stray)
+    with pytest.raises(ValueError, match="masks the injectivity report"):
+        certify_optimality(x, frame, cert, injectivity_spectrum(fresh, x, seed=0, probes=10))
+    with pytest.raises(ValueError, match="anchor the injectivity report"):
+        certify_optimality(x, frame, cert, injectivity_spectrum(frame, flat, seed=0, probes=10))
+    copy = MeasurementFrame(MaskSet(epsilon=cert.masks.epsilon.copy(),
+                                    distribution=cert.masks.distribution))
+    own = injectivity_spectrum(copy, x, seed=0, probes=10)
+    assert np.array_equal(own.anchor, x) and own.masks is copy.masks
+    assert certify_optimality(x, frame, cert, own).certified

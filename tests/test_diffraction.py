@@ -609,3 +609,24 @@ def test_forward_energy_is_the_offset_gram_form(parity, seed, h, L, law):
     assert gram_form.real == pytest.approx(energy, rel=1e-10)
     assert abs(gram_form.imag) <= 1e-10 * energy
 
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=15, deadline=None)
+@given(**frames)
+def test_adjoint_and_gram_outputs_are_hermitian_property(parity, seed, h, L, law):
+    # A* of real coefficients and R of a Hermitian Z are Hermitian.  The public
+    # maps symmetrize their output, so the raw offset-block kernels, which do
+    # not, are checked as well: there a wrong pairing would show.
+    d = 2 * h + parity
+    frame = _frame(seed, d, L, law)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(d * L)
+    Z = random_hermitian(rng, d)
+    for out in (apply_A_adjoint(frame, c), apply_R(frame, Z)):
+        assert np.array_equal(out, out.conj().T)
+    coeffs = _apply_A_any(frame.blocks, Z)
+    assert np.allclose(coeffs.imag, 0.0, atol=1e-10)
+    for C in (c.reshape(L, d), coeffs.real):
+        raw = _apply_A_adjoint_any(frame.blocks, C)
+        assert np.allclose(raw, raw.conj().T, atol=1e-10 * max(1.0, np.abs(raw).max()))

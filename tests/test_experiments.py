@@ -229,7 +229,8 @@ def test_phase_transition_trials_and_aggregates(tmp_path):
     comment, head, rows = read_csv(res.trial_path)
     assert comment == "# cdplift-csv v1 experiment=phase_transition"
     assert head == [
-        "d", "L", "trial", "seed", "success", "recovery_error", "iterations", "wall_time",
+        "d", "L", "trial", "seed", "success", "recovery_error", "iterations", "failure",
+        "wall_time",
     ]
     assert len(rows) == 8
     for r in rows:
@@ -250,7 +251,8 @@ def test_phase_transition_trials_and_aggregates(tmp_path):
 
 def test_phase_transition_determinism(tmp_path):
     header = [
-        "d", "L", "trial", "seed", "success", "recovery_error", "iterations", "wall_time",
+        "d", "L", "trial", "seed", "success", "recovery_error", "iterations", "failure",
+        "wall_time",
     ]
     r1 = run_phase_transition(phase_config(tmp_path / "a"))
     r2 = run_phase_transition(phase_config(tmp_path / "b", workers=2))
@@ -268,7 +270,7 @@ def test_phase_transition_e1_signal(tmp_path):
 
 def test_solver_crash_is_a_non_success_not_an_abort(tmp_path, monkeypatch):
     def boom(frame, y, cfg):
-        raise RuntimeError("synthetic solver crash")
+        raise np.linalg.LinAlgError("synthetic solver crash")
 
     monkeypatch.setattr(exp, "solve_phaselift", boom)
     res = run_phase_transition(phase_config(tmp_path, L_grid=(2,), trials=3))
@@ -282,6 +284,34 @@ def test_solver_crash_is_a_non_success_not_an_abort(tmp_path, monkeypatch):
     assert math.isinf(max_err)
     _, _, rows = read_csv(res.trial_path)
     assert rows[0][5] == "inf"
+
+
+def test_linalg_failure_is_named_in_the_failure_column(tmp_path, monkeypatch):
+    real = exp.solve_phaselift
+    calls = []
+
+    def fail_first(frame, y, cfg):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(frame, y, cfg)
+
+    monkeypatch.setattr(exp, "solve_phaselift", fail_first)
+    res = run_phase_transition(phase_config(tmp_path, L_grid=(8,), trials=3))
+    _, head, rows = read_csv(res.trial_path)
+    assert head[-2:] == ["failure", "wall_time"]
+    assert sorted(r[7] for r in rows) == ["", "", "LinAlgError"]
+    for r in rows:
+        assert math.isinf(float(r[5])) == (r[7] == "LinAlgError")
+
+
+def test_other_solver_exceptions_propagate(tmp_path, monkeypatch):
+    def broken(frame, y, cfg):
+        raise TypeError("a fault in the program, not a numerical failure")
+
+    monkeypatch.setattr(exp, "solve_phaselift", broken)
+    with pytest.raises(TypeError, match="fault in the program"):
+        run_phase_transition(phase_config(tmp_path, L_grid=(2,), trials=2))
 
 
 # ---------------------------------------------------------------------------

@@ -149,3 +149,27 @@ def dense_isotropy_deviation(dist, d):
     target = np.einsum("ia,jb->ijab", np.eye(d), np.eye(d))  # E_ij
     target += np.einsum("ij,ab->ijab", np.eye(d), np.eye(d))  # delta_ij Id
     return float(np.max(np.abs(acc - target)))
+
+
+def symmetric_projector(d):
+    """Projector onto the totally symmetric subspace of C^d tensor C^d."""
+    swap = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
+    return (np.eye(d * d) + swap) / 2.0
+
+
+def dense_two_design_deviation(dist, d):
+    """Max entry deviation of (1/nu^2 d) sum_k E[F_k tensor F_k] from 2 P_sym.
+
+    Builds both d^2 x d^2 matrices explicitly from itertools-enumerated masks:
+    each F_k = u u* is rank one, so F_k tensor F_k is the outer product of
+    kron(u, u) with itself, u = D f_k.  No offset blocks, no sum blocks, no FFT.
+    """
+    probs = dict(zip(dist.support, dist.probabilities))
+    fk = np.array([dft_vector(d, k) for k in range(1, d + 1)])
+    lhs = np.zeros((d * d, d * d), dtype=complex)
+    for combo in itertools.product(dist.support, repeat=d):
+        u = np.asarray(combo) * fk  # (k, a) masked DFT vectors
+        rows = np.array([np.kron(v, v) for v in u])
+        lhs += np.prod([probs[v] for v in combo]) * rows.T @ rows.conj()
+    lhs /= dist.nu**2 * d
+    return float(np.max(np.abs(lhs - 2.0 * symmetric_projector(d))))
