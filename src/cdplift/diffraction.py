@@ -34,8 +34,10 @@ The composition ``A* A`` acts on each offset alone: offset m of
 ``A*(A(Z))`` is ``d E_m^T E_m z_m``, so with the real d x d offset Grams
 ``H_m = E_m^T E_m`` (``_offset_gram``),
 
-    ||A(Z)||^2 = d sum_m z_m^* H_m z_m,     R(Z)_m = H_m z_m / (nu^2 L).
+    ||A(Z)||^2 = d sum_m z_m^* H_m z_m = d sum_m ||E_m z_m||^2,
+    R(Z)_m = H_m z_m / (nu^2 L).
 
+The second form is Parseval over the frequencies k, with no Gram formed.
 Every second-order quantity of the frame (the tangent-restricted spectrum,
 the mask-average E[R] of exact enumeration) is read off these d Grams.
 
@@ -196,12 +198,13 @@ class MaskSet:
         eps = np.asarray(self.epsilon, dtype=float)
         if eps.ndim != 2 or eps.shape[1] < 1:
             raise ValueError(f"epsilon must be (L, d) with d >= 1, got {eps.shape}")
-        if eps.size:
-            gaps = np.min(
-                np.abs(eps[:, :, None] - np.asarray(self.distribution.support)), axis=2
-            )
-            if float(gaps.max()) > POLICY.moment_tol:
-                raise ValueError("mask entries must lie in the distribution's support")
+        gaps = np.full(eps.shape, np.inf)  # distance to the nearest support value
+        diff = np.empty_like(eps)
+        for value in self.distribution.support:
+            np.abs(np.subtract(eps, value, out=diff), out=diff)
+            np.minimum(gaps, diff, out=gaps)
+        if not np.max(gaps, initial=0.0) <= POLICY.moment_tol:  # NaN fails too
+            raise ValueError("mask entries must lie in the distribution's support")
         eps.setflags(write=False)
         object.__setattr__(self, "epsilon", eps)
 

@@ -32,8 +32,9 @@ _NORM_KINDS = ("trace", "frobenius", "operator")
 
 
 def hermitize(Z: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part ``(Z + Z*)/2`` of a square matrix."""
-    return (Z + Z.conj().T) / 2
+    """Return the Hermitian part ``(Z + Z*)/2`` of a square matrix, or of each
+    matrix in a stack along the last two axes."""
+    return (Z + Z.conj().swapaxes(-1, -2)) / 2
 
 
 def as_signal(x, name: str = "signal") -> np.ndarray:

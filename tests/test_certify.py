@@ -34,6 +34,7 @@ from cdplift.diffraction import (
 from cdplift.hermitian import TangentSpace, norm
 from test_diffraction import five_point_distribution
 from util import (
+    apply_A_probe_margin,
     dense_frame_element,
     dense_injectivity_lambda_min,
     dense_isotropy_deviation,
@@ -42,6 +43,7 @@ from util import (
     random_tangent,
     symmetric_projector,
     unit_signal,
+    variance_moments_loop,
 )
 
 
@@ -238,6 +240,27 @@ def test_injectivity_matches_dense_oracle(d, L, law):
     assert report.lambda_min_restricted == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d, L", [(7, 0), (7, 20), (8, 0), (8, 20)])
+@pytest.mark.parametrize("probes", [0, 1, 20])
+def test_injectivity_probes_match_apply_A(d, L, law, probes):
+    # the probe energies read off the offset contraction (Parseval over k)
+    # match the dL forward values of apply_A, probe for probe
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    x = unit_signal(np.random.default_rng(d), d)
+    masks = sample_masks(dist, d, L, seed=d) if L else MaskSet(np.zeros((0, d)), dist)
+    frame = MeasurementFrame(masks)
+    report = injectivity_spectrum(frame, x, seed=3, probes=probes)
+    expected = apply_A_probe_margin(frame, d, seed=3, probes=probes)
+    assert report.upper_bound_margin == pytest.approx(expected, rel=1e-12)
+
+
+def test_injectivity_rejects_negative_probes():
+    frame = MeasurementFrame(sample_masks(ternary_mask_distribution(), 5, 4, seed=0))
+    with pytest.raises(ValueError, match="probes"):
+        injectivity_spectrum(frame, unit_signal(np.random.default_rng(0), 5), probes=-1)
+
+
 def test_injectivity_quadratic_form_identity():
     # tr(Z R Z) = (1/nu^2 d L) ||A(Z)||^2 ties the restricted spectrum to the
     # measurement energy; holds for every realization, not just on average
@@ -373,6 +396,34 @@ def test_variance_bounds_monte_carlo_fallback():
     assert chk.method == "monte_carlo"
     assert chk.n_terms == 2000
     assert chk.satisfied  # constants have ~30x slack; MC noise cannot break them
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_variance_matches_per_mask_loop(d, law):
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    rng = np.random.default_rng(d)
+    x = unit_signal(rng, d)
+    Z = random_tangent(rng, x)
+    chk = variance_bound_check(dist, x, Z)
+    operator, trace, n_terms = variance_moments_loop(dist, x, Z)
+    assert chk.lhs_operator == pytest.approx(operator, rel=1e-12)
+    assert chk.lhs_trace == pytest.approx(trace, rel=1e-12)
+    assert chk.n_terms == n_terms == len(dist.support) ** d
+
+
+def test_variance_monte_carlo_matches_per_mask_loop():
+    # 5000 samples span two chunks of the batched path
+    dist = five_point_distribution()
+    rng = np.random.default_rng(15)
+    x = unit_signal(rng, 4)
+    Z = random_tangent(rng, x)
+    chk = variance_bound_check(dist, x, Z, budget=1, mc_samples=5000, seed=2)
+    operator, trace, n_terms = variance_moments_loop(dist, x, Z, budget=1, mc_samples=5000, seed=2)
+    assert chk.method == "monte_carlo"
+    assert chk.lhs_operator == pytest.approx(operator, rel=1e-12)
+    assert chk.lhs_trace == pytest.approx(trace, rel=1e-12)
+    assert chk.n_terms == n_terms == 5000
 
 
 def test_variance_requires_tangent_argument():

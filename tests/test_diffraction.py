@@ -31,11 +31,13 @@ from cdplift.diffraction import (
     _offset_gram,
     _offset_index,
 )
+from cdplift.policy import POLICY
 from util import (
     dense_apply_A,
     dense_apply_A_adjoint,
     dense_frame_element,
     random_hermitian,
+    support_gaps_3d,
     unit_signal,
 )
 
@@ -185,6 +187,60 @@ def test_sample_masks_validates_arguments():
 def test_maskset_rejects_entries_outside_support():
     with pytest.raises(ValueError):
         MaskSet(epsilon=np.array([[0.5, 0.0]]), distribution=ternary_mask_distribution())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maskset_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="support"):
+        MaskSet(epsilon=np.array([[math.sqrt(2.0), bad, 0.0]]),
+                distribution=ternary_mask_distribution())
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.5"])
+def test_maskset_load_rejects_bad_entries(tmp_path, bad):
+    path = tmp_path / "masks.txt"
+    sample_masks(ternary_mask_distribution(), 3, 2, seed=0).save(path)
+    lines = path.read_text().splitlines()
+    lines[-1] = f"0.0 {bad} 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="support"):
+        MaskSet.load(path)
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+def test_maskset_accepts_entries_within_tolerance(law):
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    tol = POLICY.moment_tol
+    support = np.asarray(dist.support)
+    near = np.vstack([support + tol / 2, support - tol / 2])
+    assert MaskSet(epsilon=near, distribution=dist).L == 2
+    with pytest.raises(ValueError, match="support"):
+        MaskSet(epsilon=support[None, :] + 2 * tol, distribution=dist)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(["ternary", "five-point"]), L=st.integers(0, 4),
+       d=st.integers(1, 5), data=st.data())
+def test_maskset_support_check_matches_3d_gaps(law, L, d, data):
+    # entries at, within and just beyond moment_tol of a support value, plus
+    # some far from every one; accepted exactly when every 3-D gap is in tol
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    tol = POLICY.moment_tol
+    offset = st.one_of(
+        st.just(0.0),
+        st.sampled_from([tol, -tol, tol / 2, 2 * tol, -2 * tol]),
+        st.floats(-4 * tol, 4 * tol),
+        st.floats(-1.0, 1.0),
+    )
+    entry = st.builds(lambda v, off: v + off, st.sampled_from(dist.support), offset)
+    eps = np.array(data.draw(st.lists(entry, min_size=L * d, max_size=L * d))).reshape(L, d)
+    expected = not (eps.size and support_gaps_3d(eps, dist.support).max() > tol)
+    try:
+        MaskSet(epsilon=eps, distribution=dist)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
 
 
 def test_maskset_save_load_roundtrip(tmp_path):

@@ -4,7 +4,15 @@ import itertools
 
 import numpy as np
 
-from cdplift.diffraction import dft_vector
+from cdplift.certify import _enumerate_masks
+from cdplift.diffraction import (
+    _apply_A_adjoint_any,
+    _apply_A_any,
+    _offset_blocks,
+    apply_A,
+    dft_vector,
+)
+from cdplift.hermitian import TangentSpace, hermitize, norm
 
 
 def unit_signal(rng, d):
@@ -173,3 +181,65 @@ def dense_two_design_deviation(dist, d):
         lhs += np.prod([probs[v] for v in combo]) * rows.T @ rows.conj()
     lhs /= dist.nu**2 * d
     return float(np.max(np.abs(lhs - 2.0 * symmetric_projector(d))))
+
+
+def apply_A_probe_margin(frame, d, seed, probes):
+    """Worst b^4 d ||Z||^2 - (1/dL)||A(Z)||^2 over random Hermitian probes Z.
+
+    The probes are drawn as injectivity_spectrum draws them (real part, then
+    imaginary part, per probe, from default_rng(seed)); each energy sums the
+    dL forward values of ``apply_A``, the FFT path, one probe at a time.
+    """
+    dist = frame.distribution
+    rng = np.random.default_rng(seed)
+    margin = np.inf
+    for _ in range(probes):
+        Z = hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        z2 = float(np.linalg.norm(Z)) ** 2
+        energy = float(np.sum(apply_A(frame, Z) ** 2)) / (d * frame.L) if frame.L else 0.0
+        margin = min(margin, dist.b**4 * d * z2 - energy)
+    return float(margin)
+
+
+def variance_moments_loop(dist, x, Z, budget=10**6, mc_samples=10**4, seed=0):
+    """(||E[M(Z)^2]||_inf, tr E[(P_T M(Z))^2], n_terms), one mask at a time.
+
+    Each mask's M(Z) = (1/nu^2 d) sum_k tr(F_k Z) F_k comes from its own
+    forward values and adjoint, squared with one matrix product and projected
+    with TangentSpace.project; the masks and weights are those of
+    variance_bound_check (exact enumeration within ``budget``, else the same
+    Monte-Carlo draw).
+    """
+    tangent = TangentSpace(x)
+    d = x.size
+    if len(dist.support) ** d <= budget:
+        batches = _enumerate_masks(dist, d)
+    else:
+        rng = np.random.default_rng(seed)
+        eps = rng.choice(np.asarray(dist.support), size=(mc_samples, d),
+                         p=np.asarray(dist.probabilities))
+        batches = [(eps, np.full(mc_samples, 1.0 / mc_samples))]
+    scale = 1.0 / (dist.nu**2 * d)
+    second_moment = np.zeros((d, d), dtype=complex)
+    trace_acc = 0.0
+    n_terms = 0
+    for eps, p in batches:
+        blocks = _offset_blocks(eps)
+        coeffs = _apply_A_any(blocks, Z).real
+        for row in range(eps.shape[0]):
+            M = hermitize(
+                _apply_A_adjoint_any(blocks[:, row : row + 1], coeffs[row : row + 1]) * scale
+            )
+            second_moment += p[row] * (M @ M)
+            trace_acc += p[row] * float(np.linalg.norm(tangent.project(M))) ** 2
+            n_terms += 1
+    return norm(second_moment, "operator"), trace_acc, n_terms
+
+
+def support_gaps_3d(eps, support):
+    """Distance from each mask entry to its nearest support value, (L, d).
+
+    Broadcasts every entry against every support value in one (L, d, |support|)
+    array and reduces its last axis.
+    """
+    return np.min(np.abs(np.asarray(eps)[:, :, None] - np.asarray(support)), axis=2)
