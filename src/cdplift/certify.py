@@ -203,8 +203,8 @@ def injectivity_spectrum(
     """
     if probes < 0:
         raise ValueError(f"probes must be >= 0, got {probes}")
-    x = as_signal(x)
-    basis = TangentSpace(x).basis()
+    tangent = TangentSpace(x)
+    basis = tangent.basis()
     dim = basis.shape[0]
     d = frame.d
     dist = frame.distribution
@@ -233,7 +233,7 @@ def injectivity_spectrum(
         lambda_min_restricted=lam_min,
         passes_quarter_bound=bool(1.0 + lam_min > 0.25),
         upper_bound_margin=float(margin),
-        anchor=x,
+        anchor=tangent.anchor,
         masks=frame.masks,
     )
 
@@ -593,17 +593,9 @@ def golfing_construct(
     witness = np.concatenate([c for _, c in accepted])
     # fold the accumulated -beta * Id into frame coefficients: since
     # sum_k F_{k,l} = d * D_l^2, adding alpha_l to all d coordinates of mask l
-    # contributes diag(d * sum_l alpha_l eps_{l,i}^2)
-    patterns = eps_union**2  # (L_total, d)
-    target = np.full(d, -beta / d)
-    alpha, *_ = np.linalg.lstsq(patterns.T, target, rcond=None)
-    residual = float(np.linalg.norm(patterns.T @ alpha - target))
-    if residual > 1e-8 * max(abs(beta) / d, 1e-12):
-        raise RuntimeError(
-            "union mask diagonal patterns do not span the identity component "
-            f"(residual {residual:.3e}); cannot express Y in range(A*)"
-        )
-    witness += np.repeat(alpha, d)
+    # contributes diag(d * sum_l alpha_l eps_{l,i}^2); alpha comes from the
+    # d x d pattern Gram, which is the union's offset-0 Gram H_0
+    witness += np.repeat(_identity_fold(eps_union, beta), d)
 
     return DualCertificate(
         Y=Y,
@@ -612,9 +604,35 @@ def golfing_construct(
         construction_log=tuple(log),
         in_range_witness=witness,
         masks=union,
-        anchor=x,
+        anchor=tangent.anchor,
         gamma=p.gamma,
     )
+
+
+def _identity_fold(eps: np.ndarray, beta: float) -> np.ndarray:
+    """Min-norm alpha over the masks with sum_l alpha_l eps_l^2 = -beta/d * 1.
+
+    With the patterns P[l, a] = eps_{l,a}^2, the min-norm solution of
+    P^T alpha = target is alpha = P V Lambda^{-1} V^T target, from the
+    eigendecomposition V Lambda V^T of the d x d Gram P^T P (the offset-0
+    Gram H_0 = E_0^T E_0 of the masks), dropping directions whose eigenvalue
+    is zero to roundoff.  A target with a part outside range(P^T) leaves a
+    residual, and a residual beyond 1e-8 relative raises RuntimeError.
+    """
+    d = eps.shape[1]
+    patterns = eps**2  # (L, d)
+    target = np.full(d, -beta / d)
+    lam, V = np.linalg.eigh(patterns.T @ patterns)
+    kept = lam > d * np.finfo(float).eps * lam[-1]
+    V = V[:, kept]
+    alpha = patterns @ (V @ ((V.T @ target) / lam[kept]))
+    residual = float(np.linalg.norm(patterns.T @ alpha - target))
+    if residual > 1e-8 * max(abs(beta) / d, 1e-12):
+        raise RuntimeError(
+            "union mask diagonal patterns do not span the identity component "
+            f"(residual {residual:.3e}); cannot express Y in range(A*)"
+        )
+    return alpha
 
 
 # ---------------------------------------------------------------------------

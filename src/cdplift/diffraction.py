@@ -188,14 +188,14 @@ def truncation_rate(dist: MaskDistribution) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MaskSet:
-    """L sampled diagonal masks, stored as an (L, d) array of raw entries."""
+    """L sampled diagonal masks, stored as a read-only (L, d) copy of the raw entries."""
 
     epsilon: np.ndarray
     distribution: MaskDistribution
     seed: int | None = None
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=float)
+        eps = np.array(self.epsilon, dtype=float)  # a copy: the caller's array stays its own
         if eps.ndim != 2 or eps.shape[1] < 1:
             raise ValueError(f"epsilon must be (L, d) with d >= 1, got {eps.shape}")
         gaps = np.full(eps.shape, np.inf)  # distance to the nearest support value
@@ -311,13 +311,14 @@ class MeasurementFrame:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementVector:
-    """Observed intensities y_{k,l}, stored as y[l, k-1]; optionally ||x||^2."""
+    """Observed intensities y_{k,l}, stored read-only as y[l, k-1] (a copy of the
+    caller's array); optionally ||x||^2."""
 
     y: np.ndarray
     y0: float | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float)  # a copy: the caller's array stays its own
         if y.ndim != 2:
             raise ValueError(f"y must be (L, d), got shape {y.shape}")
         if not np.all(np.isfinite(y)):
@@ -431,12 +432,16 @@ def _offset_blocks(epsilon: np.ndarray, partner: np.ndarray | None = None) -> np
     """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d).
 
     ``partner[m, a]`` replaces the column a+m paired with column a; the exact
-    2-design check passes the sum pairs a -> m-a.
+    2-design check passes the sum pairs a -> m-a.  The product is formed in
+    one buffer: the gather of the partner columns is a fresh (d, d, L) array,
+    multiplied in place by the columns, so ``epsilon`` is never written.
     """
     if partner is None:
         partner = _offset_index(epsilon.shape[1])[1]
     columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
-    return (columns[partner] * columns).transpose(0, 2, 1)
+    product = columns[partner]
+    product *= columns
+    return product.transpose(0, 2, 1)
 
 
 def _offset_gram(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -149,7 +149,7 @@ class TangentSpace:
     """
 
     def __init__(self, x):
-        x = as_signal(x, "anchor")
+        x = as_signal(x, "anchor").copy()  # frozen below, so never the caller's array
         nrm = float(np.linalg.norm(x))
         if abs(nrm - 1.0) > POLICY.anchor_tol:
             raise ValueError(f"anchor must be unit-norm, got ||x|| = {nrm!r}")

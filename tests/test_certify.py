@@ -22,6 +22,7 @@ from cdplift.certify import (
     variance_bound_check,
     verify_certificate,
 )
+from cdplift.certify import _identity_fold
 from cdplift.diffraction import (
     MaskSet,
     MeasurementFrame,
@@ -39,6 +40,7 @@ from util import (
     dense_injectivity_lambda_min,
     dense_isotropy_deviation,
     dense_two_design_deviation,
+    lstsq_identity_fold,
     random_hermitian,
     random_tangent,
     symmetric_projector,
@@ -519,6 +521,63 @@ def test_golfing_deterministic(certificate):
     assert isinstance(again, DualCertificate)
     assert np.array_equal(again.Y, cert.Y)
     assert np.array_equal(again.in_range_witness, cert.in_range_witness)
+
+
+def test_golfing_leaves_the_callers_anchor_writable():
+    x = unit_signal(np.random.default_rng(103), 15)
+    out = golfing_construct(x, ternary_mask_distribution(), GolfingParams(), seed=0)
+    assert x.flags.writeable
+    assert not np.shares_memory(out.anchor, x)
+
+
+def _assert_fold_matches_lstsq(eps, beta):
+    alpha = _identity_fold(eps, beta)
+    expected = lstsq_identity_fold(eps, beta)
+    assert alpha.shape == (eps.shape[0],)
+    assert np.linalg.norm(alpha - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_identity_fold_matches_lstsq_on_a_tall_union(certificate):
+    _, cert = certificate
+    assert cert.masks.L >= 2000
+    _assert_fold_matches_lstsq(cert.masks.epsilon, 2.75)
+
+
+def test_identity_fold_matches_lstsq_when_two_positions_share_a_pattern():
+    s = math.sqrt(2.0)
+    eps = np.array([[s, -s, 0.0], [0.0, 0.0, s], [-s, s, -s], [s, s, 0.0]])
+    assert np.linalg.matrix_rank(eps**2) == 2  # positions 0 and 1 measure alike
+    _assert_fold_matches_lstsq(eps, -1.5)
+
+
+def _rare_position_union(L):
+    """L masks at d = 3: positions 0 and 1 alternate, position 2 is seen by mask 0 only."""
+    s = math.sqrt(2.0)
+    eps = np.zeros((L, 3))
+    eps[::2, 0] = s
+    eps[1::2, 1] = s
+    eps[0, 2] = -s
+    return eps
+
+
+def test_identity_fold_matches_lstsq_on_an_ill_conditioned_union():
+    eps = _rare_position_union(2000)
+    lam = np.linalg.eigvalsh((eps**2).T @ (eps**2))
+    assert lam[-1] / lam[0] > 500  # the rare position's direction must be kept
+    _assert_fold_matches_lstsq(eps, 0.5)
+
+
+@pytest.mark.parametrize("union", ["sampled", "structured"])
+def test_identity_fold_rejects_a_position_no_mask_sees(union):
+    if union == "sampled":
+        eps = sample_masks(ternary_mask_distribution(), 5, 40, seed=104).epsilon.copy()
+    else:
+        eps = _rare_position_union(40)  # its pattern Gram has an exact zero eigenvalue
+    eps[:, 2] = 0.0
+    with pytest.raises(RuntimeError, match="do not span the identity"):
+        lstsq_identity_fold(eps, 1.0)
+    with pytest.raises(RuntimeError, match="do not span the identity component"):
+        _identity_fold(eps, 1.0)
 
 
 def test_golfing_zero_batch_fails_immediately():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,13 @@ from cdplift.diffraction import (
     _offset_gram,
     _offset_index,
 )
+from cdplift.hermitian import TangentSpace
 from cdplift.policy import POLICY
 from util import (
     dense_apply_A,
     dense_apply_A_adjoint,
     dense_frame_element,
+    offset_blocks_two_array,
     random_hermitian,
     support_gaps_3d,
     unit_signal,
@@ -534,6 +537,66 @@ def test_maskset_with_zero_masks_allowed():
     assert frame.L == 0
     assert apply_A(frame, np.eye(4)).size == 0
     assert np.allclose(apply_R(frame, np.eye(4)), 0.0)
+
+
+def test_constructors_leave_the_callers_arrays_writable():
+    rng = np.random.default_rng(31)
+    eps = sample_masks(ternary_mask_distribution(), 5, 4, seed=32).epsilon.copy()
+    y = np.abs(rng.standard_normal((4, 5)))
+    x = unit_signal(rng, 5)
+    MaskSet(epsilon=eps, distribution=ternary_mask_distribution())
+    MeasurementVector(y=y)
+    TangentSpace(x)
+    assert eps.flags.writeable and y.flags.writeable and x.flags.writeable
+
+
+def test_maskset_and_frame_blocks_do_not_follow_the_callers_array():
+    dist = ternary_mask_distribution()
+    base = sample_masks(dist, 5, 6, seed=33).epsilon.copy()
+    view = base[::2]  # a view: writes through base reach it
+    masks = MaskSet(epsilon=view, distribution=dist)
+    frame = MeasurementFrame(masks)
+    blocks = frame.blocks.copy()
+    expected = view.copy()
+    base[:] = -base + math.sqrt(2.0) * (base == 0)  # every entry changes
+    assert np.array_equal(masks.epsilon, expected)
+    assert np.array_equal(frame.blocks, blocks)
+    assert not masks.epsilon.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# offset blocks
+
+
+def _sum_partners(d):
+    a = np.arange(d)
+    return (a[:, None] - a[None, :]) % d  # partner[s, a] = s - a
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("L", [0, 1, 7])
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("pairs", ["difference", "sum"])
+def test_offset_blocks_match_two_array_form(pairs, d, L, order):
+    masks = sample_masks(five_point_distribution(), d, max(L, 1), seed=34 + d)
+    eps = np.array(masks.epsilon[:L], order=order)  # writable, so a write would show
+    before = eps.copy()
+    partner = _sum_partners(d) if pairs == "sum" else None
+    blocks = _offset_blocks(eps, partner)
+    assert blocks.shape == (d, L, d)
+    assert np.array_equal(blocks, offset_blocks_two_array(eps, partner))
+    assert np.array_equal(eps, before)  # the caller's masks are never written
+
+
+def test_offset_blocks_build_in_one_buffer():
+    eps = sample_masks(ternary_mask_distribution(), 15, 2800, seed=35).epsilon
+    tracemalloc.start()
+    try:
+        blocks = _offset_blocks(eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * blocks.nbytes
 
 
 # ---------------------------------------------------------------------------

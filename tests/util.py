@@ -243,3 +243,32 @@ def support_gaps_3d(eps, support):
     array and reduces its last axis.
     """
     return np.min(np.abs(np.asarray(eps)[:, :, None] - np.asarray(support)), axis=2)
+
+
+def offset_blocks_two_array(eps, partner=None):
+    """_offset_blocks in its two-array form: gather, then a fresh product.
+
+    ``partner`` defaults to the difference pairs a -> a+m mod d.
+    """
+    d = eps.shape[1]
+    if partner is None:
+        a = np.arange(d)
+        partner = (a[:, None] + a[None, :]) % d
+    columns = np.ascontiguousarray(eps.T)
+    return (columns[partner] * columns).transpose(0, 2, 1)
+
+
+def lstsq_identity_fold(eps, beta):
+    """Min-norm alpha with sum_l alpha_l eps_l^2 = -beta/d * 1, by np.linalg.lstsq.
+
+    Raises RuntimeError, as the fold does, when the patterns eps^2 leave a
+    residual beyond 1e-8 relative.
+    """
+    d = eps.shape[1]
+    patterns = eps**2
+    target = np.full(d, -beta / d)
+    alpha, *_ = np.linalg.lstsq(patterns.T, target, rcond=None)
+    residual = float(np.linalg.norm(patterns.T @ alpha - target))
+    if residual > 1e-8 * max(abs(beta) / d, 1e-12):
+        raise RuntimeError(f"patterns do not span the identity (residual {residual:.3e})")
+    return alpha
