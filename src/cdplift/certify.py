@@ -43,8 +43,10 @@ from .diffraction import (
     MomentReport,
     _apply_A_adjoint_any,
     _contract,
+    _draw_entries,
     _offset_blocks,
     _offset_gram,
+    _offset_gram_by_shift,
     _offset_index,
     _truncate,
     apply_A,  # noqa: F401  (bound here too; the benchmark's tracer wraps every site)
@@ -196,10 +198,11 @@ def injectivity_spectrum(
     carries the worst-case margin of the deterministic upper bound
     b^4 d ||Z||_2^2 - (1/dL)||A(Z)||^2 over ``probes`` random Hermitian Z,
     which must never be negative.  By Parseval over the frequencies k,
-    (1/dL)||A(Z)||^2 = (1/L) sum_m ||E_m z_m||^2, so each offset takes one
-    real product of E_m with the probes' offset vectors; the probes contract
-    the blocks directly and never read H, so they stay independent of the
-    spectrum's path.
+    (1/dL)||A(Z)||^2 = (1/L) sum_m z_m^* H_m z_m, so the probes read the same
+    Grams, all in one batched product.  The Grams are built by
+    ``_offset_gram_by_shift``, half of them from the shift identity.  The
+    check that does not go through H is in the tests: the margin is compared
+    with the one from the dL forward values of ``apply_A``.
     """
     if probes < 0:
         raise ValueError(f"probes must be >= 0, got {probes}")
@@ -208,10 +211,12 @@ def injectivity_spectrum(
     dim = basis.shape[0]
     d = frame.d
     dist = frame.distribution
-    offsets = basis[(slice(None), *_offset_index(d))].transpose(1, 2, 0)  # b[m, a, beta]
-    H = _offset_gram(frame.blocks)
+    offsets = np.ascontiguousarray(  # offsets[m, a, beta]
+        basis[(slice(None), *_offset_index(d))].transpose(1, 2, 0))
+    H = _offset_gram_by_shift(frame.blocks)
     scale = 1.0 / (dist.nu**2 * frame.L) if frame.L else 0.0
-    M = (offsets.conj().transpose(0, 2, 1) @ (H @ offsets)).real.sum(axis=0) * scale
+    images = (H @ offsets.view(float)).view(complex)  # on float pairs, so H stays real
+    M = (offsets.conj().transpose(0, 2, 1) @ images).real.sum(axis=0) * scale
     pairs = basis.reshape(dim, -1).view(float)  # Re<B_alpha, B_beta> = pairs @ pairs.T
     traces = np.trace(basis, axis1=1, axis2=2).real
     M -= pairs @ pairs.T + np.outer(traces, traces)
@@ -220,13 +225,10 @@ def injectivity_spectrum(
 
     draws = np.random.default_rng(seed).standard_normal((probes, 2, d, d))
     Z = hermitize(draws[:, 0] + 1j * draws[:, 1])
-    z = Z[(slice(None), *_offset_index(d))]  # z[probe, m, a]
-    pairs = np.ascontiguousarray(np.concatenate([z.real, z.imag]).transpose(1, 0, 2))
-    energy = np.zeros(2 * probes)
-    for E_m, pair_m in zip(frame.blocks, pairs):
-        image = pair_m @ E_m.T  # row j: E_m applied to the real or imaginary part of probe j
-        energy += np.einsum("jl,jl->j", image, image)
-    energy = (energy[:probes] + energy[probes:]) * (1.0 / frame.L if frame.L else 0.0)
+    z = np.ascontiguousarray(Z[(slice(None), *_offset_index(d))].transpose(1, 2, 0))
+    pairs = z.view(float)  # z[m, a, probe] as float pairs
+    energy = np.einsum("maj,maj->j", pairs, H @ pairs).reshape(probes, 2).sum(axis=1)
+    energy *= 1.0 / frame.L if frame.L else 0.0
     z2 = np.square(np.abs(Z)).sum(axis=(1, 2))
     margin = np.min(dist.b**4 * d * z2 - energy, initial=np.inf)
     return InjectivityReport(
@@ -324,9 +326,7 @@ def variance_bound_check(
         batches = _enumerate_masks(dist, d)
         method = "exact_enumeration"
     else:
-        rng = np.random.default_rng(seed)
-        samples = rng.choice(np.asarray(dist.support), size=(mc_samples, d),
-                             p=np.asarray(dist.probabilities))
+        samples = _draw_entries(dist, np.random.default_rng(seed), (mc_samples, d))
         weights = np.full(mc_samples, 1.0 / mc_samples)
         batches = [(samples[i : i + 4096], weights[i : i + 4096])
                    for i in range(0, mc_samples, 4096)]
@@ -541,9 +541,10 @@ def golfing_construct(
     accepted: list[tuple[np.ndarray, np.ndarray]] = []  # (epsilon, flat witness coeffs)
     masks_sampled = 0
     complement_now = 0.0
+    Y_T = Y  # P_T(Y), kept from the last acceptance
 
     def attempt(index: int, phase: str, L_i: int, t_i: float, c_i: float) -> bool:
-        nonlocal Q, Y, beta, masks_sampled, complement_now
+        nonlocal Q, Y, Y_T, beta, masks_sampled, complement_now
         q_prev_norm = float(np.linalg.norm(Q))
         if L_i < 1:
             log.append(IterationRecord(index, phase, L_i, t_i, c_i, False, 0,
@@ -558,15 +559,17 @@ def golfing_construct(
         coeffs = kept / (dist.nu**2 * d * L_i)
         RQ = hermitize(_apply_A_adjoint_any(blocks, coeffs))
         candidate = RQ - float(np.trace(Q).real) * np.eye(d)
-        dev_inf = norm(tangent.project_complement(candidate), "operator")
-        dev_two = float(np.linalg.norm(tangent.project(candidate) - Q))
+        candidate_T = tangent.project(candidate)  # P_T is linear: P_Tperp = I - P_T
+        dev_inf = norm(candidate - candidate_T, "operator")
+        dev_two = float(np.linalg.norm(candidate_T - Q))
         xi = dev_inf <= t_i * q_prev_norm and dev_two <= c_i * q_prev_norm
         if xi:
             beta += float(np.trace(Q).real)
             Y = hermitize(Y + candidate)
-            Q = hermitize(X - tangent.project(Y))
+            Y_T = tangent.project(Y)
+            Q = hermitize(X - Y_T)
             accepted.append((eps, coeffs.reshape(-1)))
-            complement_now = norm(tangent.project_complement(Y), "operator")
+            complement_now = norm(Y - Y_T, "operator")
         log.append(IterationRecord(index, phase, L_i, t_i, c_i, xi, ntrunc,
                                    float(np.linalg.norm(Q)), complement_now))
         return xi
@@ -599,8 +602,8 @@ def golfing_construct(
 
     return DualCertificate(
         Y=Y,
-        tangent_residual=float(np.linalg.norm(tangent.project(Y) - X)),
-        complement_norm=norm(tangent.project_complement(Y), "operator"),
+        tangent_residual=float(np.linalg.norm(Y_T - X)),
+        complement_norm=complement_now,
         construction_log=tuple(log),
         in_range_witness=witness,
         masks=union,
@@ -674,10 +677,9 @@ def verify_certificate(
         raise CertificateIntegrityError(
             "witness-reconstructed Y deviates from the stored certificate"
         )
-    tangent = TangentSpace(x)
-    X = np.outer(x, x.conj())
-    tangent_residual = float(np.linalg.norm(tangent.project(Y_rec) - X))
-    complement_norm = norm(tangent.project_complement(Y_rec), "operator")
+    Y_T = TangentSpace(x).project(Y_rec)
+    tangent_residual = float(np.linalg.norm(Y_T - np.outer(x, x.conj())))
+    complement_norm = norm(Y_rec - Y_T, "operator")
     t_bound = _tangent_bound(frame.distribution, frame.d)
     return CertificateCheck(
         tangent_residual=tangent_residual,

@@ -181,13 +181,19 @@ def certify_cmd(d, seed, show_log):
         f"complement norm  = {check.complement_norm:.3e} (bound {check.complement_bound})"
     )
     click.echo(f"injectivity 1+lambda_min = {1 + inj.lambda_min_restricted:.4f} (> 0.25)")
-    click.echo(f"certified optimal: {verdict.certified}")
-    if verdict.failing_hypotheses:
-        for h in verdict.failing_hypotheses:
-            click.echo(f"  failing: {h}")
+    # the verdict reads the certificate's stored norms; the check rebuilds Y
+    # from the witness, and a bound it fails fails the run as well
+    failing = list(verdict.failing_hypotheses)
+    if not check.tangent_ok:
+        failing.append("rebuilt certificate tangent bound ||Y_T - X||_2")
+    if not check.complement_ok:
+        failing.append("rebuilt certificate complement bound ||Y_Tperp||_inf")
+    click.echo(f"certified optimal: {not failing}")
+    for h in failing:
+        click.echo(f"  failing: {h}")
     if show_log:
         click.echo(format_construction_log(cert.construction_log))
-    if not verdict.certified:
+    if failing:
         raise SystemExit(1)
 
 

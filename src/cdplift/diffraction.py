@@ -39,7 +39,14 @@ The composition ``A* A`` acts on each offset alone: offset m of
 
 The second form is Parseval over the frequencies k, with no Gram formed.
 Every second-order quantity of the frame (the tangent-restricted spectrum,
-the mask-average E[R] of exact enumeration) is read off these d Grams.
+the probe energies of the injectivity check, the mask-average E[R] of exact
+enumeration) is read off these d Grams.
+
+The Grams come in shifted pairs: ``E_{-m}[l, a+m] = eps_{l,a+m} eps_{l,a} =
+E_m[l, a]``, so ``H_{-m}[a+m, b+m] = H_m[a, b]`` (indices mod d).  Offsets
+0..floor(d/2) take a product each and the others are a gather
+(``_offset_gram_by_shift``).  The sum-pair blocks of the 2-design check
+have no such symmetry, so ``_offset_gram`` makes every product.
 
 Mask entries are drawn i.i.d. from a finite distribution with the moment
 profile E[eps] = E[eps^3] = 0, E[eps^4] = 2 E[eps^2]^2, |eps| <= b.
@@ -270,12 +277,29 @@ class MaskSet:
         return cls(epsilon=eps, distribution=dist, seed=seed)
 
 
+def _draw_entries(dist: MaskDistribution, rng: np.random.Generator, shape) -> np.ndarray:
+    """I.i.d. mask entries of the given shape, bit for bit ``rng.choice(support,
+    size=shape, p=probabilities)``.
+
+    ``Generator.choice`` draws u = rng.random(shape) and takes the support
+    value at the number of cdf entries <= u, with cdf = cumsum(p) /
+    cumsum(p)[-1]; counting against the inner cdf values (u < 1 = cdf[-1])
+    replaces its searchsorted.
+    """
+    cdf = np.cumsum(dist.probabilities)
+    cdf /= cdf[-1]
+    u = rng.random(shape)
+    index = np.zeros(u.shape, dtype=np.intp)
+    for threshold in cdf[:-1]:
+        index += u >= threshold
+    return np.asarray(dist.support)[index]
+
+
 def sample_masks(dist: MaskDistribution, d: int, L: int, seed: int) -> MaskSet:
     """Draw an (L, d) i.i.d. mask set; deterministic for a given seed."""
     if d < 1 or L < 1:
         raise ValueError("d and L must be >= 1")
-    rng = np.random.default_rng(seed)
-    eps = rng.choice(np.asarray(dist.support), size=(L, d), p=np.asarray(dist.probabilities))
+    eps = _draw_entries(dist, np.random.default_rng(seed), (L, d))
     return MaskSet(epsilon=eps, distribution=dist, seed=seed)
 
 
@@ -451,6 +475,33 @@ def _offset_gram(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.nd
     """
     left = blocks if weights is None else blocks * weights[:, None]
     return left.transpose(0, 2, 1) @ blocks
+
+
+@lru_cache(maxsize=None)
+def _shift_index(d: int) -> np.ndarray:
+    """Flat index with half.ravel()[idx][m, a, b] = H_m[a, b] for the stacked
+    Grams half = H_0..H_{d//2}; read-only.
+
+    Offset m > d/2 reads H_{d-m}[a+m, b+m] (indices mod d).
+    """
+    m = np.arange(d)[:, None, None]
+    a = np.arange(d)
+    shift = np.where(m > d // 2, m, 0)
+    rows = (a[None, :, None] + shift) % d
+    cols = (a[None, None, :] + shift) % d
+    idx = (np.minimum(m, d - m) * d + rows) * d + cols
+    idx.setflags(write=False)
+    return idx
+
+
+def _offset_gram_by_shift(blocks: np.ndarray) -> np.ndarray:
+    """``_offset_gram(blocks)`` for the difference-pair blocks of ``_offset_blocks``.
+
+    Only offsets 0..d//2 take a product; the others follow from
+    H_{-m}[a+m, b+m] = H_m[a, b], a gather through ``_shift_index``.
+    """
+    d = blocks.shape[0]
+    return _offset_gram(blocks[: d // 2 + 1]).ravel()[_shift_index(d)]
 
 
 def _per_offset(C: np.ndarray) -> np.ndarray:

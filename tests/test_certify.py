@@ -32,6 +32,7 @@ from cdplift.diffraction import (
     sample_masks,
     ternary_mask_distribution,
 )
+from cdplift.diffraction import _draw_entries
 from cdplift.hermitian import TangentSpace, norm
 from test_diffraction import five_point_distribution
 from util import (
@@ -426,6 +427,28 @@ def test_variance_monte_carlo_matches_per_mask_loop():
     assert chk.lhs_operator == pytest.approx(operator, rel=1e-12)
     assert chk.lhs_trace == pytest.approx(trace, rel=1e-12)
     assert chk.n_terms == n_terms == 5000
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+def test_variance_monte_carlo_draws_the_choice_stream(law, monkeypatch):
+    # the Monte-Carlo masks are those rng.choice(support, size, p) draws
+    import cdplift.certify as certify_module
+
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    drawn = []
+
+    def recording(*args):
+        drawn.append(_draw_entries(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(certify_module, "_draw_entries", recording)
+    rng = np.random.default_rng(16)
+    x = unit_signal(rng, 4)
+    variance_bound_check(dist, x, random_tangent(rng, x), budget=1, mc_samples=5000, seed=7)
+    expected = np.random.default_rng(7).choice(
+        np.asarray(dist.support), size=(5000, 4), p=np.asarray(dist.probabilities))
+    assert len(drawn) == 1
+    assert np.array_equal(drawn[0], expected)
 
 
 def test_variance_requires_tangent_argument():

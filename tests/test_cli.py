@@ -111,6 +111,25 @@ def test_certify_log_flag(runner):
     assert "i phase L" in result.output
 
 
+def test_certify_fails_when_the_rebuilt_certificate_fails(runner, monkeypatch):
+    # the stored norms pass, so certify_optimality alone would say "True";
+    # the re-verification from the witness must still decide the outcome
+    import cdplift.cli as cli
+    from cdplift.certify import CertificateCheck
+
+    def failing_check(cert, x, frame=None):
+        return CertificateCheck(tangent_residual=1.0, complement_norm=0.1,
+                                tangent_bound=0.01, complement_bound=0.5,
+                                tangent_ok=False, complement_ok=True)
+
+    monkeypatch.setattr(cli, "verify_certificate", failing_check)
+    result = runner.invoke(main, ["certify", "--d", "15", "--seed", "3"])
+    assert result.exit_code == 1, result.output
+    assert "certified optimal: False" in result.output
+    assert "failing: rebuilt certificate tangent bound" in result.output
+    assert "complement bound" not in result.output.split("failing:", 1)[1]
+
+
 def test_certify_checks_injectivity_on_the_certificate_masks(runner, monkeypatch):
     import cdplift.cli as cli
 

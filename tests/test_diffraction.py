@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdplift.diffraction import (
@@ -28,8 +28,10 @@ from cdplift.diffraction import (
 from cdplift.diffraction import (
     _apply_A_adjoint_any,
     _apply_A_any,
+    _draw_entries,
     _offset_blocks,
     _offset_gram,
+    _offset_gram_by_shift,
     _offset_index,
 )
 from cdplift.hermitian import TangentSpace
@@ -177,6 +179,21 @@ def test_sample_masks_empirical_moments():
     assert abs(eps.mean()) <= 3 * dist.nu**0.5 / np.sqrt(n)  # 3 sigma, sigma_1 = sqrt(nu)
     var_of_sq = dist.moment(4) - dist.nu**2
     assert abs((eps**2).mean() - dist.nu) <= 3 * np.sqrt(var_of_sq / n)
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+def test_mask_draw_is_the_choice_stream(law):
+    # bit for bit what rng.choice(support, size, p) draws, so every seeded
+    # result keeps its masks
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    support, p = np.asarray(dist.support), np.asarray(dist.probabilities)
+    for seed in range(200):
+        for L, d in [(1, 1), (7, 4), (30, 15), (200, 15), (1000, 15)]:
+            expected = np.random.default_rng(seed).choice(support, size=(L, d), p=p)
+            drawn = _draw_entries(dist, np.random.default_rng(seed), (L, d))
+            assert np.array_equal(drawn, expected), (seed, L, d)
+            if seed % 20 == 0:
+                assert np.array_equal(sample_masks(dist, d, L, seed).epsilon, expected)
 
 
 def test_sample_masks_validates_arguments():
@@ -597,6 +614,25 @@ def test_offset_blocks_build_in_one_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * blocks.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 15])
+@settings(max_examples=8, deadline=None)
+@given(L=st.integers(0, 6), seed=st.integers(0, 10**6),
+       law=st.sampled_from(["ternary", "five-point"]))
+@example(L=0, seed=0, law="ternary")
+@example(L=0, seed=0, law="five-point")
+def test_offset_gram_by_shift_matches_every_product(d, L, seed, law):
+    # offsets past d/2 gathered by H_{-m}[a+m, b+m] = H_m[a, b] equal the
+    # product E_m^T E_m that _offset_gram forms for every offset
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    eps = sample_masks(dist, d, max(L, 1), seed=seed).epsilon[:L]
+    blocks = _offset_blocks(eps)
+    expected = _offset_gram(blocks)
+    shifted = _offset_gram_by_shift(blocks)
+    assert shifted.shape == expected.shape == (d, d, d)
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1.0)
+    assert np.max(np.abs(shifted - expected), initial=0.0) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
