@@ -9,8 +9,10 @@ Four experiment kinds are supported:
     ``numpy.linalg.LinAlgError`` is a non-success whose class name fills the
     ``failure`` column; any other exception propagates.
 ``golfing_rate``
-    Certificate construction success rate: golfing_construct followed by a
-    from-scratch verify_certificate on every reported success.
+    Certificate construction success rate over d: golfing_construct followed
+    by a from-scratch verify_certificate on every reported success.  A
+    ``CertificateIntegrityError`` fills ``failure_reason``; any other
+    exception propagates.
 ``lower_bound``
     The mask-collision simulation behind the coupon-collector argument:
     fraction of trials where some other standard-basis signal produces
@@ -20,11 +22,18 @@ Four experiment kinds are supported:
     2-design identity over a grid of dimensions, with even-d failures
     flagged distinctly.
 
+Every experiment draws its masks from the ternary law.  The first three
+share one sweep (``_sweep``): a trial function runs for every grid cell and
+trial index, and returns the columns after (cell, trial); a per-cell summary
+returns the aggregate columns after (cell, trials).  Each CSV row is a
+namedtuple whose fields are the CSV header.  ``<kind>_trials.csv`` holds the
+per-trial rows and ``<kind>_aggregate.csv`` one row per cell, in grid order.
+
 Determinism contract: identical config and base seed produce byte-identical
 CSV files except for the wall-time column (always the last column).  Trial
 seeds are derived by hashing (d, L, trial) into the base seed, so cells are
 uncorrelated and insensitive to execution order; trials run on a bounded
-thread pool but output rows are always sorted by (d, L, trial).
+thread pool but output rows are always sorted by (cell, trial).
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import csv
 import hashlib
 import math
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -41,6 +51,7 @@ import numpy as np
 import yaml
 
 from .certify import (
+    CertificateIntegrityError,
     DualCertificate,
     GolfingParams,
     check_near_isotropy_exact,
@@ -49,8 +60,8 @@ from .certify import (
     verify_certificate,
 )
 from .diffraction import (
-    MaskDistribution,
     MeasurementFrame,
+    _draw_entries,
     measure,
     sample_masks,
     ternary_mask_distribution,
@@ -61,7 +72,6 @@ from .solver import SolverConfig, extract_signal, solve_phaselift
 __all__ = [
     "EXPERIMENT_KINDS",
     "ExperimentConfig",
-    "TrialRecord",
     "ExperimentResult",
     "derive_seed",
     "random_unit_signal",
@@ -79,6 +89,8 @@ _CSV_SCHEMA_VERSION = 1
 
 _RECOVERY_KINDS = ("phase_transition", "golfing_rate")
 
+_DIST = ternary_mask_distribution()
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -94,7 +106,6 @@ class ExperimentConfig:
     trials: int = 20
     base_seed: int = 0
     out_dir: str = "results"
-    distribution: str = "ternary"
     signal: str = "random"  # or "e1" for the worst-case standard basis signal
     success_threshold: float = 1e-3
     solver_mode: str = "feasibility"
@@ -120,8 +131,6 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.signal not in ("random", "e1"):
             raise ValueError(f"signal must be 'random' or 'e1', got {self.signal!r}")
-        if self.distribution != "ternary":
-            raise ValueError(f"unknown distribution descriptor {self.distribution!r}")
         if self.experiment in _RECOVERY_KINDS:
             bad = [d for d in self.d_grid if d < 3 or d % 2 == 0]
             if bad:
@@ -147,29 +156,6 @@ class ExperimentConfig:
             raise ValueError(f"config file {path} must hold a flat mapping")
         return cls.from_mapping(data)
 
-    def make_distribution(self) -> MaskDistribution:
-        return ternary_mask_distribution()
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One recovery trial; ``success`` iff error <= the configured threshold.
-
-    ``failure`` names the exception class of a solve that failed numerically
-    (its error is then inf); it is empty on every trial that ran to the end.
-    """
-
-    experiment: str
-    d: int
-    L: int
-    trial: int
-    seed: int
-    success: bool
-    recovery_error: float
-    iterations: int
-    failure: str
-    wall_time: float
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -192,10 +178,10 @@ def random_unit_signal(d: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# CSV plumbing and the shared sweep
 
 
-def _write_csv(path: Path, experiment: str, header: list[str], rows) -> Path:
+def _write_csv(path: Path, experiment: str, header, rows) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# cdplift-csv v{_CSV_SCHEMA_VERSION} experiment={experiment}\n")
@@ -222,20 +208,69 @@ def _run_pool(cfg: ExperimentConfig, tasks, worker):
         return list(pool.map(worker, tasks))
 
 
+def _trial_rows(cfg: ExperimentConfig, cells, trial, Row) -> list:
+    """``Row(*cell, t, *trial(cfg, *cell, t), wall_time)`` for every cell and
+    t < cfg.trials, run on the pool and sorted by (cell, t)."""
+
+    def run(job):
+        t0 = time.perf_counter()
+        values = trial(cfg, *job)
+        return Row(*job, *values, time.perf_counter() - t0)
+
+    tasks = [(*cell, t) for cell in cells for t in range(cfg.trials)]
+    return sorted(_run_pool(cfg, tasks, run), key=lambda r: r[: len(tasks[0])])
+
+
+def _sweep(cfg, kind, cells, trial, Row, summary, Aggregate) -> ExperimentResult:
+    """Run ``trial`` over ``cells``; write ``<kind>_trials.csv`` and
+    ``<kind>_aggregate.csv``, whose rows per cell are
+    ``Aggregate(*cell, trials, *summary(cell_rows))``."""
+    cfg = replace(cfg, experiment=kind)  # re-runs the kind's checks, e.g. odd d
+    rows = _trial_rows(cfg, cells, trial, Row)
+    by_cell = {}
+    for r in rows:
+        by_cell.setdefault(r[: len(cells[0])], []).append(r)
+    aggregates = [Aggregate(*c, len(by_cell[c]), *summary(by_cell[c])) for c in cells]
+    out = Path(cfg.out_dir)
+    return ExperimentResult(
+        tuple(rows),
+        tuple(aggregates),
+        _write_csv(out / f"{kind}_trials.csv", kind, Row._fields, rows),
+        _write_csv(out / f"{kind}_aggregate.csv", kind, Aggregate._fields, aggregates),
+    )
+
+
+def _grid(cfg: ExperimentConfig) -> list:
+    return [(d, L) for d in cfg.d_grid for L in cfg.L_grid]
+
+
 # ---------------------------------------------------------------------------
 # phase transition
 
+_PhaseTrial = namedtuple(
+    "_PhaseTrial",
+    "d L trial seed success recovery_error iterations failure wall_time",
+)
+_PhaseCell = namedtuple(
+    "_PhaseCell", "d L trials successes success_rate max_error mean_iterations"
+)
 
-def _recovery_trial(cfg: ExperimentConfig, dist, d: int, L: int, trial: int) -> TrialRecord:
+
+def _recovery_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
+    """(seed, success, recovery_error, iterations, failure) of one recovery.
+
+    ``success`` iff the error is at most the configured threshold.
+    ``failure`` names the exception class of a solve that failed numerically
+    (its error is then inf); it is empty on every trial that ran to the end.
+    """
     seed = derive_seed(cfg.base_seed, d, L, trial)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     if cfg.signal == "e1":
         x = np.zeros(d, dtype=complex)
         x[0] = 1.0
     else:
         x = random_unit_signal(d, rng)
-    masks = sample_masks(dist, d, L, int(rng.integers(2**63)))
+    masks = sample_masks(_DIST, d, L, int(rng.integers(2**63)))
     frame = MeasurementFrame(masks)
     y = measure(x, masks)
     solver_cfg = SolverConfig(
@@ -256,89 +291,46 @@ def _recovery_trial(cfg: ExperimentConfig, dist, d: int, L: int, trial: int) -> 
         failure = type(exc).__name__
         error = math.inf
         iterations = 0
-    return TrialRecord(
-        experiment=cfg.experiment,
-        d=d,
-        L=L,
-        trial=trial,
-        seed=seed,
-        success=bool(error <= cfg.success_threshold),
-        recovery_error=float(error),
-        iterations=iterations,
-        failure=failure,
-        wall_time=time.perf_counter() - t0,
+    return seed, bool(error <= cfg.success_threshold), float(error), iterations, failure
+
+
+def _recovery_summary(rows):
+    n = len(rows)
+    successes = sum(r.success for r in rows)
+    finite = [r.recovery_error for r in rows if math.isfinite(r.recovery_error)]
+    return (
+        successes,
+        successes / n,
+        max(finite, default=math.inf),
+        sum(r.iterations for r in rows) / n,
     )
 
 
 def run_phase_transition(cfg: ExperimentConfig) -> ExperimentResult:
     """Recovery success rates over the (d, L) grid; per-trial and aggregate CSVs."""
-    if cfg.experiment != "phase_transition":
-        cfg = replace(cfg, experiment="phase_transition")
-    dist = cfg.make_distribution()
-    tasks = [
-        (d, L, t) for d in cfg.d_grid for L in cfg.L_grid for t in range(cfg.trials)
-    ]
-    records = _run_pool(cfg, tasks, lambda job: _recovery_trial(cfg, dist, *job))
-    records.sort(key=lambda r: (r.d, r.L, r.trial))
-
-    aggregates = []
-    for d in cfg.d_grid:
-        for L in cfg.L_grid:
-            cell = [r for r in records if r.d == d and r.L == L]
-            n = len(cell)
-            successes = sum(r.success for r in cell)
-            finite = [r.recovery_error for r in cell if math.isfinite(r.recovery_error)]
-            aggregates.append(
-                (
-                    d,
-                    L,
-                    n,
-                    successes,
-                    successes / n,
-                    max(finite) if finite else math.inf,
-                    sum(r.iterations for r in cell) / n,
-                )
-            )
-
-    out = Path(cfg.out_dir)
-    trial_path = _write_csv(
-        out / "phase_transition_trials.csv",
-        "phase_transition",
-        ["d", "L", "trial", "seed", "success", "recovery_error", "iterations", "failure",
-         "wall_time"],
-        [
-            (r.d, r.L, r.trial, r.seed, r.success, r.recovery_error, r.iterations, r.failure,
-             r.wall_time)
-            for r in records
-        ],
-    )
-    agg_path = _write_csv(
-        out / "phase_transition_aggregate.csv",
-        "phase_transition",
-        ["d", "L", "trials", "successes", "success_rate", "max_error", "mean_iterations"],
-        aggregates,
-    )
-    return ExperimentResult(tuple(records), tuple(aggregates), trial_path, agg_path)
+    return _sweep(cfg, "phase_transition", _grid(cfg), _recovery_trial, _PhaseTrial,
+                  _recovery_summary, _PhaseCell)
 
 
 # ---------------------------------------------------------------------------
 # golfing certificate rate
 
+_GolfingTrial = namedtuple(
+    "_GolfingTrial",
+    "d trial seed constructed verified masks_consumed attempts failure_reason wall_time",
+)
+_GolfingCell = namedtuple(
+    "_GolfingCell", "d trials constructed verified success_rate mean_masks"
+)
 
-def _golfing_trial(cfg: ExperimentConfig, dist, d: int, trial: int):
+
+def _golfing_trial(cfg: ExperimentConfig, d: int, trial: int):
     seed = derive_seed(cfg.base_seed, d, 0, trial)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     x = random_unit_signal(d, rng)
-    overrides = {}
-    if cfg.golfing_L1 is not None:
-        overrides["L1"] = cfg.golfing_L1
-    if cfg.golfing_L2 is not None:
-        overrides["L2"] = cfg.golfing_L2
-    if cfg.golfing_L_later is not None:
-        overrides["L_later"] = cfg.golfing_L_later
-    params = GolfingParams(**overrides)
-    out = golfing_construct(x, dist, params, seed=int(rng.integers(2**63)))
+    batches = {"L1": cfg.golfing_L1, "L2": cfg.golfing_L2, "L_later": cfg.golfing_L_later}
+    params = GolfingParams(**{k: v for k, v in batches.items() if v is not None})
+    out = golfing_construct(x, _DIST, params, seed=int(rng.integers(2**63)))
     constructed = isinstance(out, DualCertificate)
     verified = False
     masks_consumed = out.masks.L if constructed else out.masks_sampled
@@ -346,127 +338,75 @@ def _golfing_trial(cfg: ExperimentConfig, dist, d: int, trial: int):
     if constructed:
         try:
             verified = verify_certificate(out, x).passed
-        except Exception as exc:  # integrity failures are recorded, not raised
+        except CertificateIntegrityError as exc:  # recorded; any other fault propagates
             reason = str(exc)
+    return seed, constructed, verified, masks_consumed, len(out.construction_log), reason
+
+
+def _golfing_summary(rows):
+    verified = sum(r.verified for r in rows)
     return (
-        d,
-        trial,
-        seed,
-        constructed,
+        sum(r.constructed for r in rows),
         verified,
-        masks_consumed,
-        len(out.construction_log),
-        reason,
-        time.perf_counter() - t0,
+        verified / len(rows),
+        sum(r.masks_consumed for r in rows) / len(rows),
     )
 
 
 def run_golfing_rate(cfg: ExperimentConfig) -> ExperimentResult:
     """Certificate success rate vs dimension; every success is re-verified."""
-    if cfg.experiment != "golfing_rate":
-        cfg = replace(cfg, experiment="golfing_rate")
-    dist = cfg.make_distribution()
-    tasks = [(d, t) for d in cfg.d_grid for t in range(cfg.trials)]
-    rows = _run_pool(cfg, tasks, lambda job: _golfing_trial(cfg, dist, *job))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    aggregates = []
-    for d in cfg.d_grid:
-        cell = [r for r in rows if r[0] == d]
-        n = len(cell)
-        constructed = sum(r[3] for r in cell)
-        verified = sum(r[4] for r in cell)
-        aggregates.append(
-            (d, n, constructed, verified, verified / n, sum(r[5] for r in cell) / n)
-        )
-
-    out = Path(cfg.out_dir)
-    trial_path = _write_csv(
-        out / "golfing_rate_trials.csv",
-        "golfing_rate",
-        ["d", "trial", "seed", "constructed", "verified", "masks_consumed",
-         "attempts", "failure_reason", "wall_time"],
-        rows,
-    )
-    agg_path = _write_csv(
-        out / "golfing_rate_aggregate.csv",
-        "golfing_rate",
-        ["d", "trials", "constructed", "verified", "success_rate", "mean_masks"],
-        aggregates,
-    )
-    return ExperimentResult(tuple(rows), tuple(aggregates), trial_path, agg_path)
+    return _sweep(cfg, "golfing_rate", [(d,) for d in cfg.d_grid], _golfing_trial,
+                  _GolfingTrial, _golfing_summary, _GolfingCell)
 
 
 # ---------------------------------------------------------------------------
 # coupon-collector lower bound
 
+_CollisionTrial = namedtuple("_CollisionTrial", "d L trial seed collision wall_time")
+_CollisionCell = namedtuple("_CollisionCell", "d L trials collisions collision_rate")
 
-def _collision_trial(dist, d: int, L: int, seed: int) -> bool:
-    """Does some other standard-basis signal collide with e_1 in magnitude?
+
+def _collision_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
+    """(seed, collision): does some other standard-basis signal collide with e_1?
 
     The measurements of e_j are fully determined by |column j| of the mask
     array, so indistinguishability from e_1 is entrywise equality of the
-    magnitude patterns.
+    magnitude patterns.  The draw is the one ``sample_masks`` makes for the
+    seed, without building a MaskSet.
     """
-    eps = sample_masks(dist, d, L, seed).epsilon
-    mags = np.abs(eps)
-    return bool(np.any(np.all(mags[:, 1:] == mags[:, :1], axis=0)))
+    seed = derive_seed(cfg.base_seed, d, L, trial)
+    mags = np.abs(_draw_entries(_DIST, np.random.default_rng(seed), (L, d)))
+    return seed, bool(np.any(np.all(mags[:, 1:] == mags[:, :1], axis=0)))
+
+
+def _collision_summary(rows):
+    hits = sum(r.collision for r in rows)
+    return hits, hits / len(rows)
 
 
 def run_lower_bound(d: int, L: int, trials: int, seed: int) -> float:
-    """Monte-Carlo collision probability for ternary masks (Lemma-style setup)."""
+    """Monte-Carlo collision probability for ternary masks (Lemma-style setup).
+
+    The collision rate of the ``lower_bound`` sweep's cell (d, L) at base
+    seed ``seed``; no CSV is written.
+    """
     if d < 2 or L < 1 or trials < 1:
         raise ValueError("need d >= 2, L >= 1, trials >= 1")
-    dist = ternary_mask_distribution()
-    hits = sum(
-        _collision_trial(dist, d, L, derive_seed(seed, d, L, t)) for t in range(trials)
-    )
-    return hits / trials
+    cfg = ExperimentConfig(experiment="lower_bound", trials=trials, base_seed=seed)
+    rows = _trial_rows(cfg, [(d, L)], _collision_trial, _CollisionTrial)
+    return sum(r.collision for r in rows) / trials
 
 
 def run_lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """CSV-emitting sweep of the collision probability over the (d, L) grid."""
-    if cfg.experiment != "lower_bound":
-        cfg = replace(cfg, experiment="lower_bound")
-    dist = cfg.make_distribution()
-    tasks = [
-        (d, L, t) for d in cfg.d_grid for L in cfg.L_grid for t in range(cfg.trials)
-    ]
-
-    def worker(job):
-        d, L, t = job
-        seed = derive_seed(cfg.base_seed, d, L, t)
-        t0 = time.perf_counter()
-        hit = _collision_trial(dist, d, L, seed)
-        return (d, L, t, seed, hit, time.perf_counter() - t0)
-
-    rows = _run_pool(cfg, tasks, worker)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    aggregates = []
-    for d in cfg.d_grid:
-        for L in cfg.L_grid:
-            cell = [r for r in rows if r[0] == d and r[1] == L]
-            hits = sum(r[4] for r in cell)
-            aggregates.append((d, L, len(cell), hits, hits / len(cell)))
-
-    out = Path(cfg.out_dir)
-    trial_path = _write_csv(
-        out / "lower_bound_trials.csv",
-        "lower_bound",
-        ["d", "L", "trial", "seed", "collision", "wall_time"],
-        rows,
-    )
-    agg_path = _write_csv(
-        out / "lower_bound_aggregate.csv",
-        "lower_bound",
-        ["d", "L", "trials", "collisions", "collision_rate"],
-        aggregates,
-    )
-    return ExperimentResult(tuple(rows), tuple(aggregates), trial_path, agg_path)
+    return _sweep(cfg, "lower_bound", _grid(cfg), _collision_trial, _CollisionTrial,
+                  _collision_summary, _CollisionCell)
 
 
 # ---------------------------------------------------------------------------
 # isotropy audit
+
+_AuditRow = namedtuple("_AuditRow", "d check deviation passed flag")
 
 
 def run_isotropy_audit(cfg: ExperimentConfig) -> ExperimentResult:
@@ -476,26 +416,19 @@ def run_isotropy_audit(cfg: ExperimentConfig) -> ExperimentResult:
     distinct ``even_d_expected_failure`` flag instead of counting as clean
     passes or silent errors.
     """
-    if cfg.experiment != "isotropy_audit":
-        cfg = replace(cfg, experiment="isotropy_audit")
-    dist = cfg.make_distribution()
     rows = []
     for d in cfg.d_grid:
         for check, fn in (
             ("near_isotropy", check_near_isotropy_exact),
             ("two_design", check_two_design_exact),
         ):
-            deviation = fn(dist, d)
+            deviation = fn(_DIST, d)
             passed = deviation <= 1e-12
             flag = "even_d_expected_failure" if (d % 2 == 0 and not passed) else ""
-            rows.append((d, check, deviation, passed, flag))
+            rows.append(_AuditRow(d, check, deviation, passed, flag))
 
-    out = Path(cfg.out_dir)
     path = _write_csv(
-        out / "isotropy_audit.csv",
-        "isotropy_audit",
-        ["d", "check", "deviation", "passed", "flag"],
-        rows,
+        Path(cfg.out_dir) / "isotropy_audit.csv", "isotropy_audit", _AuditRow._fields, rows
     )
     return ExperimentResult(tuple(rows), tuple(rows), path, path)
 

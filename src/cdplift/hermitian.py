@@ -208,9 +208,8 @@ class TangentSpace:
         Q = Q * np.sign(R[0, 0]) if R[0, 0] != 0 else Q
         out = np.empty((2 * d - 1, d, d), dtype=complex)
         out[0] = np.outer(x, x.conj())
-        for j in range(1, d):
-            u = Q[:, j]
-            xu = np.outer(x, u.conj())
-            out[2 * j - 1] = (xu + xu.conj().T) / np.sqrt(2.0)
-            out[2 * j] = 1j * (xu - xu.conj().T) / np.sqrt(2.0)
+        xu = x[:, None] * Q[:, 1:].T.conj()[:, None, :]  # xu[j - 1] = x u_j*
+        ux = xu.conj().transpose(0, 2, 1)
+        out[1::2] = (xu + ux) / np.sqrt(2.0)
+        out[2::2] = 1j * (xu - ux) / np.sqrt(2.0)
         return out

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import cdplift.experiments as exp
+from cdplift.certify import CertificateIntegrityError
 from cdplift.experiments import (
     ExperimentConfig,
     derive_seed,
     run_experiment,
+    run_golfing_rate,
     run_isotropy_audit,
     run_lower_bound,
     run_lower_bound_experiment,
@@ -56,8 +58,8 @@ def test_config_validation_errors():
         ExperimentConfig(workers=0)
     with pytest.raises(ValueError, match="signal"):
         ExperimentConfig(signal="spike")
-    with pytest.raises(ValueError, match="distribution"):
-        ExperimentConfig(distribution="gaussian")
+    with pytest.raises(ValueError, match="unknown config keys: distribution"):
+        ExperimentConfig.from_mapping({"distribution": "ternary"})
     with pytest.raises(ValueError, match="odd d"):
         ExperimentConfig(experiment="phase_transition", d_grid=(4,))
     with pytest.raises(ValueError, match="odd d"):
@@ -149,6 +151,15 @@ def test_lower_bound_argument_validation():
         run_lower_bound(3, 0, 10, 0)
     with pytest.raises(ValueError):
         run_lower_bound(3, 1, 0, 0)
+
+
+def test_lower_bound_rate_is_the_sweep_cell_rate(tmp_path):
+    for d, L, n, s in ((3, 1, 40, 0), (5, 3, 25, 7), (64, 2, 10, 12)):
+        res = run_lower_bound_experiment(ExperimentConfig(
+            experiment="lower_bound", d_grid=(d,), L_grid=(L,), trials=n, base_seed=s,
+            out_dir=str(tmp_path),
+        ))
+        assert run_lower_bound(d, L, n, s) == res.aggregate_rows[0].collision_rate
 
 
 def test_lower_bound_rate_decays_with_masks():
@@ -305,6 +316,15 @@ def test_linalg_failure_is_named_in_the_failure_column(tmp_path, monkeypatch):
         assert math.isinf(float(r[5])) == (r[7] == "LinAlgError")
 
 
+@pytest.mark.parametrize("run", [run_phase_transition, run_golfing_rate])
+@pytest.mark.parametrize("kind", ["lower_bound", "isotropy_audit"])
+def test_recovery_runners_revalidate_a_config_of_another_kind(tmp_path, run, kind):
+    cfg = ExperimentConfig(experiment=kind, d_grid=(4,), trials=1, out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="odd d"):
+        run(cfg)
+    assert not any(tmp_path.iterdir())
+
+
 def test_other_solver_exceptions_propagate(tmp_path, monkeypatch):
     def broken(frame, y, cfg):
         raise TypeError("a fault in the program, not a numerical failure")
@@ -359,6 +379,50 @@ def test_golfing_rate_respects_batch_overrides(tmp_path):
     for row in res.trial_rows:
         assert not row[3]  # starved batches cannot construct
         assert row[7] != ""
+
+
+def golfing_config(out, **kw):
+    base = dict(
+        experiment="golfing_rate", d_grid=(3, 5), trials=2, base_seed=4, out_dir=str(out)
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def test_golfing_rate_determinism_across_reruns_and_workers(tmp_path):
+    header = ["d", "trial", "seed", "constructed", "verified", "masks_consumed",
+              "attempts", "failure_reason", "wall_time"]
+    r1 = run_experiment(golfing_config(tmp_path / "a"))
+    r2 = run_experiment(golfing_config(tmp_path / "b"))
+    r3 = run_experiment(golfing_config(tmp_path / "c", workers=2))
+    t1 = rows_without_wall_time(r1.trial_path, header)
+    assert t1 == rows_without_wall_time(r2.trial_path, header)
+    assert t1 == rows_without_wall_time(r3.trial_path, header)
+    assert r1.aggregate_path.read_bytes() == r2.aggregate_path.read_bytes()
+    assert r1.aggregate_path.read_bytes() == r3.aggregate_path.read_bytes()
+    assert sum(int(r[3]) for r in t1[1]) >= 1  # some certificate was verified
+
+
+def test_golfing_verification_faults_propagate(tmp_path, monkeypatch):
+    def broken(cert, x):
+        raise RuntimeError("a fault in the program, not a bad certificate")
+
+    monkeypatch.setattr(exp, "verify_certificate", broken)
+    with pytest.raises(RuntimeError, match="fault in the program"):
+        run_experiment(golfing_config(tmp_path, d_grid=(3,)))
+
+
+def test_golfing_integrity_failure_is_recorded(tmp_path, monkeypatch):
+    def tampered(cert, x):
+        raise CertificateIntegrityError("witness-reconstructed Y deviates")
+
+    monkeypatch.setattr(exp, "verify_certificate", tampered)
+    res = run_experiment(golfing_config(tmp_path, d_grid=(3,)))
+    constructed = [r for r in res.trial_rows if r.constructed]
+    assert constructed
+    for r in constructed:
+        assert not r.verified
+        assert r.failure_reason == "witness-reconstructed Y deviates"
 
 
 # ---------------------------------------------------------------------------
