@@ -32,6 +32,7 @@ numerical check on concrete mask realizations:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +88,19 @@ __all__ = [
 # exact enumeration checks
 
 
-def _enumerate_masks(dist: MaskDistribution, d: int, chunk: int = 4096):
+# masks per batch of the enumeration and the Monte-Carlo sums
+_CHUNK = 4096
+
+
+def _enumerate_masks(dist: MaskDistribution, d: int):
     """Yield (eps, prob) chunks covering every mask realization exactly once."""
     s = len(dist.support)
     total = s**d
     support = np.asarray(dist.support)
     probs = np.asarray(dist.probabilities)
     radix = s ** np.arange(d)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total))
         digits = (idx[:, None] // radix[None, :]) % s
         yield support[digits], probs[digits].prod(axis=1)
 
@@ -328,8 +333,8 @@ def variance_bound_check(
     else:
         samples = _draw_entries(dist, np.random.default_rng(seed), (mc_samples, d))
         weights = np.full(mc_samples, 1.0 / mc_samples)
-        batches = [(samples[i : i + 4096], weights[i : i + 4096])
-                   for i in range(0, mc_samples, 4096)]
+        batches = [(samples[i : i + _CHUNK], weights[i : i + _CHUNK])
+                   for i in range(0, mc_samples, _CHUNK)]
         method = "monte_carlo"
 
     # offset m of mask n's M(Z) is E_m[n, a] s[m, n] / nu^2 with s[m] = E_m z_m;
@@ -369,64 +374,17 @@ def variance_bound_check(
 
 @dataclass(frozen=True)
 class GolfingParams:
-    """Schedule parameters for the golfing construction.
+    """Mask batch sizes of the golfing construction.
 
-    ``None`` fields resolve at construction time to the canonical schedule:
-    gamma = 8 + log2(b^2/nu), r = ceil(log2(d)/2) + ceil(log2(b^2/nu)) + 1,
-    w = ceil(10 * omega * r), c_first = 1/sqrt(2 log d), t_later = log(d)/4.
-    Batch sizes default to pilot-calibrated desk-scale values; the paper's
-    absolute constants are not numeric.
+    ``L1`` and ``L2`` masks for the two fine iterations, ``L_later`` for each
+    coarse one.  The defaults are pilot-calibrated desk-scale values; the
+    paper's absolute constants are not numeric.  The rest of the schedule
+    (gamma, r, w, t and c) is a function of d and the mask law: ``_schedule``.
     """
 
-    omega: float = 1.0
-    gamma: float | None = None
-    r: int | None = None
-    w: int | None = None
     L1: int = 1000
     L2: int = 1000
     L_later: int = 200
-    t_first: float = 0.125
-    c_first: float | None = None
-    t_later: float | None = None
-    c_later: float = 0.5
-
-    def __post_init__(self):
-        if self.omega < 1:
-            raise ValueError("omega must be >= 1")
-        if self.gamma is not None and self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-
-    def resolve(self, d: int, dist: MaskDistribution) -> "ResolvedGolfingParams":
-        mass_ratio = round(math.log2(dist.b**2 / dist.nu), 12)
-        r = self.r if self.r is not None else math.ceil(math.log2(d) / 2) + math.ceil(mass_ratio) + 1
-        return ResolvedGolfingParams(
-            omega=self.omega,
-            gamma=self.gamma if self.gamma is not None else truncation_rate(dist),
-            r=r,
-            w=self.w if self.w is not None else math.ceil(10 * self.omega * r),
-            L1=self.L1,
-            L2=self.L2,
-            L_later=self.L_later,
-            t_first=self.t_first,
-            c_first=self.c_first if self.c_first is not None else 1.0 / math.sqrt(2.0 * math.log(d)),
-            t_later=self.t_later if self.t_later is not None else math.log(d) / 4.0,
-            c_later=self.c_later,
-        )
-
-
-@dataclass(frozen=True)
-class ResolvedGolfingParams:
-    omega: float
-    gamma: float
-    r: int
-    w: int
-    L1: int
-    L2: int
-    L_later: int
-    t_first: float
-    c_first: float
-    t_later: float
-    c_later: float
 
 
 @dataclass(frozen=True)
@@ -451,6 +409,30 @@ _COMPLEMENT_BOUND = 0.5
 def _tangent_bound(dist: MaskDistribution, d: int) -> float:
     """Bound nu / (4 b^2 sqrt(d)) on ||P_T(Y) - X||_2 for a dual certificate."""
     return dist.nu / (4.0 * dist.b**2 * math.sqrt(d))
+
+
+_Schedule = namedtuple("_Schedule", "gamma r w t_first c_first t_later c_later")
+
+
+def _schedule(d: int, dist: MaskDistribution) -> _Schedule:
+    """The golfing schedule at dimension d for the law's (b, nu).
+
+    Truncation rate gamma = 8 + log2(b^2/nu), r = ceil(log2(d)/2) +
+    ceil(log2(b^2/nu)) + 1 coarse successes within w = 10 r attempts, fine
+    thresholds t = 1/8 and c = 1/sqrt(2 log d), coarse thresholds
+    t = log(d)/4 and c = 1/2.
+    """
+    mass_ratio = round(math.log2(dist.b**2 / dist.nu), 12)
+    r = math.ceil(math.log2(d) / 2) + math.ceil(mass_ratio) + 1
+    return _Schedule(
+        gamma=truncation_rate(dist),
+        r=r,
+        w=10 * r,
+        t_first=0.125,
+        c_first=1.0 / math.sqrt(2.0 * math.log(d)),
+        t_later=math.log(d) / 4.0,
+        c_later=0.5,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,8 +502,9 @@ def golfing_construct(
     The first two (fine) iterations abort the construction on failure; coarse
     iterations retry until r successes or w attempts.  On acceptance
     Y += R_Q(Q) - tr(Q) Id and Q = X - P_T(Y), which contracts ||Q||_2 by the
-    accepted c.  Returns a DualCertificate on success, otherwise a
-    GolfingFailure carrying the full construction log.
+    accepted c.  ``params`` sets the mask batch sizes; gamma, r, w, t and c
+    come from ``_schedule``.  Returns a DualCertificate on success, otherwise
+    a GolfingFailure carrying the full construction log.
     """
     x = as_signal(x)
     d = x.size
@@ -529,7 +512,8 @@ def golfing_construct(
         raise ValueError("golfing requires odd signal dimension d >= 3")
     if abs(float(np.linalg.norm(x)) - 1.0) > POLICY.anchor_tol:
         raise ValueError("anchor must be unit-norm")
-    p = (params or GolfingParams()).resolve(d, dist)
+    batch = params or GolfingParams()
+    p = _schedule(d, dist)
 
     tangent = TangentSpace(x)
     X = np.outer(x, x.conj())
@@ -574,15 +558,15 @@ def golfing_construct(
                                    float(np.linalg.norm(Q)), complement_now))
         return xi
 
-    if not attempt(1, "fine", p.L1, p.t_first, p.c_first):
+    if not attempt(1, "fine", batch.L1, p.t_first, p.c_first):
         return GolfingFailure("first fine iteration failed", tuple(log), masks_sampled)
-    if not attempt(2, "fine", p.L2, p.t_first, p.c_first):
+    if not attempt(2, "fine", batch.L2, p.t_first, p.c_first):
         return GolfingFailure("second fine iteration failed", tuple(log), masks_sampled)
     successes = 0
     attempts = 0
     while successes < p.r and attempts < p.w:
         attempts += 1
-        if attempt(2 + attempts, "coarse", p.L_later, p.t_later, p.c_later):
+        if attempt(2 + attempts, "coarse", batch.L_later, p.t_later, p.c_later):
             successes += 1
     if successes < p.r:
         return GolfingFailure(

@@ -11,6 +11,7 @@ import dataclasses
 
 import click
 import numpy as np
+import yaml
 
 from .certify import (
     DualCertificate,
@@ -23,6 +24,7 @@ from .certify import (
 )
 from .diffraction import MeasurementFrame, measure, sample_masks, ternary_mask_distribution
 from .experiments import (
+    _SUCCESS_THRESHOLD,
     ExperimentConfig,
     derive_seed,
     random_unit_signal,
@@ -47,12 +49,15 @@ def _int_list(_ctx, _param, value):
 
 
 def _build_config(experiment, config, **overrides) -> ExperimentConfig:
-    base = ExperimentConfig.from_yaml(config) if config else ExperimentConfig()
     fields = {"experiment": experiment}
     for key, value in overrides.items():
         if value is not None:
             fields[key] = value
-    return dataclasses.replace(base, **fields)
+    try:
+        base = ExperimentConfig.from_yaml(config) if config else ExperimentConfig()
+        return dataclasses.replace(base, **fields)
+    except (ValueError, yaml.YAMLError) as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 _SHARED = [
@@ -119,12 +124,12 @@ def isotropy_audit_cmd(config, **overrides):
 
 
 @main.command("recover")
-@click.option("--d", type=int, default=15, show_default=True)
-@click.option("--L", "L", type=int, default=30, show_default=True)
+@click.option("--d", type=click.IntRange(min=1), default=15, show_default=True)
+@click.option("--L", "L", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["feasibility", "trace_min"]),
               default="feasibility", show_default=True)
-@click.option("--max-iterations", type=int, default=800, show_default=True)
+@click.option("--max-iterations", type=click.IntRange(min=1), default=800, show_default=True)
 def recover_cmd(d, L, seed, mode, max_iterations):
     """Recover one random signal from one sampled mask realization."""
     dist = ternary_mask_distribution()
@@ -149,17 +154,19 @@ def recover_cmd(d, L, seed, mode, max_iterations):
         f"constraint violation = {report.max_violation:.3e}   "
         f"min eigenvalue = {report.min_eigenvalue:.3e}"
     )
-    if err > 1e-3:
+    if err > _SUCCESS_THRESHOLD:
         raise SystemExit(1)
 
 
 @main.command("certify")
-@click.option("--d", type=int, default=15, show_default=True)
+@click.option("--d", type=click.IntRange(min=3), default=15, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--log/--no-log", "show_log", default=False,
               help="Print the golfing construction log.")
 def certify_cmd(d, seed, show_log):
     """Construct and verify a dual certificate for one random signal."""
+    if d % 2 == 0:
+        raise click.BadParameter(f"golfing needs odd d, got {d}", param_hint="'--d'")
     dist = ternary_mask_distribution()
     rng = np.random.default_rng(seed)
     x = random_unit_signal(d, rng)

@@ -41,6 +41,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import numbers
+import os
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -67,7 +69,7 @@ from .diffraction import (
     ternary_mask_distribution,
 )
 from .hermitian import phase_aligned_distance
-from .solver import SolverConfig, extract_signal, solve_phaselift
+from .solver import _MODES, SolverConfig, extract_signal, solve_phaselift
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -91,13 +93,21 @@ _RECOVERY_KINDS = ("phase_transition", "golfing_rate")
 
 _DIST = ternary_mask_distribution()
 
+#: a recovery succeeds iff its phase-aligned error is at most this
+_SUCCESS_THRESHOLD = 1e-3
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; every field has a config-file key.
 
     Unknown keys in a config file are rejected rather than ignored, so typos
-    cannot silently fall back to defaults.
+    cannot silently fall back to defaults; so are values of the wrong type or
+    out of range, with a ValueError that names the key.
     """
 
     experiment: str = "phase_transition"
@@ -107,30 +117,39 @@ class ExperimentConfig:
     base_seed: int = 0
     out_dir: str = "results"
     signal: str = "random"  # or "e1" for the worst-case standard basis signal
-    success_threshold: float = 1e-3
     solver_mode: str = "feasibility"
     max_iterations: int = 800
-    residual_tolerance: float = 1e-7
     workers: int = 1
-    golfing_L1: int | None = None
-    golfing_L2: int | None = None
-    golfing_L_later: int | None = None
+    golfing_L1: int = GolfingParams.L1
+    golfing_L2: int = GolfingParams.L2
+    golfing_L_later: int = GolfingParams.L_later
 
     def __post_init__(self):
-        object.__setattr__(self, "d_grid", tuple(int(v) for v in self.d_grid))
-        object.__setattr__(self, "L_grid", tuple(int(v) for v in self.L_grid))
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_KINDS}"
             )
-        if not self.d_grid or not self.L_grid:
-            raise ValueError("d_grid and L_grid must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for key in ("d_grid", "L_grid"):
+            values = getattr(self, key)
+            if not (isinstance(values, (list, tuple)) and values
+                    and all(_is_int(v) and v >= 1 for v in values)):
+                raise ValueError(f"{key} must be a non-empty list of integers >= 1, got {values!r}")
+            object.__setattr__(self, key, tuple(map(int, values)))
+        for key in ("trials", "max_iterations", "workers",
+                    "golfing_L1", "golfing_L2", "golfing_L_later"):
+            value = getattr(self, key)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.base_seed):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.signal not in ("random", "e1"):
             raise ValueError(f"signal must be 'random' or 'e1', got {self.signal!r}")
+        if self.solver_mode not in _MODES:
+            raise ValueError(f"solver_mode must be one of {_MODES}, got {self.solver_mode!r}")
+        if self.experiment == "lower_bound" and min(self.d_grid) < 2:
+            raise ValueError(f"lower_bound needs d >= 2; d_grid is {list(self.d_grid)}")
         if self.experiment in _RECOVERY_KINDS:
             bad = [d for d in self.d_grid if d < 3 or d % 2 == 0]
             if bad:
@@ -259,7 +278,7 @@ _PhaseCell = namedtuple(
 def _recovery_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
     """(seed, success, recovery_error, iterations, failure) of one recovery.
 
-    ``success`` iff the error is at most the configured threshold.
+    ``success`` iff the error is at most ``_SUCCESS_THRESHOLD``.
     ``failure`` names the exception class of a solve that failed numerically
     (its error is then inf); it is empty on every trial that ran to the end.
     """
@@ -276,7 +295,6 @@ def _recovery_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
     solver_cfg = SolverConfig(
         mode=cfg.solver_mode,
         max_iterations=cfg.max_iterations,
-        residual_tolerance=cfg.residual_tolerance,
         trace_target=y.y0 if cfg.solver_mode == "feasibility" else None,
     )
     failure = ""
@@ -291,7 +309,7 @@ def _recovery_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
         failure = type(exc).__name__
         error = math.inf
         iterations = 0
-    return seed, bool(error <= cfg.success_threshold), float(error), iterations, failure
+    return seed, bool(error <= _SUCCESS_THRESHOLD), float(error), iterations, failure
 
 
 def _recovery_summary(rows):
@@ -328,8 +346,7 @@ def _golfing_trial(cfg: ExperimentConfig, d: int, trial: int):
     seed = derive_seed(cfg.base_seed, d, 0, trial)
     rng = np.random.default_rng(seed)
     x = random_unit_signal(d, rng)
-    batches = {"L1": cfg.golfing_L1, "L2": cfg.golfing_L2, "L_later": cfg.golfing_L_later}
-    params = GolfingParams(**{k: v for k, v in batches.items() if v is not None})
+    params = GolfingParams(cfg.golfing_L1, cfg.golfing_L2, cfg.golfing_L_later)
     out = golfing_construct(x, _DIST, params, seed=int(rng.integers(2**63)))
     constructed = isinstance(out, DualCertificate)
     verified = False

@@ -184,14 +184,13 @@ class TangentSpace:
         Z = as_hermitian(Z)
         return hermitize(Z - self.project(Z))
 
-    def contains(self, Z, rel_tol: float | None = None) -> bool:
+    def contains(self, Z) -> bool:
         """Whether ``Z`` lies in T up to the policy's rank/projection slack."""
         Z = as_hermitian(Z)
         scale = float(np.linalg.norm(Z))
         if scale == 0.0:
             return True
-        tol = POLICY.rank_rel_tol if rel_tol is None else rel_tol
-        return float(np.linalg.norm(Z - self.project(Z))) <= tol * scale
+        return float(np.linalg.norm(Z - self.project(Z))) <= POLICY.rank_rel_tol * scale
 
     def basis(self) -> np.ndarray:
         """Orthonormal basis of T, shape ``(2d - 1, d, d)``.

@@ -4,7 +4,7 @@ Both modes solve ``min rho tr(X)`` over the intersection of an affine set and
 the PSD cone, with one Douglas–Rachford loop (Lions–Mercier) that alternates
 the two exact projections:
 
-    X = P_aff(V),   W = P_psd(2X - V - rho Id),   V += lambda (W - X).
+    X = P_aff(V),   W = P_psd(2X - V - rho Id),   V += W - X.
 
 The affine set is ``{A(X) = y}`` in ``trace_min`` mode (PhaseLift: trace, the
 nuclear norm on the PSD cone, is what gets minimized) and ``{A(X) = y,
@@ -22,6 +22,8 @@ L >= d) is solved by its normal equations, which then lose at most about
 1e6 eps, and has no null space; every other block keeps a pseudo-inverse from
 the SVD.  The data residual of each PSD iterate comes from the same blocks, so
 neither step needs ``A`` in dense form, nor a call of the public forward map.
+A solve converges when the PSD iterate W meets both ``||W - X||_F <= tol
+||W||_F`` and a relative data residual ``<= tol``, with tol = 1e-7.
 """
 
 from __future__ import annotations
@@ -50,18 +52,13 @@ _MODES = ("feasibility", "trace_min")
 class SolverConfig:
     """Knobs for solve_phaselift.
 
-    ``step_or_relaxation`` is the Douglas–Rachford relaxation lambda in
-    (0, 2] (1.0 = plain Douglas–Rachford).  ``trace_target`` (y0) is
-    mandatory in feasibility mode and unused in trace_min mode.  A solve
-    converges when the PSD iterate W meets both ``||W - X||_F <= tol
-    ||W||_F`` and a relative data residual ``<= tol``, with tol =
-    ``residual_tolerance``.
+    ``mode`` is "feasibility" or "trace_min"; a solve stops after
+    ``max_iterations`` sweeps if it has not converged.  ``trace_target`` (y0)
+    is mandatory in feasibility mode and unused in trace_min mode.
     """
 
     mode: str = "feasibility"
     max_iterations: int = 5000
-    residual_tolerance: float = 1e-7
-    step_or_relaxation: float = 1.0
     trace_target: float | None = None
 
     def __post_init__(self):
@@ -69,10 +66,6 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.residual_tolerance > 0:
-            raise ValueError("residual_tolerance must be positive")
-        if not 0 < self.step_or_relaxation <= 2:
-            raise ValueError("step_or_relaxation must lie in (0, 2]")
         if self.mode == "feasibility" and self.trace_target is None:
             raise ValueError("feasibility mode requires trace_target (= y0)")
 
@@ -83,7 +76,6 @@ class SolveResult:
     iterations_used: int
     final_residual: float
     converged: bool
-    eigen_spectrum: np.ndarray
     residual_history: np.ndarray
     # residual increases beyond 1% slack, counted: Douglas-Rachford is not
     # monotone in the data residual, so this may be positive on any solve
@@ -101,6 +93,9 @@ class FeasibilityReport:
 # Gate of the normal equations: the Gram solve loses about kappa_2(E_m)^2 eps,
 # which stays below the 1e-10 of the oracle tests for kappa_2(E_m) <= 1e3.
 _KAPPA_MAX = 1e3
+
+# tol of the convergence test in the module docstring
+_TOLERANCE = 1e-7
 
 
 def _lstsq_factors(E: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,11 +168,6 @@ class _AffineSet:
         return float(np.sqrt(res2))
 
 
-def _affine_projection(frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None = None):
-    """Frobenius projection onto the affine set of _AffineSet, as a function."""
-    return _AffineSet(frame, y_flat, y0).project
-
-
 def solve_phaselift(
     frame: MeasurementFrame, y: MeasurementVector, cfg: SolverConfig
 ) -> SolveResult:
@@ -198,8 +188,6 @@ def solve_phaselift(
     aff = _AffineSet(frame, y_flat, target)
     rho = float(np.sum(y_flat)) / (frame.distribution.nu * d * d * frame.L)
     shift = rho * np.eye(d)
-    relax = cfg.step_or_relaxation
-    tol = cfg.residual_tolerance
 
     V = np.zeros((d, d), dtype=complex)
     bnorm = max(aff.residual(V), 1e-300)  # the residual of 0 is ||(y, y0)||
@@ -209,10 +197,10 @@ def solve_phaselift(
         X = aff.project(V)
         W = psd_project(2 * X - V - shift)
         step = W - X
-        V += relax * step
+        V += step
         res = aff.residual(W) / bnorm
         history.append(res)
-        if res <= tol and np.linalg.norm(step) <= tol * np.linalg.norm(W):
+        if res <= _TOLERANCE and np.linalg.norm(step) <= _TOLERANCE * np.linalg.norm(W):
             converged = True
             break
     history = np.asarray(history)
@@ -221,7 +209,6 @@ def solve_phaselift(
         iterations_used=iterations,
         final_residual=float(history[-1]),
         converged=converged,
-        eigen_spectrum=np.linalg.eigvalsh(W),
         residual_history=history,
         monotonicity_violations=int(np.sum(history[1:] > history[:-1] * 1.01)),
     )

@@ -22,7 +22,7 @@ from cdplift.certify import (
     variance_bound_check,
     verify_certificate,
 )
-from cdplift.certify import _identity_fold
+from cdplift.certify import _identity_fold, _schedule
 from cdplift.diffraction import (
     MaskSet,
     MeasurementFrame,
@@ -460,27 +460,31 @@ def test_variance_requires_tangent_argument():
 
 
 # ---------------------------------------------------------------------------
-# golfing parameters
+# golfing schedule
 
 
-def test_golfing_schedule_resolution_at_d15():
-    p = GolfingParams().resolve(15, ternary_mask_distribution())
-    assert p.gamma == 9.0
-    assert p.r == 4  # ceil(log2(15)/2) + ceil(log2(2)) + 1
-    assert p.w == 40
-    assert p.t_first == 0.125
-    assert p.c_first == pytest.approx(1 / math.sqrt(2 * math.log(15)))
-    assert p.t_later == pytest.approx(math.log(15) / 4)
-    assert p.c_later == 0.5
-
-
-def test_golfing_params_overrides_and_validation():
-    p = GolfingParams(r=7, w=11, gamma=3.0, L1=50).resolve(15, ternary_mask_distribution())
-    assert (p.r, p.w, p.gamma, p.L1) == (7, 11, 3.0, 50)
-    with pytest.raises(ValueError):
-        GolfingParams(omega=0.5)
-    with pytest.raises(ValueError):
-        GolfingParams(gamma=0.5)
+def test_golfing_schedule_from_d_and_law(certificate):
+    # r = ceil(log2(d)/2) + ceil(log2(b^2/nu)) + 1 and w = 10 r; b^2/nu is 2
+    # for the ternary law and 2.5 for the five-point law
+    for dist, gamma, rs in (
+        (ternary_mask_distribution(), 9.0, (3, 4, 5)),
+        (five_point_distribution(), 9.263034405834, (4, 5, 6)),
+    ):
+        for d, r in zip((3, 15, 31), rs):
+            p = _schedule(d, dist)
+            assert p.gamma == pytest.approx(gamma, abs=1e-12)
+            assert (p.r, p.w) == (r, 10 * r)
+            assert p.t_first == 0.125
+            assert p.c_first == 1.0 / math.sqrt(2.0 * math.log(d))
+            assert p.t_later == math.log(d) / 4.0
+            assert p.c_later == 0.5
+    # the d = 15 certificate ran on this schedule
+    _, cert = certificate
+    p = _schedule(15, ternary_mask_distribution())
+    assert cert.gamma == p.gamma
+    for rec in cert.construction_log:
+        t, c = (p.t_first, p.c_first) if rec.phase == "fine" else (p.t_later, p.c_later)
+        assert (rec.t, rec.c) == (t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +531,7 @@ def test_golfing_log_contraction_and_partial_sums(certificate):
 def test_golfing_telescoped_tangent_residual(certificate):
     # two fine contractions (1/sqrt(2 log d) each) then r halvings
     _, cert = certificate
-    r = GolfingParams().resolve(15, ternary_mask_distribution()).r
+    r = _schedule(15, ternary_mask_distribution()).r
     assert cert.tangent_residual <= (1 / (2 * math.log(15))) * 2.0**-r + 1e-12
 
 

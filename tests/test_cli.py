@@ -64,8 +64,29 @@ def test_config_file_unknown_key_is_an_error(runner, tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("trails: 10\n")
     result = runner.invoke(main, ["lower-bound", "--config", str(cfg)])
-    assert result.exit_code != 0
-    assert "unknown config keys" in str(result.exception)
+    assert result.exit_code == 2
+    assert "unknown config keys: trails" in result.output
+    cfg.write_text("trials: [1\n")  # not YAML
+    result = runner.invoke(main, ["lower-bound", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "expected ',' or ']'" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["certify", "--d", "4"], "odd d"),
+        (["recover", "--L", "0"], "--L"),
+        (["recover", "--d", "0"], "--d"),
+        (["recover", "--max-iterations", "0"], "--max-iterations"),
+        (["phase-transition", "--trials", "0"], "trials must be an integer >= 1"),
+        (["lower-bound", "--L", "0"], "L_grid must be a non-empty list of integers >= 1"),
+    ],
+)
+def test_bad_sizes_are_usage_errors(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def test_bad_int_list_is_a_usage_error(runner):

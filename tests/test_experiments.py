@@ -47,7 +47,7 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_mapping({"tirals": 3})
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path):
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentConfig(experiment="phase_transitoin")
     with pytest.raises(ValueError, match="non-empty"):
@@ -64,9 +64,25 @@ def test_config_validation_errors():
         ExperimentConfig(experiment="phase_transition", d_grid=(4,))
     with pytest.raises(ValueError, match="odd d"):
         ExperimentConfig(experiment="golfing_rate", d_grid=(15, 1))
+    # values of the wrong type or out of range, each named by its key
+    for key, value in (
+        ("trials", 2.5), ("trials", True), ("base_seed", "abc"),
+        ("max_iterations", -5), ("workers", 1.5), ("golfing_L1", 2.5),
+        ("golfing_L_later", 0), ("d_grid", [3.7]), ("d_grid", "15"), ("d_grid", 15),
+        ("L_grid", [0]), ("L_grid", [-2]), ("solver_mode", "dykstra"), ("out_dir", 5),
+    ):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_mapping({key: value})
+    with pytest.raises(ValueError, match="d >= 2"):
+        ExperimentConfig(experiment="lower_bound", d_grid=(1,))
+    p = tmp_path / "cfg.yaml"
+    p.write_text("experiment: lower_bound\nd_grid: '15'\n")
+    with pytest.raises(ValueError, match="d_grid must be a non-empty list of integers"):
+        ExperimentConfig.from_yaml(p)
     # even d is fine outside the recovery experiments
     ExperimentConfig(experiment="isotropy_audit", d_grid=(4,))
     ExperimentConfig(experiment="lower_bound", d_grid=(64,))
+    assert ExperimentConfig(d_grid=[np.int64(3)], base_seed=-1).d_grid == (3,)
 
 
 def test_config_yaml_round_trip(tmp_path):

@@ -14,7 +14,6 @@ from cdplift.hermitian import phase_aligned_distance
 from cdplift.solver import (
     SolverConfig,
     _AffineSet,
-    _affine_projection,
     _lstsq_factors,
     extract_signal,
     solve_phaselift,
@@ -33,8 +32,6 @@ def make_instance(d, L, seed):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mode="dykstra")
-    with pytest.raises(ValueError):
-        SolverConfig(mode="feasibility", step_or_relaxation=2.5, trace_target=1.0)
     with pytest.raises(ValueError):
         SolverConfig(mode="feasibility", trace_target=None)  # needs the trace value
     with pytest.raises(ValueError):
@@ -62,7 +59,7 @@ def test_blockwise_projection_matches_dense_oracle(d, L):
     masks = sample_masks(ternary_mask_distribution(), d, L, seed=L)
     y_flat = rng.random(L * d)
     X = random_hermitian(rng, d)
-    projected = _affine_projection(MeasurementFrame(masks), y_flat, 1.3)(X)
+    projected = _AffineSet(MeasurementFrame(masks), y_flat, 1.3).project(X)
     expected = dense_affine_projection(masks.epsilon, y_flat, 1.3, X)
     assert np.max(np.abs(projected - expected)) <= 1e-10
 
@@ -174,7 +171,7 @@ def test_blockwise_projection_without_trace_row_matches_dense_oracle(d, L):
     masks = sample_masks(ternary_mask_distribution(), d, L, seed=L + 1)
     y_flat = rng.random(L * d)
     X = random_hermitian(rng, d)
-    projected = _affine_projection(MeasurementFrame(masks), y_flat, None)(X)
+    projected = _AffineSet(MeasurementFrame(masks), y_flat, None).project(X)
     expected = dense_affine_projection(masks.epsilon, y_flat, None, X)
     assert np.max(np.abs(projected - expected)) <= 1e-10
 
