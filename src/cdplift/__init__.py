@@ -30,7 +30,6 @@ from .hermitian import (
     norm,
     phase_aligned_distance,
     psd_project,
-    top_eigenpair,
 )
 from .certify import (
     DualCertificate,
@@ -69,7 +68,6 @@ __all__ = [
     "norm",
     "phase_aligned_distance",
     "psd_project",
-    "top_eigenpair",
     "DualCertificate",
     "GolfingFailure",
     "GolfingParams",

@@ -3,9 +3,6 @@
 Each operation here turns one piece of the guarantee machinery into a
 numerical check on concrete mask realizations:
 
-* moment validation of a mask distribution (exact rational arithmetic;
-  defined in ``cdplift.diffraction``, where every MaskDistribution runs it,
-  and re-exported here);
 * exact near-isotropy of the expected Gram operator, E[R](Z) = Z + tr(Z)*Id,
   and the companion 2-design identity
   (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, both by full enumeration
@@ -21,19 +18,19 @@ numerical check on concrete mask realizations:
 * the golfing scheme: an iterative, resampled construction of an approximate
   dual certificate Y in range(A*), with the full construction log and an
   explicit witness vector; and the deterministic re-verification of such a
-  certificate;
-* the final optimality verdict, which is the conjunction of a valid
-  certificate and a passing injectivity report — nothing more is computed,
-  matching the logic of the guarantee — and which rejects an anchor or a
-  frame other than the ones the certificate and the injectivity report were
-  computed for.
+  certificate, which returns it rebuilt from the witness;
+* the final optimality verdict, which is the conjunction of a passing
+  certificate (give it the rebuilt one) and a passing injectivity report —
+  nothing more is computed, matching the logic of the guarantee — and which
+  rejects an anchor or a frame other than the ones the certificate and the
+  injectivity report were computed for.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +38,6 @@ from .diffraction import (
     MaskDistribution,
     MaskSet,
     MeasurementFrame,
-    MomentReport,
     _apply_A_adjoint_any,
     _contract,
     _draw_entries,
@@ -54,24 +50,20 @@ from .diffraction import (
     apply_A_adjoint,
     sample_masks,
     truncation_rate,
-    validate_moments,
 )
 from .hermitian import TangentSpace, as_hermitian, as_signal, hermitize, norm
-from .policy import POLICY
+from .policy import POLICY, _check_counts
 
 __all__ = [
-    "MomentReport",
     "InjectivityReport",
     "GolfingParams",
     "IterationRecord",
     "DualCertificate",
     "GolfingFailure",
-    "CertificateCheck",
     "CertificateIntegrityError",
     "OptimalityVerdict",
     "TruncationStats",
     "VarianceCheck",
-    "validate_moments",
     "check_near_isotropy_exact",
     "check_two_design_exact",
     "injectivity_spectrum",
@@ -90,6 +82,9 @@ __all__ = [
 
 # masks per batch of the enumeration and the Monte-Carlo sums
 _CHUNK = 4096
+
+#: most mask realizations an exact enumeration runs through
+_ENUMERATION_BUDGET = 10**6
 
 
 def _enumerate_masks(dist: MaskDistribution, d: int):
@@ -138,7 +133,9 @@ def _pair_gram_deviation(
     return float(np.max(np.abs(gram / dist.nu**2 - target)))
 
 
-def check_near_isotropy_exact(dist: MaskDistribution, d: int, budget: int = 10**6) -> float:
+def check_near_isotropy_exact(
+    dist: MaskDistribution, d: int, budget: int = _ENUMERATION_BUDGET
+) -> float:
     """Max entry deviation of the exact E[R] from Z -> Z + tr(Z)*Id.
 
     Enumerates every mask realization with its exact probability p and
@@ -156,7 +153,9 @@ def check_near_isotropy_exact(dist: MaskDistribution, d: int, budget: int = 10**
     return _pair_gram_deviation(dist, d, budget, _offset_index(d)[1], target)
 
 
-def check_two_design_exact(dist: MaskDistribution, d: int, budget: int = 10**6) -> float:
+def check_two_design_exact(
+    dist: MaskDistribution, d: int, budget: int = _ENUMERATION_BUDGET
+) -> float:
     """Max entry deviation of (1/nu^2 d) sum_k E[F_k tensor F_k] from 2 P_sym.
 
     With u = D f_k, entry ((a,c),(b,e)) of the left side is
@@ -177,15 +176,22 @@ def check_two_design_exact(dist: MaskDistribution, d: int, budget: int = 10**6) 
 # robust injectivity
 
 
+#: bound that 1 + lambda_min(P_T (R - E[R]) P_T) must exceed
+_QUARTER_BOUND = 0.25
+
+
 @dataclass(frozen=True, eq=False)
 class InjectivityReport:
     """The injectivity spectrum's verdict, bound to the anchor and masks it read."""
 
     lambda_min_restricted: float
-    passes_quarter_bound: bool
     upper_bound_margin: float
     anchor: np.ndarray
     masks: MaskSet
+
+    @property
+    def passes_quarter_bound(self) -> bool:
+        return 1.0 + self.lambda_min_restricted > _QUARTER_BOUND
 
 
 def injectivity_spectrum(
@@ -238,7 +244,6 @@ def injectivity_spectrum(
     margin = np.min(dist.b**4 * d * z2 - energy, initial=np.inf)
     return InjectivityReport(
         lambda_min_restricted=lam_min,
-        passes_quarter_bound=bool(1.0 + lam_min > 0.25),
         upper_bound_margin=float(margin),
         anchor=tangent.anchor,
         masks=frame.masks,
@@ -303,7 +308,7 @@ def variance_bound_check(
     dist: MaskDistribution,
     x,
     Z,
-    budget: int = 10**6,
+    budget: int = _ENUMERATION_BUDGET,
     mc_samples: int = 10**4,
     seed: int = 0,
 ) -> VarianceCheck:
@@ -386,6 +391,9 @@ class GolfingParams:
     L2: int = 1000
     L_later: int = 200
 
+    def __post_init__(self):
+        _check_counts(self, "L1", "L2", "L_later")
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -440,8 +448,9 @@ class DualCertificate:
     """Golfing output Y with its diagnostics and range-membership witness.
 
     ``in_range_witness`` holds coefficients c over the union mask set with
-    Y = A*(c) (the union frame is ``masks``); ``valid`` is the conjunction of
-    the two certificate bounds.
+    Y = A*(c) (the union frame is ``masks``).  ``passed`` is the conjunction
+    of the two certificate bounds; golfing's certificate holds its own
+    running norms, ``verify_certificate``'s those rebuilt from the witness.
     """
 
     Y: np.ndarray
@@ -458,15 +467,16 @@ class DualCertificate:
         return _tangent_bound(self.masks.distribution, self.masks.d)
 
     @property
-    def complement_bound(self) -> float:
-        return _COMPLEMENT_BOUND
+    def tangent_ok(self) -> bool:
+        return self.tangent_residual <= self.tangent_bound
 
     @property
-    def valid(self) -> bool:
-        return (
-            self.tangent_residual <= self.tangent_bound
-            and self.complement_norm <= self.complement_bound
-        )
+    def complement_ok(self) -> bool:
+        return self.complement_norm <= _COMPLEMENT_BOUND
+
+    @property
+    def passed(self) -> bool:
+        return self.tangent_ok and self.complement_ok
 
 
 @dataclass(frozen=True)
@@ -530,10 +540,6 @@ def golfing_construct(
     def attempt(index: int, phase: str, L_i: int, t_i: float, c_i: float) -> bool:
         nonlocal Q, Y, Y_T, beta, masks_sampled, complement_now
         q_prev_norm = float(np.linalg.norm(Q))
-        if L_i < 1:
-            log.append(IterationRecord(index, phase, L_i, t_i, c_i, False, 0,
-                                       q_prev_norm, complement_now))
-            return False
         masks = sample_masks(dist, d, L_i, int(rng.integers(2**63)))
         masks_sampled += L_i
         eps = masks.epsilon
@@ -630,31 +636,28 @@ class CertificateIntegrityError(Exception):
     """The witness does not reproduce the certificate matrix."""
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
-    tangent_residual: float
-    complement_norm: float
-    tangent_bound: float
-    complement_bound: float
-    tangent_ok: bool
-    complement_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.tangent_ok and self.complement_ok
+def _check_instance(x, frame: MeasurementFrame, name: str, built) -> None:
+    """ValueError unless x is ``built.anchor`` (to anchor_tol) and ``frame`` holds its masks."""
+    anchor, masks = built.anchor, built.masks
+    if x.shape != anchor.shape or float(np.linalg.norm(x - anchor)) > POLICY.anchor_tol:
+        raise ValueError(f"x is not the anchor the {name} was built for")
+    if frame.masks is not masks and not np.array_equal(frame.masks.epsilon, masks.epsilon):
+        raise ValueError(f"frame does not hold the masks the {name} was built on")
 
 
 def verify_certificate(
-    cert: DualCertificate, x, frame_union: MeasurementFrame | None = None
-) -> CertificateCheck:
-    """Recompute the certificate bounds from scratch via the witness.
+    cert: DualCertificate, x, frame: MeasurementFrame | None = None
+) -> DualCertificate:
+    """The certificate rebuilt from scratch via its witness.
 
     Y is rebuilt as A*(witness) over the union frame; a deviation beyond 1e-8
-    from the stored matrix raises CertificateIntegrityError.  Both norms are
-    then recomputed from the rebuilt matrix.
+    from the stored matrix raises CertificateIntegrityError.  The returned
+    certificate carries the rebuilt Y and both norms recomputed from it.  As
+    in ``certify_optimality``, another anchor or frame raises ValueError.
     """
     x = as_signal(x)
-    frame = frame_union if frame_union is not None else MeasurementFrame(cert.masks)
+    frame = frame if frame is not None else MeasurementFrame(cert.masks)
+    _check_instance(x, frame, "certificate", cert)
     Y_rec = apply_A_adjoint(frame, np.asarray(cert.in_range_witness, dtype=float))
     scale = max(float(np.linalg.norm(cert.Y)), 1.0)
     if float(np.linalg.norm(Y_rec - cert.Y)) > 1e-8 * scale:
@@ -662,16 +665,11 @@ def verify_certificate(
             "witness-reconstructed Y deviates from the stored certificate"
         )
     Y_T = TangentSpace(x).project(Y_rec)
-    tangent_residual = float(np.linalg.norm(Y_T - np.outer(x, x.conj())))
-    complement_norm = norm(Y_rec - Y_T, "operator")
-    t_bound = _tangent_bound(frame.distribution, frame.d)
-    return CertificateCheck(
-        tangent_residual=tangent_residual,
-        complement_norm=complement_norm,
-        tangent_bound=t_bound,
-        complement_bound=_COMPLEMENT_BOUND,
-        tangent_ok=tangent_residual <= t_bound,
-        complement_ok=complement_norm <= _COMPLEMENT_BOUND,
+    return replace(
+        cert,
+        Y=Y_rec,
+        tangent_residual=float(np.linalg.norm(Y_T - np.outer(x, x.conj()))),
+        complement_norm=norm(Y_rec - Y_T, "operator"),
     )
 
 
@@ -684,30 +682,24 @@ class OptimalityVerdict:
 def certify_optimality(
     x, frame: MeasurementFrame, cert: DualCertificate, injectivity: InjectivityReport
 ) -> OptimalityVerdict:
-    """Conjunction verdict: valid dual certificate + passing injectivity.
+    """Conjunction verdict: passing dual certificate + passing injectivity.
 
     When both hypotheses hold, X = x x* is the unique optimum of the lifted
     program for this mask realization; no further computation is involved —
-    the verdict simply names any failing hypothesis.  The verdict is only
+    the verdict simply names any failing hypothesis.  Pass the certificate
+    ``verify_certificate`` rebuilt, so the verdict reads the norms recomputed
+    from the witness rather than the ones golfing stored.  The verdict is only
     meaningful when the certificate and the injectivity report were both
     computed for ``x`` and for ``frame``'s masks: each one's anchor must match
-    ``x`` within ``POLICY.anchor_tol`` and its masks must be ``frame``'s
-    (the same MaskSet, or equal mask entries); otherwise ValueError.
+    ``x`` within ``POLICY.anchor_tol`` and its masks must be ``frame``'s (the
+    same MaskSet, or equal mask entries); otherwise ValueError.
     """
     x = as_signal(x)
-    for name, anchor, masks in (
-        ("certificate", cert.anchor, cert.masks),
-        ("injectivity report", injectivity.anchor, injectivity.masks),
-    ):
-        if x.shape != anchor.shape or float(np.linalg.norm(x - anchor)) > POLICY.anchor_tol:
-            raise ValueError(f"x is not the anchor the {name} was built for")
-        if frame.masks is not masks and not np.array_equal(frame.masks.epsilon, masks.epsilon):
-            raise ValueError(f"frame does not hold the masks the {name} was built on")
-    failing = []
-    if cert.tangent_residual > cert.tangent_bound:
-        failing.append("dual certificate tangent bound ||Y_T - X||_2")
-    if cert.complement_norm > cert.complement_bound:
-        failing.append("dual certificate complement bound ||Y_Tperp||_inf")
-    if not injectivity.passes_quarter_bound:
-        failing.append("robust injectivity quarter bound")
+    _check_instance(x, frame, "certificate", cert)
+    _check_instance(x, frame, "injectivity report", injectivity)
+    failing = [name for name, ok in (
+        ("dual certificate tangent bound ||Y_T - X||_2", cert.tangent_ok),
+        ("dual certificate complement bound ||Y_Tperp||_inf", cert.complement_ok),
+        ("robust injectivity quarter bound", injectivity.passes_quarter_bound),
+    ) if not ok]
     return OptimalityVerdict(certified=not failing, failing_hypotheses=tuple(failing))

@@ -41,7 +41,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import numbers
 import os
 import time
 from collections import namedtuple
@@ -53,6 +52,7 @@ import numpy as np
 import yaml
 
 from .certify import (
+    _ENUMERATION_BUDGET,
     CertificateIntegrityError,
     DualCertificate,
     GolfingParams,
@@ -69,6 +69,7 @@ from .diffraction import (
     ternary_mask_distribution,
 )
 from .hermitian import phase_aligned_distance
+from .policy import _check_counts, _is_int
 from .solver import _MODES, SolverConfig, extract_signal, solve_phaselift
 
 __all__ = [
@@ -95,10 +96,6 @@ _DIST = ternary_mask_distribution()
 
 #: a recovery succeeds iff its phase-aligned error is at most this
 _SUCCESS_THRESHOLD = 1e-3
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -135,11 +132,8 @@ class ExperimentConfig:
                     and all(_is_int(v) and v >= 1 for v in values)):
                 raise ValueError(f"{key} must be a non-empty list of integers >= 1, got {values!r}")
             object.__setattr__(self, key, tuple(map(int, values)))
-        for key in ("trials", "max_iterations", "workers",
-                    "golfing_L1", "golfing_L2", "golfing_L_later"):
-            value = getattr(self, key)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        _check_counts(self, "trials", "max_iterations", "workers",
+                      "golfing_L1", "golfing_L2", "golfing_L_later")
         if not _is_int(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         if not isinstance(self.out_dir, (str, os.PathLike)):
@@ -150,6 +144,13 @@ class ExperimentConfig:
             raise ValueError(f"solver_mode must be one of {_MODES}, got {self.solver_mode!r}")
         if self.experiment == "lower_bound" and min(self.d_grid) < 2:
             raise ValueError(f"lower_bound needs d >= 2; d_grid is {list(self.d_grid)}")
+        if self.experiment == "isotropy_audit":
+            bad = [d for d in self.d_grid if len(_DIST.support) ** d > _ENUMERATION_BUDGET]
+            if bad:
+                raise ValueError(
+                    f"isotropy_audit d_grid exceeds the exact enumeration budget of "
+                    f"{_ENUMERATION_BUDGET} mask realizations; offending values {bad}"
+                )
         if self.experiment in _RECOVERY_KINDS:
             bad = [d for d in self.d_grid if d < 3 or d % 2 == 0]
             if bad:

@@ -2,7 +2,7 @@
 
 Signals are 1-D complex ndarrays and Hermitian matrices are square complex
 ndarrays; this module provides the norms, the positive-semidefinite
-projection, eigenpair extraction, the global-phase-invariant distance between
+projection, the global-phase-invariant distance between
 signals, and the tangent space of the rank-1 manifold at ``X = x x*`` together
 with its orthogonal projectors.
 
@@ -23,7 +23,6 @@ __all__ = [
     "as_hermitian",
     "norm",
     "psd_project",
-    "top_eigenpair",
     "phase_aligned_distance",
     "TangentSpace",
 ]
@@ -101,18 +100,6 @@ def psd_project(Z) -> np.ndarray:
     lam, V = np.linalg.eigh(Z)
     lam = np.maximum(lam, 0.0)
     return hermitize((V * lam) @ V.conj().T)
-
-
-def top_eigenpair(Z) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit-norm eigenvector of a Hermitian matrix.
-
-    When the top eigenvalue is degenerate any unit vector of the leading
-    eigenspace may be returned; callers must use phase/subspace-invariant
-    comparisons.
-    """
-    Z = as_hermitian(Z)
-    lam, V = np.linalg.eigh(Z)
-    return float(lam[-1]), V[:, -1].copy()
 
 
 def phase_aligned_distance(a, b) -> float:

@@ -3,9 +3,11 @@
 Every module draws its default tolerances from :data:`POLICY` so there is a
 single tuning point.  The individual fields exist because different contracts
 pin different accuracies (moment identities are checked to 1e-12, adjoint
-pairings to 1e-9 relative, etc.).
+pairings to 1e-9 relative, etc.).  The option dataclasses share the integer
+checks below.
 """
 
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["NumericPolicy", "POLICY"]
@@ -26,3 +28,16 @@ class NumericPolicy:
 
 
 POLICY = NumericPolicy()
+
+
+def _is_int(value) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_counts(options, *keys) -> None:
+    """ValueError naming the first of ``keys`` that is not an integer >= 1."""
+    for key in keys:
+        value = getattr(options, key)
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")

@@ -35,6 +35,7 @@ import numpy as np
 from .diffraction import MeasurementFrame, MeasurementVector, apply_A
 from .diffraction import _contract, _offset_index, _per_offset
 from .hermitian import as_hermitian, psd_project
+from .policy import _check_counts
 
 __all__ = [
     "SolverConfig",
@@ -64,8 +65,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_counts(self, "max_iterations")
         if self.mode == "feasibility" and self.trace_target is None:
             raise ValueError("feasibility mode requires trace_target (= y0)")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 
@@ -18,11 +19,10 @@ from cdplift.certify import (
     golfing_construct,
     injectivity_spectrum,
     truncation_statistics,
-    validate_moments,
     variance_bound_check,
     verify_certificate,
 )
-from cdplift.certify import _identity_fold, _schedule
+from cdplift.certify import _ENUMERATION_BUDGET, _identity_fold, _schedule
 from cdplift.diffraction import (
     MaskSet,
     MeasurementFrame,
@@ -31,6 +31,7 @@ from cdplift.diffraction import (
     apply_R,
     sample_masks,
     ternary_mask_distribution,
+    validate_moments,
 )
 from cdplift.diffraction import _draw_entries
 from cdplift.hermitian import TangentSpace, norm
@@ -181,6 +182,8 @@ def test_enumeration_budget_enforced():
         check_near_isotropy_exact(dist, 31, budget=1000)
     with pytest.raises(ValueError, match="budget"):
         check_two_design_exact(dist, 31, budget=1000)
+    for check in (check_near_isotropy_exact, check_two_design_exact, variance_bound_check):
+        assert inspect.signature(check).parameters["budget"].default == _ENUMERATION_BUDGET
 
 
 def test_symmetric_projector_properties():
@@ -502,7 +505,7 @@ def certificate():
 
 def test_golfing_produces_valid_certificate(certificate):
     x, cert = certificate
-    assert cert.valid
+    assert cert.passed
     assert cert.tangent_residual <= cert.tangent_bound
     assert cert.complement_norm <= 0.5
     assert cert.gamma == 9.0
@@ -608,14 +611,10 @@ def test_identity_fold_rejects_a_position_no_mask_sees(union):
 
 
 def test_golfing_zero_batch_fails_immediately():
-    rng = np.random.default_rng(101)
-    x = unit_signal(rng, 15)
-    out = golfing_construct(x, ternary_mask_distribution(), GolfingParams(L1=0), seed=0)
-    assert isinstance(out, GolfingFailure)
-    assert "first fine" in out.reason
-    assert len(out.construction_log) == 1
-    assert out.masks_sampled == 0
-    assert not out.construction_log[0].xi
+    for key, value in (("L1", 0), ("L1", -3), ("L2", 0), ("L_later", 2.5), ("L_later", True)):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+            GolfingParams(**{key: value})
+    assert GolfingParams(L1=np.int64(5)).L1 == 5
 
 
 def test_golfing_starved_batches_fail():
@@ -698,12 +697,39 @@ def test_verify_certificate_identity_shift_breaks_tangent_bound():
     Y = np.outer(x, x.conj()) + np.eye(3) / 4
     cert = synthetic_certificate(Y, masks, x)
     check = verify_certificate(cert, x)
+    assert isinstance(check, DualCertificate) and check.masks is masks
     assert check.tangent_residual == pytest.approx(0.25, abs=1e-9)
     assert check.complement_norm == pytest.approx(0.25, abs=1e-9)
     assert check.tangent_bound == pytest.approx(1 / (4 * 2 * np.sqrt(3)))
     assert not check.tangent_ok
     assert check.complement_ok
     assert not check.passed
+
+
+def test_verify_certificate_rejects_another_anchor_or_frame(certificate):
+    x, cert = certificate
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="anchor the certificate"):
+        verify_certificate(cert, unit_signal(rng, x.size))  # unrelated unit y
+    other = x.copy()
+    other[0] += 1e-6
+    with pytest.raises(ValueError, match="anchor the certificate"):
+        verify_certificate(cert, other)
+    fresh = MeasurementFrame(sample_masks(cert.masks.distribution, x.size, 30, seed=1))
+    with pytest.raises(ValueError, match="masks the certificate"):
+        verify_certificate(cert, x, fresh)
+
+
+def test_verify_certificate_returns_the_rebuilt_certificate(certificate):
+    x, cert = certificate
+    rebuilt = verify_certificate(cert, x, MeasurementFrame(cert.masks))
+    assert isinstance(rebuilt, DualCertificate) and rebuilt.passed
+    assert rebuilt.construction_log is cert.construction_log
+    assert rebuilt.in_range_witness is cert.in_range_witness
+    assert np.array_equal(rebuilt.Y, apply_A_adjoint(MeasurementFrame(cert.masks),
+                                                     cert.in_range_witness))
+    assert rebuilt.tangent_residual == pytest.approx(cert.tangent_residual, abs=1e-9)
+    assert rebuilt.complement_norm == pytest.approx(cert.complement_norm, abs=1e-9)
 
 
 def test_verify_certificate_detects_tampered_witness(certificate):
@@ -740,7 +766,7 @@ def test_certify_optimality_names_failures(certificate):
     x, cert = certificate
     frame = MeasurementFrame(cert.masks)
     inj_bad = InjectivityReport(
-        lambda_min_restricted=-0.9, passes_quarter_bound=False, upper_bound_margin=1.0,
+        lambda_min_restricted=-0.9, upper_bound_margin=1.0,
         anchor=x, masks=cert.masks,
     )
     cert_bad = dataclasses.replace(cert, complement_norm=0.9, tangent_residual=1.0)
@@ -753,11 +779,36 @@ def test_certify_optimality_names_failures(certificate):
     assert len(verdict.failing_hypotheses) == 3
 
 
+def test_certify_optimality_reads_the_rebuilt_certificate(certificate):
+    # the stored norms pass; a rebuilt tangent norm beyond its bound decides
+    x, cert = certificate
+    frame = MeasurementFrame(cert.masks)
+    rebuilt = verify_certificate(cert, x, frame)
+    failing = dataclasses.replace(rebuilt, tangent_residual=2 * cert.tangent_bound)
+    assert cert.passed and not failing.tangent_ok and failing.complement_ok
+    inj = injectivity_spectrum(frame, x, seed=0, probes=10)
+    assert certify_optimality(x, frame, rebuilt, inj).certified
+    verdict = certify_optimality(x, frame, failing, inj)
+    assert not verdict.certified
+    assert verdict.failing_hypotheses == ("dual certificate tangent bound ||Y_T - X||_2",)
+
+
+def test_injectivity_quarter_bound_reads_lambda_min():
+    masks = sample_masks(ternary_mask_distribution(), 3, 5, seed=0)
+    x = np.eye(3, dtype=complex)[0]
+
+    def passes(lam):
+        return InjectivityReport(lambda_min_restricted=lam, upper_bound_margin=1.0,
+                                 anchor=x, masks=masks).passes_quarter_bound
+
+    assert passes(-0.74) and not passes(-0.75) and not passes(-0.9)
+
+
 def test_certify_optimality_rejects_another_anchor(certificate):
     x, cert = certificate
     frame = MeasurementFrame(cert.masks)
     inj = InjectivityReport(
-        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0,
+        lambda_min_restricted=0.0, upper_bound_margin=1.0,
         anchor=x, masks=cert.masks,
     )
     other = x.copy()
@@ -769,7 +820,7 @@ def test_certify_optimality_rejects_another_anchor(certificate):
 def test_certify_optimality_rejects_another_frame(certificate):
     x, cert = certificate
     inj = InjectivityReport(
-        lambda_min_restricted=0.0, passes_quarter_bound=True, upper_bound_margin=1.0,
+        lambda_min_restricted=0.0, upper_bound_margin=1.0,
         anchor=x, masks=cert.masks,
     )
     eps = cert.masks.epsilon.copy()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from click.testing import CliRunner
 
@@ -81,6 +83,9 @@ def test_config_file_unknown_key_is_an_error(runner, tmp_path):
         (["recover", "--max-iterations", "0"], "--max-iterations"),
         (["phase-transition", "--trials", "0"], "trials must be an integer >= 1"),
         (["lower-bound", "--L", "0"], "L_grid must be a non-empty list of integers >= 1"),
+        (["isotropy-audit", "--d", "3,15"], "exact enumeration budget"),
+        (["isotropy-audit", "--trials", "3"], "No such option"),
+        (["isotropy-audit", "--L", "2"], "No such option"),
     ],
 )
 def test_bad_sizes_are_usage_errors(runner, args, message):
@@ -133,22 +138,20 @@ def test_certify_log_flag(runner):
 
 
 def test_certify_fails_when_the_rebuilt_certificate_fails(runner, monkeypatch):
-    # the stored norms pass, so certify_optimality alone would say "True";
-    # the re-verification from the witness must still decide the outcome
+    # golfing's stored norms pass; the verdict must read the rebuilt ones
     import cdplift.cli as cli
-    from cdplift.certify import CertificateCheck
 
-    def failing_check(cert, x, frame=None):
-        return CertificateCheck(tangent_residual=1.0, complement_norm=0.1,
-                                tangent_bound=0.01, complement_bound=0.5,
-                                tangent_ok=False, complement_ok=True)
+    def failing_rebuild(cert, x, frame=None):
+        return dataclasses.replace(cert, tangent_residual=1.0)
 
-    monkeypatch.setattr(cli, "verify_certificate", failing_check)
+    monkeypatch.setattr(cli, "verify_certificate", failing_rebuild)
     result = runner.invoke(main, ["certify", "--d", "15", "--seed", "3"])
     assert result.exit_code == 1, result.output
+    assert "tangent residual = 1.000e+00" in result.output
     assert "certified optimal: False" in result.output
-    assert "failing: rebuilt certificate tangent bound" in result.output
-    assert "complement bound" not in result.output.split("failing:", 1)[1]
+    failing = result.output.split("certified optimal: False", 1)[1]
+    assert "failing: dual certificate tangent bound" in failing
+    assert "complement bound" not in failing
 
 
 def test_certify_checks_injectivity_on_the_certificate_masks(runner, monkeypatch):

@@ -75,6 +75,10 @@ def test_config_validation_errors(tmp_path):
             ExperimentConfig.from_mapping({key: value})
     with pytest.raises(ValueError, match="d >= 2"):
         ExperimentConfig(experiment="lower_bound", d_grid=(1,))
+    # 3^13 ternary masks exceed the exact enumeration budget; 3^12 fit
+    with pytest.raises(ValueError, match=r"d_grid exceeds .* offending values \[13, 15\]"):
+        ExperimentConfig(experiment="isotropy_audit", d_grid=(3, 13, 15))
+    ExperimentConfig(experiment="isotropy_audit", d_grid=(12,))
     p = tmp_path / "cfg.yaml"
     p.write_text("experiment: lower_bound\nd_grid: '15'\n")
     with pytest.raises(ValueError, match="d_grid must be a non-empty list of integers"):

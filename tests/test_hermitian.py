@@ -9,7 +9,6 @@ from cdplift.hermitian import (
     norm,
     phase_aligned_distance,
     psd_project,
-    top_eigenpair,
 )
 from util import random_hermitian, tangent_basis_gram_schmidt, unit_signal
 
@@ -238,30 +237,7 @@ def test_psd_project_is_nearest_on_2x2_grid():
 
 
 # ---------------------------------------------------------------------------
-# eigen extraction and phase alignment
-
-
-def test_top_eigenpair_rank_one():
-    rng = np.random.default_rng(41)
-    u = unit_signal(rng, 5)
-    lam, v = top_eigenpair(5.0 * np.outer(u, u.conj()))
-    assert lam == pytest.approx(5.0)
-    assert abs(np.vdot(v, u)) == pytest.approx(1.0)  # up to phase
-
-
-def test_top_eigenpair_degenerate_identity():
-    lam, v = top_eigenpair(np.eye(3))
-    assert lam == pytest.approx(1.0)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
-    assert np.linalg.norm(np.eye(3) @ v - lam * v) <= 1e-8
-
-
-def test_top_eigenpair_matches_full_decomposition():
-    rng = np.random.default_rng(43)
-    Z = random_hermitian(rng, 7)
-    lam, v = top_eigenpair(Z)
-    assert lam == pytest.approx(np.linalg.eigvalsh(Z)[-1])
-    assert np.linalg.norm(Z @ v - lam * v) <= 1e-8 * norm(Z, "operator")
+# phase alignment
 
 
 def test_phase_aligned_distance_zero_on_phase_orbit():

@@ -34,8 +34,10 @@ def test_config_validation():
         SolverConfig(mode="dykstra")
     with pytest.raises(ValueError):
         SolverConfig(mode="feasibility", trace_target=None)  # needs the trace value
-    with pytest.raises(ValueError):
-        SolverConfig(mode="trace_min", max_iterations=0, trace_target=None)
+    for bad in (0, -5, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(mode="trace_min", max_iterations=bad)
+    assert SolverConfig(mode="trace_min", max_iterations=np.int64(3)).max_iterations == 3
 
 
 @pytest.mark.parametrize("d, L", [(5, 20), (6, 24)])
