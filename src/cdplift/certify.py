@@ -6,9 +6,12 @@ numerical check on concrete mask realizations:
 * exact near-isotropy of the expected Gram operator, E[R](Z) = Z + tr(Z)*Id,
   and the companion 2-design identity
   (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, both by full enumeration
-  of the finite mask distribution and both read off probability-weighted
-  Grams of paired mask entries: difference pairs (a, a+m) give the offset
-  Grams sum p E_m^T E_m, sum pairs (a, s-a) the 2-design's d x d blocks;
+  of the finite mask distribution and both read off Grams of paired mask
+  entries weighted by the exact probabilities: difference pairs (a, a+m)
+  give the offset Grams sum p E_m^T E_m, sum pairs (a, s-a) the 2-design's
+  d x d blocks.  Each is accumulated per chunk of masks and per pair index
+  as one 2-D product of a pair block with its weighted copy, in (d, n)
+  buffers reused across chunks, never as a (d, d, n) stack;
 * the restricted-spectrum injectivity check: 1 + lambda_min(P_T (R - E[R]) P_T)
   must exceed 1/4 for the measurements to separate tangent directions; R
   enters through the frame's offset Grams E_m^T E_m, one batched product;
@@ -42,7 +45,6 @@ from .diffraction import (
     _contract,
     _draw_entries,
     _offset_blocks,
-    _offset_gram,
     _offset_gram_by_shift,
     _offset_index,
     _truncate,
@@ -52,7 +54,7 @@ from .diffraction import (
     truncation_rate,
 )
 from .hermitian import TangentSpace, as_hermitian, as_signal, hermitize, norm
-from .policy import POLICY, _check_counts
+from .policy import POLICY, _check_count, _check_counts
 
 __all__ = [
     "InjectivityReport",
@@ -80,7 +82,7 @@ __all__ = [
 # exact enumeration checks
 
 
-# masks per batch of the enumeration and the Monte-Carlo sums
+# most masks per batch of the enumeration and the Monte-Carlo sums
 _CHUNK = 4096
 
 #: most mask realizations an exact enumeration runs through
@@ -88,37 +90,96 @@ _ENUMERATION_BUDGET = 10**6
 
 
 def _enumerate_masks(dist: MaskDistribution, d: int):
-    """Yield (eps, prob) chunks covering every mask realization exactly once."""
+    """Yield (eps, prob) chunks covering every mask realization exactly once.
+
+    With s = |support|, mask n has entry support[(n // s^a) % s] at position a
+    (position 0 varies fastest) and the product of its entries'
+    probabilities.  A chunk is s^k consecutive masks, the largest power of s
+    within ``_CHUNK`` (all s^d masks when they fit): positions below k run
+    through every digit combination in every chunk and are written once per
+    call; positions k and up are constant in a chunk, so each chunk writes
+    d - k rows and scales the low probabilities by one factor.  ``eps`` is
+    the (n, d) transpose of contiguous columns.  Both arrays are read-only
+    views of buffers that the next chunk rewrites, so a caller copies
+    whatever must outlive its loop step.
+    """
     s = len(dist.support)
-    total = s**d
-    support = np.asarray(dist.support)
-    probs = np.asarray(dist.probabilities)
-    radix = s ** np.arange(d)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        digits = (idx[:, None] // radix[None, :]) % s
-        yield support[digits], probs[digits].prod(axis=1)
+    k = 0
+    while k < d and s ** (k + 1) <= _CHUNK:
+        k += 1
+    size = s**k
+    support = np.asarray(dist.support, dtype=float)
+    probs = np.asarray(dist.probabilities, dtype=float)
+    columns = np.empty((d, size))
+    low = np.ones(size)
+    for a in range(k):
+        columns[a].reshape(-1, s, s**a)[...] = support[:, None]
+        low.reshape(-1, s, s**a)[...] *= probs[:, None]
+    prob = np.empty(size)
+    eps, prob_view = columns.T, prob[:]
+    eps.flags.writeable = prob_view.flags.writeable = False
+    for index in range(s ** (d - k)):
+        weight = 1.0
+        for a in range(k, d):
+            index, digit = divmod(index, s)
+            columns[a] = support[digit]
+            weight *= probs[digit]
+        np.multiply(low, weight, out=prob)
+        yield eps, prob_view
 
 
-def _enumeration_size(dist: MaskDistribution, d: int, budget: int) -> int:
+def _check_enumeration(dist: MaskDistribution, d: int, budget: int) -> None:
+    """ValueError unless d and budget are integers >= 1 and |support|^d fits."""
+    _check_count("d", d)
+    _check_count("budget", budget)
     total = len(dist.support) ** d
     if total > budget:
         raise ValueError(
             f"enumeration of {total} mask realizations exceeds budget {budget}"
         )
-    return total
+
+
+def _pair_grams(chunks, partner: np.ndarray) -> np.ndarray:
+    """sum_n p_n P_j^T P_j for every pair index j, a real (d, d, d) array.
+
+    ``chunks`` yields (eps, p) batches as ``_enumerate_masks`` does, none
+    larger than the first.  ``partner[j, a]`` pairs column a with column
+    partner[j, a]: block j is P_j[n, a] = eps_{n,a} eps_{n,partner[j,a]}.
+    No (d, d, n) stack of blocks is formed.  Per chunk and pair index, P_j^T
+    is built in one (d, n) buffer (a row gather of eps^T, then a product
+    with it in place), its weighted copy P_j^T diag(p) in a second, and their
+    2-D product is term j.  The two distinct operands keep that product a
+    BLAS gemm: a symmetric V V^T with V = P_j^T diag(p^{1/2}) would go to
+    syrk, which is slower for such wide (d, n) operands.  The buffers are
+    sized by the first chunk and reused for the rest.
+    """
+    d = partner.shape[1]
+    gram = np.zeros((d, d, d))
+    part = np.empty_like(gram)
+    pairs = None
+    for eps, p in chunks:
+        n = p.size
+        if pairs is None:
+            pairs, weighted = np.empty(d * n), np.empty(d * n)
+        columns = eps.T
+        block = pairs[: d * n].reshape(d, n)  # a short last chunk stays contiguous
+        left = weighted[: d * n].reshape(d, n)
+        for j, cols in enumerate(partner):
+            columns.take(cols, axis=0, out=block, mode="clip")
+            block *= columns
+            np.multiply(block, p, out=left)
+            np.matmul(left, block.T, out=part[j])
+        gram += part
+    return gram
 
 
 def _pair_gram_deviation(
-    dist: MaskDistribution, d: int, budget: int, partner: np.ndarray, target: np.ndarray
+    dist: MaskDistribution, d: int, partner: np.ndarray, target: np.ndarray
 ) -> float:
     """Max entry of |sum_n p_n P_j^T P_j / nu^2 - target[j]| over pair index j.
 
-    ``partner[j, a]`` pairs column a with column partner[j, a]: block j of
-    the masks is P_j[n, a] = eps_{n,a} eps_{n,partner[j,a]} (``_offset_blocks``),
-    and its Gram weighted by the exact probabilities p (``_offset_gram``) is
-    accumulated over every mask realization, enumerated afresh on each call
-    within ``budget``.
+    The pair Grams (``_pair_grams``) are accumulated over every mask
+    realization with its exact probability p, enumerated afresh on each call.
 
     Difference pairs (a, a+m) give the offset Grams H_m of near-isotropy;
     sum pairs (a, s-a) give the 2-design Grams G_s.  The two are one array
@@ -126,10 +187,7 @@ def _pair_gram_deviation(
     delta_ab + [m = 0] and delta_ab + [a+b = s mod d] coincide under the
     same relabeling, so both checks return the same deviation up to roundoff.
     """
-    _enumeration_size(dist, d, budget)
-    gram = np.zeros((d, d, d))
-    for eps, p in _enumerate_masks(dist, d):
-        gram += _offset_gram(_offset_blocks(eps, partner), p)
+    gram = _pair_grams(_enumerate_masks(dist, d), partner)
     return float(np.max(np.abs(gram / dist.nu**2 - target)))
 
 
@@ -146,11 +204,13 @@ def check_near_isotropy_exact(
     less its target, so the result equals the largest entry deviation of
     E[R](E_ij) from E_ij + delta_ij * Id over all standard basis matrices.
     For odd d the deviation is roundoff-level; even d genuinely breaks the
-    identity and the returned deviation records by how much.
+    identity and the returned deviation records by how much.  ``d`` and
+    ``budget`` must be integers >= 1, and |support|^d must fit the budget.
     """
+    _check_enumeration(dist, d, budget)
     target = np.tile(np.eye(d), (d, 1, 1))
     target[0] += 1.0
-    return _pair_gram_deviation(dist, d, budget, _offset_index(d)[1], target)
+    return _pair_gram_deviation(dist, d, _offset_index(d)[1], target)
 
 
 def check_two_design_exact(
@@ -164,12 +224,14 @@ def check_two_design_exact(
     a + c = b + e (mod d) and exact zeros off it, where 2 P_sym = I + SWAP
     vanishes too.  On the pattern, with s = a + c, it is the sum-pair Gram
     G_s = S_s^T diag(p) S_s of S_s[n, a] = eps_{n,a} eps_{n,s-a}, over nu^2,
-    and I + SWAP reads delta_ab + [b = s-a mod d].
+    and I + SWAP reads delta_ab + [b = s-a mod d].  ``d`` and ``budget`` are
+    checked as in ``check_near_isotropy_exact``.
     """
+    _check_enumeration(dist, d, budget)
     a = np.arange(d)
     partner = (a[:, None] - a[None, :]) % d  # partner[s, a] = s - a
     target = np.eye(d) + (partner[:, :, None] == a)
-    return _pair_gram_deviation(dist, d, budget, partner, target)
+    return _pair_gram_deviation(dist, d, partner, target)
 
 
 # ---------------------------------------------------------------------------

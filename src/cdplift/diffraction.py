@@ -39,14 +39,14 @@ The composition ``A* A`` acts on each offset alone: offset m of
 
 The second form is Parseval over the frequencies k, with no Gram formed.
 Every second-order quantity of the frame (the tangent-restricted spectrum,
-the probe energies of the injectivity check, the mask-average E[R] of exact
-enumeration) is read off these d Grams.
+the probe energies of the injectivity check) is read off these d Grams.  The
+exact enumeration in ``certify`` accumulates their average over every mask
+realization, offset by offset and chunk by chunk, without a block stack.
 
 The Grams come in shifted pairs: ``E_{-m}[l, a+m] = eps_{l,a+m} eps_{l,a} =
 E_m[l, a]``, so ``H_{-m}[a+m, b+m] = H_m[a, b]`` (indices mod d).  Offsets
 0..floor(d/2) take a product each and the others are a gather
-(``_offset_gram_by_shift``).  The sum-pair blocks of the 2-design check
-have no such symmetry, so ``_offset_gram`` makes every product.
+(``_offset_gram_by_shift``).
 
 Mask entries are drawn i.i.d. from a finite distribution with the moment
 profile E[eps] = E[eps^3] = 0, E[eps^4] = 2 E[eps^2]^2, |eps| <= b.
@@ -452,29 +452,22 @@ def _offset_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx
 
 
-def _offset_blocks(epsilon: np.ndarray, partner: np.ndarray | None = None) -> np.ndarray:
+def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
     """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d).
 
-    ``partner[m, a]`` replaces the column a+m paired with column a; the exact
-    2-design check passes the sum pairs a -> m-a.  The product is formed in
-    one buffer: the gather of the partner columns is a fresh (d, d, L) array,
-    multiplied in place by the columns, so ``epsilon`` is never written.
+    The product is formed in one buffer: the gather of the partner columns
+    a+m is a fresh (d, d, L) array, multiplied in place by the columns, so
+    ``epsilon`` is never written.
     """
-    if partner is None:
-        partner = _offset_index(epsilon.shape[1])[1]
     columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
-    product = columns[partner]
+    product = columns[_offset_index(epsilon.shape[1])[1]]
     product *= columns
     return product.transpose(0, 2, 1)
 
 
-def _offset_gram(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """H_m = E_m^T diag(w) E_m for every offset, a real (d, d, d) array.
-
-    ``weights`` holds one weight per mask (row of each block); None means 1.
-    """
-    left = blocks if weights is None else blocks * weights[:, None]
-    return left.transpose(0, 2, 1) @ blocks
+def _offset_gram(blocks: np.ndarray) -> np.ndarray:
+    """H_m = E_m^T E_m for every offset, a real (d, d, d) array."""
+    return blocks.transpose(0, 2, 1) @ blocks
 
 
 @lru_cache(maxsize=None)

@@ -35,9 +35,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(key: str, value) -> None:
+    """ValueError naming ``key`` unless ``value`` is an integer >= 1."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+
+
 def _check_counts(options, *keys) -> None:
-    """ValueError naming the first of ``keys`` that is not an integer >= 1."""
+    """``_check_count`` on each of ``keys`` of ``options``, in order."""
     for key in keys:
-        value = getattr(options, key)
-        if not _is_int(value) or value < 1:
-            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        _check_count(key, getattr(options, key))

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from cdplift.certify import (
     variance_bound_check,
     verify_certificate,
 )
-from cdplift.certify import _ENUMERATION_BUDGET, _identity_fold, _schedule
+import cdplift.certify as certify_module
+from cdplift.certify import (
+    _CHUNK,
+    _ENUMERATION_BUDGET,
+    _enumerate_masks,
+    _identity_fold,
+    _schedule,
+)
 from cdplift.diffraction import (
     MaskSet,
     MeasurementFrame,
@@ -184,6 +192,90 @@ def test_enumeration_budget_enforced():
         check_two_design_exact(dist, 31, budget=1000)
     for check in (check_near_isotropy_exact, check_two_design_exact, variance_bound_check):
         assert inspect.signature(check).parameters["budget"].default == _ENUMERATION_BUDGET
+
+
+@pytest.mark.parametrize("check", [check_near_isotropy_exact, check_two_design_exact])
+@pytest.mark.parametrize("key, value", [
+    ("d", 0), ("d", -1), ("d", 3.0), ("d", True), ("d", "3"),
+    ("budget", 0), ("budget", -5), ("budget", 10.0**6), ("budget", True),
+])
+def test_exact_checks_reject_bad_d_and_budget(check, key, value):
+    args = {"d": 3, "budget": _ENUMERATION_BUDGET, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1"):
+        check(ternary_mask_distribution(), **args)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, _CHUNK])
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [1, 5])
+def test_enumeration_visits_every_mask_once_in_order(d, law, chunk, monkeypatch):
+    # mask n has digit (n // s^a) % s at position a, position 0 fastest
+    monkeypatch.setattr(certify_module, "_CHUNK", chunk)
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    s = len(dist.support)
+    chunks = []
+    for eps, p in _enumerate_masks(dist, d):
+        assert not (eps.flags.writeable or p.flags.writeable)  # the next chunk rewrites them
+        chunks.append((eps.copy(), p.copy()))
+    assert all(0 < p.size <= chunk and eps.shape == (p.size, d) for eps, p in chunks)
+    eps = np.concatenate([e for e, _ in chunks])
+    prob = np.concatenate([p for _, p in chunks])
+    digits = np.arange(s**d)[:, None] // s ** np.arange(d) % s
+    assert np.array_equal(eps, np.asarray(dist.support)[digits])
+    assert np.allclose(prob, np.asarray(dist.probabilities)[digits].prod(axis=1),
+                       rtol=1e-15, atol=0)
+    assert abs(prob.sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+def test_exact_checks_agree_across_chunk_sizes(law, monkeypatch):
+    # at d = 5 every default enumeration is one chunk; small chunks exercise
+    # the accumulation across chunks and the buffers' reuse
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    rng = np.random.default_rng(21)
+    x = unit_signal(rng, 5)
+    Z = random_tangent(rng, x)
+
+    def run():
+        chk = variance_bound_check(dist, x, Z)
+        assert chk.method == "exact_enumeration"
+        return (check_near_isotropy_exact(dist, 5), check_two_design_exact(dist, 5),
+                chk.lhs_operator, chk.lhs_trace)
+
+    whole = run()
+    for chunk in (7, 100):
+        monkeypatch.setattr(certify_module, "_CHUNK", chunk)
+        iso, two, operator, trace = run()
+        assert iso == pytest.approx(whole[0], abs=1e-15)
+        assert two == pytest.approx(whole[1], abs=1e-15)
+        assert operator == pytest.approx(whole[2], rel=1e-14)
+        assert trace == pytest.approx(whole[3], rel=1e-14)
+
+
+@pytest.mark.parametrize("d, bound", [(7, 768 * 1024), (10, 2 * 1024**2)])
+def test_exact_enumeration_working_memory(d, bound):
+    """tracemalloc peak of one near-isotropy call, numpy's buffers included.
+
+    The enumeration keeps the chunk's (d, n) mask columns, its probabilities,
+    and one pair block with its weighted copy, all sized by one chunk of at
+    most _CHUNK masks and reused; no (d, d, n) block stack is formed.  At
+    d = 7 (2,187 masks, one chunk) that is about 0.45 MiB: 768 KiB leaves
+    room for allocator rounding but not for one (d, d, n) stack (0.82 MiB),
+    which is what a per-chunk build of the blocks costs (2.0 MiB with its
+    weighted copy and the digits).  At d = 10 (59,049 masks) the buffers are
+    sized by a 2,187-mask chunk, about 0.6 MiB; 2 MiB admits no 4,096-mask
+    block stack (3.1 MiB, 7.0 MiB with its companions), and the peak grows
+    with neither the chunk count nor the mask total.
+    """
+    dist = ternary_mask_distribution()
+    check_near_isotropy_exact(dist, 3)  # lazy module set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        check_near_isotropy_exact(dist, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_symmetric_projector_properties():
@@ -435,8 +527,6 @@ def test_variance_monte_carlo_matches_per_mask_loop():
 @pytest.mark.parametrize("law", ["ternary", "five-point"])
 def test_variance_monte_carlo_draws_the_choice_stream(law, monkeypatch):
     # the Monte-Carlo masks are those rng.choice(support, size, p) draws
-    import cdplift.certify as certify_module
-
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
     drawn = []
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdplift.certify import _pair_grams
 from cdplift.diffraction import (
     MaskDistribution,
     MaskSet,
@@ -595,13 +596,23 @@ def _sum_partners(d):
 @pytest.mark.parametrize("d", [5, 6])
 @pytest.mark.parametrize("pairs", ["difference", "sum"])
 def test_offset_blocks_match_two_array_form(pairs, d, L, order):
+    # difference pairs through _offset_blocks; sum pairs, which only the exact
+    # 2-design check reads, through the enumeration kernel's weighted pair Grams
     masks = sample_masks(five_point_distribution(), d, max(L, 1), seed=34 + d)
     eps = np.array(masks.epsilon[:L], order=order)  # writable, so a write would show
     before = eps.copy()
-    partner = _sum_partners(d) if pairs == "sum" else None
-    blocks = _offset_blocks(eps, partner)
-    assert blocks.shape == (d, L, d)
-    assert np.array_equal(blocks, offset_blocks_two_array(eps, partner))
+    if pairs == "difference":
+        blocks = _offset_blocks(eps)
+        assert blocks.shape == (d, L, d)
+        assert np.array_equal(blocks, offset_blocks_two_array(eps))
+    else:
+        partner = _sum_partners(d)
+        weights = np.random.default_rng(d + L).random(L)
+        blocks = offset_blocks_two_array(eps, partner)
+        expected = np.einsum("jna,n,jnb->jab", blocks, weights, blocks)
+        grams = _pair_grams([(eps, weights)], partner)
+        assert grams.shape == (d, d, d)
+        assert np.allclose(grams, expected, rtol=1e-13, atol=1e-13)
     assert np.array_equal(eps, before)  # the caller's masks are never written
 
 

@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 
-from cdplift.certify import _enumerate_masks
 from cdplift.diffraction import (
     _apply_A_adjoint_any,
     _apply_A_any,
@@ -208,12 +207,16 @@ def variance_moments_loop(dist, x, Z, budget=10**6, mc_samples=10**4, seed=0):
     forward values and adjoint, squared with one matrix product and projected
     with TangentSpace.project; the masks and weights are those of
     variance_bound_check (exact enumeration within ``budget``, else the same
-    Monte-Carlo draw).
+    Monte-Carlo draw).  The exact masks come from itertools, each with its
+    probability as a product of floats, not from the library's enumerator.
     """
     tangent = TangentSpace(x)
     d = x.size
     if len(dist.support) ** d <= budget:
-        batches = _enumerate_masks(dist, d)
+        probs = dict(zip(dist.support, dist.probabilities))
+        combos = list(itertools.product(dist.support, repeat=d))
+        weights = np.array([np.prod([probs[v] for v in combo]) for combo in combos])
+        batches = [(np.array(combos), weights)]
     else:
         rng = np.random.default_rng(seed)
         eps = rng.choice(np.asarray(dist.support), size=(mc_samples, d),
