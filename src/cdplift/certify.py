@@ -6,12 +6,14 @@ numerical check on concrete mask realizations:
 * exact near-isotropy of the expected Gram operator, E[R](Z) = Z + tr(Z)*Id,
   and the companion 2-design identity
   (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, both by full enumeration
-  of the finite mask distribution and both read off Grams of paired mask
-  entries weighted by the exact probabilities: difference pairs (a, a+m)
-  give the offset Grams sum p E_m^T E_m, sum pairs (a, s-a) the 2-design's
-  d x d blocks.  Each is accumulated per chunk of masks and per pair index
-  as one 2-D product of a pair block with its weighted copy, in (d, n)
-  buffers reused across chunks, never as a (d, d, n) stack;
+  of the finite mask distribution, both read off one set of offset Grams
+  H_m = sum p E_m^T E_m of the difference pairs (a, a+m) weighted by the
+  exact probabilities.  Only offsets 0..d//2 are products, accumulated per
+  chunk of masks and per offset as one 2-D product of a pair block with its
+  weighted copy in (d, n) buffers reused across chunks, never as a stack of
+  blocks; the other offsets are a gather by the shift identity
+  H_{-m}[a+m, b+m] = H_m[a, b].  The 2-design's sum-pair Grams are the same
+  H relabeled, G_s[a, b] = H_{(s-a-b) mod d}[a, b];
 * the restricted-spectrum injectivity check: 1 + lambda_min(P_T (R - E[R]) P_T)
   must exceed 1/4 for the measurements to separate tangent directions; R
   enters through the frame's offset Grams E_m^T E_m, one batched product;
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .diffraction import (
     _offset_blocks,
     _offset_gram_by_shift,
     _offset_index,
+    _shift_index,
     _truncate,
     apply_A,  # noqa: F401  (bound here too; the benchmark's tracer wraps every site)
     apply_A_adjoint,
@@ -140,21 +144,22 @@ def _check_enumeration(dist: MaskDistribution, d: int, budget: int) -> None:
 
 
 def _pair_grams(chunks, partner: np.ndarray) -> np.ndarray:
-    """sum_n p_n P_j^T P_j for every pair index j, a real (d, d, d) array.
+    """sum_n p_n P_j^T P_j for every partner row j, a real (J, d, d) array.
 
     ``chunks`` yields (eps, p) batches as ``_enumerate_masks`` does, none
-    larger than the first.  ``partner[j, a]`` pairs column a with column
-    partner[j, a]: block j is P_j[n, a] = eps_{n,a} eps_{n,partner[j,a]}.
-    No (d, d, n) stack of blocks is formed.  Per chunk and pair index, P_j^T
-    is built in one (d, n) buffer (a row gather of eps^T, then a product
-    with it in place), its weighted copy P_j^T diag(p) in a second, and their
-    2-D product is term j.  The two distinct operands keep that product a
-    BLAS gemm: a symmetric V V^T with V = P_j^T diag(p^{1/2}) would go to
-    syrk, which is slower for such wide (d, n) operands.  The buffers are
-    sized by the first chunk and reused for the rest.
+    larger than the first.  ``partner`` is (J, d), and ``partner[j, a]``
+    pairs column a with column partner[j, a]: block j is
+    P_j[n, a] = eps_{n,a} eps_{n,partner[j,a]}.  No (J, d, n) stack of
+    blocks is formed.  Per chunk and partner row, P_j^T is built in one
+    (d, n) buffer (a row gather of eps^T, then a product with it in place),
+    its weighted copy P_j^T diag(p) in a second, and their 2-D product is
+    term j, so a chunk costs J products.  The two distinct operands keep
+    that product a BLAS gemm: a symmetric V V^T with V = P_j^T diag(p^{1/2})
+    would go to syrk, which is slower for such wide (d, n) operands.  The
+    buffers are sized by the first chunk and reused for the rest.
     """
     d = partner.shape[1]
-    gram = np.zeros((d, d, d))
+    gram = np.zeros((partner.shape[0], d, d))
     part = np.empty_like(gram)
     pairs = None
     for eps, p in chunks:
@@ -173,22 +178,61 @@ def _pair_grams(chunks, partner: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _pair_gram_deviation(
-    dist: MaskDistribution, d: int, partner: np.ndarray, target: np.ndarray
-) -> float:
-    """Max entry of |sum_n p_n P_j^T P_j / nu^2 - target[j]| over pair index j.
+def _moment_grams(dist: MaskDistribution, d: int) -> np.ndarray:
+    """The exact offset Grams H_m = sum_n p_n E_m^T E_m, a real (d, d, d) array.
 
-    The pair Grams (``_pair_grams``) are accumulated over every mask
-    realization with its exact probability p, enumerated afresh on each call.
-
-    Difference pairs (a, a+m) give the offset Grams H_m of near-isotropy;
-    sum pairs (a, s-a) give the 2-design Grams G_s.  The two are one array
-    read two ways, G_s[a, b] = H_{(s-a-b) mod d}[a, b], and their targets
-    delta_ab + [m = 0] and delta_ab + [a+b = s mod d] coincide under the
-    same relabeling, so both checks return the same deviation up to roundoff.
+    Every mask realization is enumerated once, with its exact probability
+    p_n.  Only the difference pairs (a, a+m) of offsets 0..d//2 are products
+    (``_pair_grams``); the other offsets follow from the shift identity
+    H_{-m}[a+m, b+m] = H_m[a, b], a gather through ``_shift_index``, which
+    holds mask by mask and so for any law.
     """
-    gram = _pair_grams(_enumerate_masks(dist, d), partner)
-    return float(np.max(np.abs(gram / dist.nu**2 - target)))
+    half = _pair_grams(_enumerate_masks(dist, d), _offset_index(d)[1][: d // 2 + 1])
+    return half.ravel()[_shift_index(d)]
+
+
+@lru_cache(maxsize=None)
+def _isotropy_target(d: int) -> np.ndarray:
+    """Z -> Z + tr(Z)*Id on the offsets: I at every offset, plus all ones at
+    offset 0; read-only."""
+    target = np.tile(np.eye(d), (d, 1, 1))
+    target[0] += 1.0
+    target.setflags(write=False)
+    return target
+
+
+@lru_cache(maxsize=None)
+def _relabel_index(d: int) -> np.ndarray:
+    """Flat index with H.ravel()[idx][s, a, b] = H_{(s-a-b) mod d}[a, b] = G_s[a, b];
+    read-only."""
+    a = np.arange(d)
+    m = (a[:, None, None] - a[None, :, None] - a) % d
+    idx = (m * d + a[:, None]) * d + a
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _two_design_target(d: int) -> np.ndarray:
+    """I + SWAP on the sum-pair pattern: delta_ab + [a + b = s mod d] at
+    [s, a, b]; read-only."""
+    a = np.arange(d)
+    target = np.eye(d) + ((a[:, None] + a) % d == a[:, None, None])
+    target.setflags(write=False)
+    return target
+
+
+def _isotropy_deviation(H: np.ndarray, nu: float) -> float:
+    """Max entry of |H_m / nu^2 - target_m| over the offsets (``check_near_isotropy_exact``)."""
+    return float(np.max(np.abs(H / nu**2 - _isotropy_target(H.shape[0]))))
+
+
+def _two_design_deviation(H: np.ndarray, nu: float) -> float:
+    """Max entry of |G_s / nu^2 - (I + SWAP)_s| over s, with G read off H
+    (``check_two_design_exact``)."""
+    d = H.shape[0]
+    G = H.ravel()[_relabel_index(d)]
+    return float(np.max(np.abs(G / nu**2 - _two_design_target(d))))
 
 
 def check_near_isotropy_exact(
@@ -196,21 +240,20 @@ def check_near_isotropy_exact(
 ) -> float:
     """Max entry deviation of the exact E[R] from Z -> Z + tr(Z)*Id.
 
-    Enumerates every mask realization with its exact probability p and
-    accumulates the offset Grams sum p E_m^T E_m over them.  E[R] acts on
-    offset m as that sum over nu^2, and the target acts as I at every offset
-    plus the all-ones matrix at offset 0 (tr(Z) = 1^T z_0, and Id sits on
-    offset 0).  Entry (a, i) of offset m is entry (a, a+m) of E[R](E_{i,i+m})
-    less its target, so the result equals the largest entry deviation of
-    E[R](E_ij) from E_ij + delta_ij * Id over all standard basis matrices.
-    For odd d the deviation is roundoff-level; even d genuinely breaks the
-    identity and the returned deviation records by how much.  ``d`` and
-    ``budget`` must be integers >= 1, and |support|^d must fit the budget.
+    Enumerates every mask realization once with its exact probability p and
+    reads the offset Grams H_m = sum p E_m^T E_m (``_moment_grams``: offsets
+    0..d//2 are products, the rest a shift gather).  E[R] acts on offset m
+    as H_m over nu^2, and the target acts as I at every offset plus the
+    all-ones matrix at offset 0 (tr(Z) = 1^T z_0, and Id sits on offset 0).
+    Entry (a, i) of offset m is entry (a, a+m) of E[R](E_{i,i+m}) less its
+    target, so the result equals the largest entry deviation of E[R](E_ij)
+    from E_ij + delta_ij * Id over all standard basis matrices.  For odd d
+    the deviation is roundoff-level; even d genuinely breaks the identity
+    and the returned deviation records by how much.  ``d`` and ``budget``
+    must be integers >= 1, and |support|^d must fit the budget.
     """
     _check_enumeration(dist, d, budget)
-    target = np.tile(np.eye(d), (d, 1, 1))
-    target[0] += 1.0
-    return _pair_gram_deviation(dist, d, _offset_index(d)[1], target)
+    return _isotropy_deviation(_moment_grams(dist, d), dist.nu)
 
 
 def check_two_design_exact(
@@ -223,15 +266,16 @@ def check_two_design_exact(
     sum over k leaves E[eps_a eps_c eps_b eps_e] / nu^2 on the pattern
     a + c = b + e (mod d) and exact zeros off it, where 2 P_sym = I + SWAP
     vanishes too.  On the pattern, with s = a + c, it is the sum-pair Gram
-    G_s = S_s^T diag(p) S_s of S_s[n, a] = eps_{n,a} eps_{n,s-a}, over nu^2,
-    and I + SWAP reads delta_ab + [b = s-a mod d].  ``d`` and ``budget`` are
-    checked as in ``check_near_isotropy_exact``.
+    G_s[a, b] = sum p eps_a eps_{s-a} eps_b eps_{s-b}, over nu^2, and
+    I + SWAP reads delta_ab + [b = s-a mod d].  The same four entries make
+    the offset Gram entry H_m[a, b] at m = s-a-b, so G is a relabeling of
+    the offset Grams, G_s[a, b] = H_{(s-a-b) mod d}[a, b]: the check
+    enumerates every mask once for H (``_moment_grams``) and reads G off it
+    through one flat index.  ``d`` and ``budget`` are checked as in
+    ``check_near_isotropy_exact``.
     """
     _check_enumeration(dist, d, budget)
-    a = np.arange(d)
-    partner = (a[:, None] - a[None, :]) % d  # partner[s, a] = s - a
-    target = np.eye(d) + (partner[:, :, None] == a)
-    return _pair_gram_deviation(dist, d, partner, target)
+    return _two_design_deviation(_moment_grams(dist, d), dist.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +375,7 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     The boundary |tr| == threshold counts as inside the good event (not
     exceeded); in particular Z = 0 never triggers anything.
     """
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     Z = as_hermitian(Z)
     sigma = np.linalg.svd(Z, compute_uv=False)
@@ -380,10 +424,12 @@ def variance_bound_check(
     ||E[M(Z)^2]||_inf and tr(E[(P_T M(Z))^2]) and compares them against
     30 b^8/nu^4 ||Z||_2^2 and 60 b^8/nu^4 ||Z||_2^2.  Expectation is exact by
     enumeration while |support|^d fits the budget, otherwise Monte-Carlo with
-    ``mc_samples`` masks.  Masks are taken in chunks: each chunk's M(Z) comes
-    from one contraction, is squared by one batched product, and its tangent
-    part's norm is read from M x alone.
+    ``mc_samples`` masks; both must be integers >= 1.  Masks are taken in
+    chunks: each chunk's M(Z) comes from one contraction, is squared by one
+    batched product, and its tangent part's norm is read from M x alone.
     """
+    _check_count("budget", budget)
+    _check_count("mc_samples", mc_samples)
     x = as_signal(x)
     tangent = TangentSpace(x)
     Z = as_hermitian(Z)

@@ -589,7 +589,7 @@ def apply_R_truncated(
     the boundary counting as inside (kept).  The anchor must lie in a tangent
     space, i.e. have rank <= 2 up to the policy tolerance.
     """
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     Z = as_hermitian(Z)
     anchor_Z = as_hermitian(anchor_Z)

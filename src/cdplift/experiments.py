@@ -56,8 +56,9 @@ from .certify import (
     CertificateIntegrityError,
     DualCertificate,
     GolfingParams,
-    check_near_isotropy_exact,
-    check_two_design_exact,
+    _isotropy_deviation,
+    _moment_grams,
+    _two_design_deviation,
     golfing_construct,
     verify_certificate,
 )
@@ -131,6 +132,9 @@ class ExperimentConfig:
             if not (isinstance(values, (list, tuple)) and values
                     and all(_is_int(v) and v >= 1 for v in values)):
                 raise ValueError(f"{key} must be a non-empty list of integers >= 1, got {values!r}")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{key} must not repeat a value; repeated {repeated}")
             object.__setattr__(self, key, tuple(map(int, values)))
         _check_counts(self, "trials", "max_iterations", "workers",
                       "golfing_L1", "golfing_L2", "golfing_L_later")
@@ -430,17 +434,21 @@ _AuditRow = namedtuple("_AuditRow", "d check deviation passed flag")
 def run_isotropy_audit(cfg: ExperimentConfig) -> ExperimentResult:
     """Exact near-isotropy and 2-design deviations over d_grid.
 
-    Even dimensions are expected to fail the identities; their rows carry a
-    distinct ``even_d_expected_failure`` flag instead of counting as clean
-    passes or silent errors.
+    Both deviations are read off one enumeration per d, the offset Grams of
+    ``_moment_grams``, as ``check_near_isotropy_exact`` and
+    ``check_two_design_exact`` read them.  Even dimensions are expected to
+    fail the identities; their rows carry a distinct
+    ``even_d_expected_failure`` flag instead of counting as clean passes or
+    silent errors.
     """
+    cfg = replace(cfg, experiment="isotropy_audit")  # re-runs the enumeration budget check
     rows = []
     for d in cfg.d_grid:
-        for check, fn in (
-            ("near_isotropy", check_near_isotropy_exact),
-            ("two_design", check_two_design_exact),
+        H = _moment_grams(_DIST, d)
+        for check, deviation in (
+            ("near_isotropy", _isotropy_deviation(H, _DIST.nu)),
+            ("two_design", _two_design_deviation(H, _DIST.nu)),
         ):
-            deviation = fn(_DIST, d)
             passed = deviation <= 1e-12
             flag = "even_d_expected_failure" if (d % 2 == 0 and not passed) else ""
             rows.append(_AuditRow(d, check, deviation, passed, flag))

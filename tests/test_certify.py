@@ -29,6 +29,9 @@ from cdplift.certify import (
     _ENUMERATION_BUDGET,
     _enumerate_masks,
     _identity_fold,
+    _moment_grams,
+    _pair_grams,
+    _relabel_index,
     _schedule,
 )
 from cdplift.diffraction import (
@@ -43,14 +46,16 @@ from cdplift.diffraction import (
 )
 from cdplift.diffraction import _draw_entries
 from cdplift.hermitian import TangentSpace, norm
-from test_diffraction import five_point_distribution
+from test_diffraction import _sum_partners, five_point_distribution
 from util import (
     apply_A_probe_margin,
     dense_frame_element,
     dense_injectivity_lambda_min,
     dense_isotropy_deviation,
     dense_two_design_deviation,
+    itertools_masks,
     lstsq_identity_fold,
+    offset_blocks_two_array,
     random_hermitian,
     random_tangent,
     symmetric_projector,
@@ -312,6 +317,62 @@ def test_two_design_and_near_isotropy_are_one_check_realigned(law, d):
     )
 
 
+def _spy_enumeration(monkeypatch):
+    """Record each enumeration's chunk count and each _pair_grams call's partner."""
+    enumerations, partners = [], []
+
+    def enumerate_masks(dist, d):
+        enumerations.append(0)
+        for chunk in _enumerate_masks(dist, d):
+            enumerations[-1] += 1
+            yield chunk
+
+    def pair_grams(chunks, partner):
+        partners.append(partner.copy())
+        return _pair_grams(chunks, partner)
+
+    monkeypatch.setattr(certify_module, "_enumerate_masks", enumerate_masks)
+    monkeypatch.setattr(certify_module, "_pair_grams", pair_grams)
+    return enumerations, partners
+
+
+@pytest.mark.parametrize("check", [check_near_isotropy_exact, check_two_design_exact])
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+@pytest.mark.parametrize("d", [1, 4, 7])
+def test_exact_checks_enumerate_once_with_half_the_products(check, chunk, d, monkeypatch):
+    # one pass over the masks per call, nothing kept between calls, and per
+    # chunk one product per difference pair (a, a+m) of offsets 0..d//2
+    monkeypatch.setattr(certify_module, "_CHUNK", chunk)
+    enumerations, partners = _spy_enumeration(monkeypatch)
+    dist = ternary_mask_distribution()
+    first = check(dist, d)
+    assert check(dist, d) == first
+    chunks = 3 ** (d - 1) if chunk == 7 else 1  # chunks of 3 masks, or all at once
+    assert enumerations == [chunks, chunks]
+    a = np.arange(d)
+    difference = (a + np.arange(d // 2 + 1)[:, None]) % d
+    assert len(partners) == 2
+    for partner in partners:
+        assert partner.shape == (d // 2 + 1, d)
+        assert np.array_equal(partner, difference)
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_moment_grams_match_two_array_oracle(law, d):
+    # H from half the products and the shift gather is every difference-pair
+    # Gram, and G read off H by the relabeling is every sum-pair Gram, each
+    # from its own two-array blocks over itertools-enumerated masks
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    eps, p = itertools_masks(dist, d)
+    H = _moment_grams(dist, d)
+    for partner, grams in ((None, H), (_sum_partners(d), H.ravel()[_relabel_index(d)])):
+        blocks = offset_blocks_two_array(eps, partner)
+        expected = np.einsum("jna,n,jnb->jab", blocks, p, blocks)
+        assert grams.shape == (d, d, d)
+        assert np.allclose(grams, expected, rtol=1e-13, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # robust injectivity
 
@@ -452,6 +513,8 @@ def test_truncation_validates_inputs():
     frame = MeasurementFrame(sample_masks(ternary_mask_distribution(), 5, 3, seed=10))
     with pytest.raises(ValueError):
         truncation_statistics(frame, np.zeros((5, 5)), gamma=0.5)
+    with pytest.raises(ValueError, match="gamma must be >= 1, got nan"):
+        truncation_statistics(frame, np.zeros((5, 5)), gamma=float("nan"))
     with pytest.raises(ValueError):
         truncation_statistics(frame, np.eye(5), gamma=1.0)  # rank 5, not tangent
 
@@ -494,6 +557,18 @@ def test_variance_bounds_monte_carlo_fallback():
     assert chk.method == "monte_carlo"
     assert chk.n_terms == 2000
     assert chk.satisfied  # constants have ~30x slack; MC noise cannot break them
+
+
+@pytest.mark.parametrize("key, value", [
+    ("budget", -1), ("budget", 0), ("budget", 2.5), ("budget", True),
+    ("mc_samples", 0), ("mc_samples", -3), ("mc_samples", 2.5), ("mc_samples", True),
+])
+def test_variance_rejects_bad_budget_and_mc_samples(key, value):
+    rng = np.random.default_rng(12)
+    x = unit_signal(rng, 3)
+    args = {"budget": 1, "mc_samples": 100, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1"):
+        variance_bound_check(ternary_mask_distribution(), x, random_tangent(rng, x), **args)
 
 
 @pytest.mark.parametrize("law", ["ternary", "five-point"])

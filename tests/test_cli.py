@@ -86,6 +86,7 @@ def test_config_file_unknown_key_is_an_error(runner, tmp_path):
         (["isotropy-audit", "--d", "3,15"], "exact enumeration budget"),
         (["isotropy-audit", "--trials", "3"], "No such option"),
         (["isotropy-audit", "--L", "2"], "No such option"),
+        (["isotropy-audit", "--d", "3,3,5"], "d_grid must not repeat a value"),
     ],
 )
 def test_bad_sizes_are_usage_errors(runner, args, message):

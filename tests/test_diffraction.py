@@ -544,6 +544,8 @@ def test_truncated_R_rejects_bad_inputs():
     anchor = np.outer(x, x.conj())
     with pytest.raises(ValueError):
         apply_R_truncated(frame, anchor, anchor, gamma=0.5)
+    with pytest.raises(ValueError, match="gamma must be >= 1, got nan"):
+        apply_R_truncated(frame, anchor, anchor, gamma=float("nan"))
     with pytest.raises(ValueError):  # full-rank anchor is not tangent
         apply_R_truncated(frame, anchor, np.eye(5), gamma=2.0)
 
@@ -596,8 +598,8 @@ def _sum_partners(d):
 @pytest.mark.parametrize("d", [5, 6])
 @pytest.mark.parametrize("pairs", ["difference", "sum"])
 def test_offset_blocks_match_two_array_form(pairs, d, L, order):
-    # difference pairs through _offset_blocks; sum pairs, which only the exact
-    # 2-design check reads, through the enumeration kernel's weighted pair Grams
+    # difference pairs through _offset_blocks; sum pairs through the
+    # enumeration kernel's weighted pair Grams, which take any partner rows
     masks = sample_masks(five_point_distribution(), d, max(L, 1), seed=34 + d)
     eps = np.array(masks.epsilon[:L], order=order)  # writable, so a write would show
     before = eps.copy()

@@ -10,8 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdplift.certify as certify_module
 import cdplift.experiments as exp
-from cdplift.certify import CertificateIntegrityError
+from cdplift.certify import (
+    CertificateIntegrityError,
+    _enumerate_masks,
+    check_near_isotropy_exact,
+    check_two_design_exact,
+)
+from cdplift.diffraction import ternary_mask_distribution
 from cdplift.experiments import (
     ExperimentConfig,
     derive_seed,
@@ -75,6 +82,11 @@ def test_config_validation_errors(tmp_path):
             ExperimentConfig.from_mapping({key: value})
     with pytest.raises(ValueError, match="d >= 2"):
         ExperimentConfig(experiment="lower_bound", d_grid=(1,))
+    # a repeated grid value would write its rows twice
+    with pytest.raises(ValueError, match=r"d_grid must not repeat a value; repeated \[3\]"):
+        ExperimentConfig(experiment="isotropy_audit", d_grid=(3, 3, 5))
+    with pytest.raises(ValueError, match=r"L_grid must not repeat a value; repeated \[2, 5\]"):
+        ExperimentConfig.from_mapping({"L_grid": [5, 2, 5, 2, 10]})
     # 3^13 ternary masks exceed the exact enumeration budget; 3^12 fit
     with pytest.raises(ValueError, match=r"d_grid exceeds .* offending values \[13, 15\]"):
         ExperimentConfig(experiment="isotropy_audit", d_grid=(3, 13, 15))
@@ -468,6 +480,35 @@ def test_isotropy_audit_rows_and_flags(tmp_path):
         else:
             assert int(r[3]) == 0 and r[4] == "even_d_expected_failure"
             assert float(r[2]) > 1e-6
+
+
+def test_isotropy_audit_enumerates_once_per_d(tmp_path, monkeypatch):
+    # both rows of a d come from one enumeration, and they are the numbers
+    # the public checks return
+    enumerated = []
+
+    def enumerate_masks(dist, d):
+        enumerated.append(d)
+        yield from _enumerate_masks(dist, d)
+
+    monkeypatch.setattr(certify_module, "_enumerate_masks", enumerate_masks)
+    cfg = ExperimentConfig(
+        experiment="isotropy_audit", d_grid=(5, 3, 4), out_dir=str(tmp_path)
+    )
+    res = run_isotropy_audit(cfg)
+    assert enumerated == [5, 3, 4]
+    dist = ternary_mask_distribution()
+    assert [r.deviation for r in res.trial_rows] == [
+        check(dist, d) for d in (5, 3, 4)
+        for check in (check_near_isotropy_exact, check_two_design_exact)
+    ]
+
+
+def test_isotropy_audit_revalidates_a_config_of_another_kind(tmp_path):
+    cfg = ExperimentConfig(experiment="lower_bound", d_grid=(3, 13), out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=r"exact enumeration budget .* values \[13\]"):
+        run_isotropy_audit(cfg)
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_experiment_dispatch(tmp_path):

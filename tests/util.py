@@ -200,6 +200,18 @@ def apply_A_probe_margin(frame, d, seed, probes):
     return float(margin)
 
 
+def itertools_masks(dist, d):
+    """Every mask realization, (|support|^d, d), and its probability.
+
+    The masks come from itertools, each probability from a product of
+    floats, not from the library's enumerator.
+    """
+    probs = dict(zip(dist.support, dist.probabilities))
+    combos = list(itertools.product(dist.support, repeat=d))
+    weights = np.array([np.prod([probs[v] for v in combo]) for combo in combos])
+    return np.array(combos), weights
+
+
 def variance_moments_loop(dist, x, Z, budget=10**6, mc_samples=10**4, seed=0):
     """(||E[M(Z)^2]||_inf, tr E[(P_T M(Z))^2], n_terms), one mask at a time.
 
@@ -208,15 +220,12 @@ def variance_moments_loop(dist, x, Z, budget=10**6, mc_samples=10**4, seed=0):
     with TangentSpace.project; the masks and weights are those of
     variance_bound_check (exact enumeration within ``budget``, else the same
     Monte-Carlo draw).  The exact masks come from itertools, each with its
-    probability as a product of floats, not from the library's enumerator.
+    probability as a product of floats (``itertools_masks``).
     """
     tangent = TangentSpace(x)
     d = x.size
     if len(dist.support) ** d <= budget:
-        probs = dict(zip(dist.support, dist.probabilities))
-        combos = list(itertools.product(dist.support, repeat=d))
-        weights = np.array([np.prod([probs[v] for v in combo]) for combo in combos])
-        batches = [(np.array(combos), weights)]
+        batches = [itertools_masks(dist, d)]
     else:
         rng = np.random.default_rng(seed)
         eps = rng.choice(np.asarray(dist.support), size=(mc_samples, d),
