@@ -22,8 +22,12 @@ numerical check on concrete mask realizations:
   built at once from the offset contraction E_m z_m;
 * the golfing scheme: an iterative, resampled construction of an approximate
   dual certificate Y in range(A*), with the full construction log and an
-  explicit witness vector; and the deterministic re-verification of such a
-  certificate, which returns it rebuilt from the witness;
+  explicit witness vector.  Each attempt draws its mask entries straight
+  from the seed stream, unvalidated (the union mask set is validated once),
+  takes the anchor's forward values from its rank-2 form Q = x z* + z x*
+  and applies A* over half the offsets; and the deterministic
+  re-verification of such a certificate, which returns it rebuilt from the
+  witness;
 * the final optimality verdict, which is the conjunction of a passing
   certificate (give it the rebuilt one) and a passing injectivity report —
   nothing more is computed, matching the logic of the guarantee — and which
@@ -45,6 +49,8 @@ from .diffraction import (
     MaskSet,
     MeasurementFrame,
     _apply_A_adjoint_any,
+    _apply_A_any,
+    _apply_A_rank2,
     _contract,
     _draw_entries,
     _offset_blocks,
@@ -54,11 +60,10 @@ from .diffraction import (
     _truncate,
     apply_A,  # noqa: F401  (bound here too; the benchmark's tracer wraps every site)
     apply_A_adjoint,
-    sample_masks,
     truncation_rate,
 )
 from .hermitian import TangentSpace, as_hermitian, as_signal, hermitize, norm
-from .policy import POLICY, _check_count, _check_counts
+from .policy import POLICY, _check_count, _check_counts, _is_int
 
 __all__ = [
     "InjectivityReport",
@@ -321,12 +326,14 @@ def injectivity_spectrum(
     check that does not go through H is in the tests: the margin is compared
     with the one from the dL forward values of ``apply_A``.
     """
-    if probes < 0:
-        raise ValueError(f"probes must be >= 0, got {probes}")
+    if not _is_int(probes) or probes < 0:
+        raise ValueError(f"probes must be an integer >= 0, got {probes!r}")
     tangent = TangentSpace(x)
+    d = frame.d
+    if tangent.d != d:
+        raise ValueError(f"anchor dimension {tangent.d} != frame dimension {d}")
     basis = tangent.basis()
     dim = basis.shape[0]
-    d = frame.d
     dist = frame.distribution
     offsets = np.ascontiguousarray(  # offsets[m, a, beta]
         basis[(slice(None), *_offset_index(d))].transpose(1, 2, 0))
@@ -381,7 +388,8 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     sigma = np.linalg.svd(Z, compute_uv=False)
     if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
         raise ValueError("Z must lie in a tangent space (rank <= 2)")
-    keep, _ = _truncate(frame.blocks, frame.distribution.b, gamma, Z)
+    vals = _apply_A_any(frame.blocks, Z).real
+    keep = _truncate(vals, float(np.linalg.norm(Z)), frame.distribution.b, gamma)
     total = int(keep.size)
     exceed = total - int(keep.sum())
     return TruncationStats(
@@ -623,6 +631,17 @@ def golfing_construct(
     accepted c.  ``params`` sets the mask batch sizes; gamma, r, w, t and c
     come from ``_schedule``.  Returns a DualCertificate on success, otherwise
     a GolfingFailure carrying the full construction log.
+
+    An attempt works on the structure of T.  Its batch holds the entries
+    ``sample_masks(dist, d, L_i, s_i)`` would hold, s_i the next
+    ``integers(2**63)`` of ``default_rng(seed)``, drawn without the per-batch
+    support validation; the union MaskSet of the accepted batches validates
+    them.  Q lies in T, so Q = x z* + z x* with z = Qx - (x*Qx) x / 2, and
+    its forward values come from the masked spectra of x and z
+    (``_apply_A_rank2``), which also set the truncation.  A* runs on the
+    batch's offsets 0..d//2 only, its output Hermitian by construction.
+    P_T is linear, so P_T(Y) is the running sum of the accepted candidates'
+    projections.
     """
     x = as_signal(x)
     d = x.size
@@ -635,37 +654,40 @@ def golfing_construct(
 
     tangent = TangentSpace(x)
     X = np.outer(x, x.conj())
-    Q = X.copy()
+    Q = X
     Y = np.zeros((d, d), dtype=complex)
+    Y_T = Y  # P_T(Y), accumulated: P_T is linear
     beta = 0.0
     rng = np.random.default_rng(seed)
     log: list[IterationRecord] = []
     accepted: list[tuple[np.ndarray, np.ndarray]] = []  # (epsilon, flat witness coeffs)
     masks_sampled = 0
     complement_now = 0.0
-    Y_T = Y  # P_T(Y), kept from the last acceptance
+    diagonal = np.diag_indices(d)
 
     def attempt(index: int, phase: str, L_i: int, t_i: float, c_i: float) -> bool:
         nonlocal Q, Y, Y_T, beta, masks_sampled, complement_now
         q_prev_norm = float(np.linalg.norm(Q))
-        masks = sample_masks(dist, d, L_i, int(rng.integers(2**63)))
+        eps = _draw_entries(dist, np.random.default_rng(int(rng.integers(2**63))), (L_i, d))
         masks_sampled += L_i
-        eps = masks.epsilon
-        blocks = _offset_blocks(eps)
-        keep, kept = _truncate(blocks, dist.b, p.gamma, Q)
-        ntrunc = int(keep.size - keep.sum())
-        coeffs = kept / (dist.nu**2 * d * L_i)
-        RQ = hermitize(_apply_A_adjoint_any(blocks, coeffs))
-        candidate = RQ - float(np.trace(Q).real) * np.eye(d)
-        candidate_T = tangent.project(candidate)  # P_T is linear: P_Tperp = I - P_T
+        # Q lies in T, so Q = x z* + z x* with z = Qx - (x*Qx) x / 2
+        Qx = Q @ x
+        vals = _apply_A_rank2(eps, x, Qx - 0.5 * float(np.vdot(x, Qx).real) * x)
+        keep = _truncate(vals, q_prev_norm, dist.b, p.gamma)
+        ntrunc = keep.size - np.count_nonzero(keep)
+        coeffs = vals * keep / (dist.nu**2 * d * L_i)
+        candidate = _apply_A_adjoint_any(_offset_blocks(eps, half=True), coeffs)
+        trace_q = float(np.trace(Q).real)
+        candidate[diagonal] -= trace_q  # R_Q(Q) - tr(Q) Id
+        candidate_T = tangent._project(candidate)  # P_Tperp = I - P_T
         dev_inf = norm(candidate - candidate_T, "operator")
         dev_two = float(np.linalg.norm(candidate_T - Q))
         xi = dev_inf <= t_i * q_prev_norm and dev_two <= c_i * q_prev_norm
         if xi:
-            beta += float(np.trace(Q).real)
-            Y = hermitize(Y + candidate)
-            Y_T = tangent.project(Y)
-            Q = hermitize(X - Y_T)
+            beta += trace_q
+            Y = Y + candidate
+            Y_T = Y_T + candidate_T
+            Q = X - Y_T
             accepted.append((eps, coeffs.reshape(-1)))
             complement_now = norm(Y - Y_T, "operator")
         log.append(IterationRecord(index, phase, L_i, t_i, c_i, xi, ntrunc,

@@ -21,14 +21,22 @@ blocks ``E_m[l, a] = eps_{l,a} eps_{l,a+m}``,
 
     tr(F_{k,l} Z) = sum_m omega^{mk} (E_m z_m)[l].
 
-So ``A`` is one contraction per offset and L length-d FFTs, ``A*`` one FFT of
-the coefficients, one contraction and a scatter back to ``Z[a, a+m]``, and
+So ``A`` is one contraction per offset and L length-d FFTs, and
 ``A(Z) = y`` splits into d systems ``E_m z_m = t_m`` (``t`` the per-mask
 inverse DFT of ``y``); as ``||Z||_F^2 = sum_m ||z_m||^2``, least squares
 splits the same way.  The m = 0 block holds the patterns ``eps^2``: two equal
 columns there are exactly a mask collision (``e_a`` and ``e_b`` measure
 alike), the lower-bound argument.  At even d, offset d/2 pairs a with a + d/2
 and back, so its block has equal columns a and a + d/2.
+
+``A*`` takes real coefficients, so its result is Hermitian: offset d - m is
+the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset m.  It transforms the
+coefficients once, against half the DFT rows, contracts half the offsets,
+0..floor(d/2), and fills the rest from the mirror by one gather
+(``_apply_A_adjoint_any``).  A rank-2 tangent element Q = x z* + z x* needs
+no blocks at all: tr(F_{k,l} Q) = 2 Re(u_lk conj(v_lk)) with u and v the
+masked spectra of x and z, one real product with the DFT matrix
+(``_apply_A_rank2``).
 
 The composition ``A* A`` acts on each offset alone: offset m of
 ``A*(A(Z))`` is ``d E_m^T E_m z_m``, so with the real d x d offset Grams
@@ -62,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hermitian import as_hermitian, as_signal, hermitize
+from .hermitian import as_hermitian, as_signal
 from .policy import POLICY
 
 __all__ = [
@@ -452,15 +460,17 @@ def _offset_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx
 
 
-def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
+def _offset_blocks(epsilon: np.ndarray, half: bool = False) -> np.ndarray:
     """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d).
 
-    The product is formed in one buffer: the gather of the partner columns
-    a+m is a fresh (d, d, L) array, multiplied in place by the columns, so
-    ``epsilon`` is never written.
+    With ``half`` only offsets 0..d//2 are built, all that the adjoint reads:
+    a (d//2 + 1, L, d) stack.  The product is formed in one buffer: the
+    gather of the partner columns a+m is a fresh (offsets, d, L) array,
+    multiplied in place by the columns, so ``epsilon`` is never written.
     """
+    d = epsilon.shape[1]
     columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
-    product = columns[_offset_index(epsilon.shape[1])[1]]
+    product = columns[_offset_index(d)[1][: d // 2 + 1 if half else d]]
     product *= columns
     return product.transpose(0, 2, 1)
 
@@ -522,28 +532,95 @@ def _apply_A_any(blocks: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.roll(np.fft.ifft(s, axis=0, norm="forward"), -1, axis=0).T
 
 
+@lru_cache(maxsize=None)
+def _mirror_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index and conj mask with Z.ravel() = half.ravel()[idx], conjugated
+    where the mask is set, for the offset vectors half[m, a] = Z[a, a+m] of
+    offsets 0..d//2 of a Hermitian Z; read-only.
+
+    Entry (i, j) on offset m = j - i mod d is read directly when m < d - m,
+    and as the mirror conj(Z[j, i]) from offset d - m when m > d - m.  The
+    self-mirrored offset m = d/2 of even d is read directly for i < j and
+    mirrored for i > j, so the result is Hermitian entry for entry.
+    """
+    i, j = np.divmod(np.arange(d * d), d)
+    m = (j - i) % d
+    mirror = (m > d - m) | ((m == d - m) & (i > j))
+    idx = np.where(mirror, (d - m) * d + j, m * d + i)
+    for part in (idx, mirror):
+        part.setflags(write=False)
+    return idx, mirror
+
+
+@lru_cache(maxsize=None)
+def _dft_matrix(d: int) -> np.ndarray:
+    """W[j, k-1] = omega^{-jk} (j = 0..d-1, k = 1..d); read-only.
+
+    (eps_l * v) @ W is the row FFT of eps_l * v in ``measure``'s column
+    order, bin k mod d at column k - 1, and C @ W[m] is d t_m for the
+    coefficients C[l, k-1] of ``_per_offset``.
+    """
+    j = np.arange(d)
+    W = np.exp(-2j * np.pi * ((j[:, None] * (j + 1)) % d) / d)
+    W.setflags(write=False)
+    return W
+
+
 def _apply_A_adjoint_any(blocks: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """sum_{k,l} C[l,k] F_{k,l} for complex coefficients C of shape (L, d).
+    """sum_{k,l} C[l,k] F_{k,l} for real coefficients C of shape (L, d), a
+    Hermitian (d, d) matrix.
 
-    Offset m of the result is d E_m^T t_m with t = _per_offset(C).
+    Offset m of the result is d E_m^T t_m with t = _per_offset(C).  Real C
+    gives t_{d-m} = conj(t_m), and with E_{d-m}[l, a+m] = E_m[l, a] offset
+    d - m is the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset m.  So only
+    offsets m = 0..d//2 are transformed, d t_m = C @ W[m] (``_dft_matrix``)
+    as one real product, and contracted with the leading d//2 + 1 rows of
+    ``blocks`` (a ``half`` stack of ``_offset_blocks`` will do); the rest is
+    the gather of ``_mirror_index``.
     """
-    d = blocks.shape[0]
-    out = np.empty((d, d), dtype=complex)
-    out[_offset_index(d)] = _contract(blocks.transpose(0, 2, 1), d * _per_offset(C))
-    return out
+    L, d = C.shape
+    h = d // 2 + 1
+    rows = _dft_matrix(d)[:h]
+    # rows 2m and 2m + 1 of t2 are the real and imaginary parts of d t_m
+    t2 = np.concatenate([rows.real, rows.imag], axis=1).reshape(2 * h, d) @ C.T
+    parts = t2.reshape(h, 2, L) @ blocks[:h]  # Re and Im of d E_m^T t_m
+    half = parts[:, 0] + 1j * parts[:, 1]
+    idx, mirror = _mirror_index(d)
+    out = half.ravel()[idx]
+    np.conjugate(out, out=out, where=mirror)
+    return out.reshape(d, d)
 
 
-def _truncate(blocks: np.ndarray, b: float, gamma: float, anchor_Z, Z=None):
-    """Keep mask of |tr(F_{k,l} anchor_Z)| <= 2^{3/2} b^2 gamma log(d) ||anchor_Z||_2
-    (boundary kept) and the coefficients tr(F_{k,l} Z) zeroed off it; Z
-    defaults to the anchor.  Both are real (L, d) arrays.
+def _apply_A_rank2(epsilon: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """tr(F_{k,l} Q) for Q = x z* + z x*, a real (L, d) array.
+
+    With u = D_l f_k, tr(F_{k,l} Q) = u*Q u = 2 Re((u*x) conj(u*z)), and u*x,
+    u*z are the masked spectra of x and z up to one common phase.  Both come
+    from one real product of the masks with the real and imaginary parts of
+    x W and z W (``_dft_matrix``), taken as (4d, L) so that the products that
+    follow run over contiguous rows; the result is the transposed view of a
+    (d, L) array.  Every tangent element at x x* has this form
+    (``golfing_construct`` reads z off Q), so its dL forward values take
+    O(d^2 L) work and no offset blocks.
     """
-    d = blocks.shape[0]
-    threshold = 2.0**1.5 * b**2 * gamma * math.log(d) * float(np.linalg.norm(anchor_Z))
-    anchor_vals = _apply_A_any(blocks, anchor_Z).real
-    keep = np.abs(anchor_vals) <= threshold
-    vals = anchor_vals if Z is None else _apply_A_any(blocks, Z).real
-    return keep, vals * keep
+    d = x.size
+    W = _dft_matrix(d)
+    xW, zW = x[:, None] * W, z[:, None] * W
+    spectra = np.concatenate([xW.real, xW.imag, zW.real, zW.imag], axis=1).T @ epsilon.T
+    products = np.multiply(spectra[: 2 * d], spectra[2 * d :], out=spectra[: 2 * d])
+    vals = np.add(products[:d], products[d:], out=spectra[:d])
+    vals *= 2.0
+    return vals.T
+
+
+def _truncate(anchor_vals: np.ndarray, anchor_norm: float, b: float, gamma: float) -> np.ndarray:
+    """Keep mask of |tr(F_{k,l} anchor)| <= 2^{3/2} b^2 gamma log(d) ||anchor||_2
+    (boundary kept), from the anchor's real (L, d) forward values and its
+    Frobenius norm.
+    """
+    d = anchor_vals.shape[1]
+    threshold = 2.0**1.5 * b**2 * gamma * math.log(d) * anchor_norm
+    return np.abs(anchor_vals) <= threshold
 
 
 def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
@@ -559,12 +636,20 @@ def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
 
 
 def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
-    """Adjoint lifted map: sum_{k,l} c_{k,l} F_{k,l}, a Hermitian matrix."""
-    c = np.asarray(c, dtype=float)
+    """Adjoint lifted map: sum_{k,l} c_{k,l} F_{k,l}, a Hermitian matrix.
+
+    The coefficients must be real and finite: complex ones (whose imaginary
+    part the map would drop) and NaN or inf raise ValueError.
+    """
+    c = np.asarray(c)
+    if np.iscomplexobj(c):
+        raise ValueError("coefficients must be real")
+    c = c.astype(float, copy=False)
     if c.shape != (frame.L * frame.d,):
         raise ValueError(f"coefficient length {c.shape} != ({frame.L * frame.d},)")
-    out = _apply_A_adjoint_any(frame.blocks, c.reshape(frame.L, frame.d))
-    return hermitize(out)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    return _apply_A_adjoint_any(frame.blocks, c.reshape(frame.L, frame.d))
 
 
 def apply_R(frame: MeasurementFrame, Z) -> np.ndarray:
@@ -576,7 +661,7 @@ def apply_R(frame: MeasurementFrame, Z) -> np.ndarray:
     if frame.L == 0:
         return np.zeros_like(Z)
     scale = 1.0 / (frame.distribution.nu**2 * frame.d * frame.L)
-    return hermitize(apply_A_adjoint(frame, apply_A(frame, Z)) * scale)
+    return apply_A_adjoint(frame, apply_A(frame, Z)) * scale
 
 
 def apply_R_truncated(
@@ -601,9 +686,11 @@ def apply_R_truncated(
     if frame.L == 0:
         return np.zeros_like(Z), 0
     dist = frame.distribution
-    keep, coeffs = _truncate(frame.blocks, dist.b, gamma, anchor_Z, Z)
+    anchor_vals = _apply_A_any(frame.blocks, anchor_Z).real
+    keep = _truncate(anchor_vals, float(np.linalg.norm(anchor_Z)), dist.b, gamma)
+    coeffs = _apply_A_any(frame.blocks, Z).real * keep
     scale = 1.0 / (dist.nu**2 * frame.d * frame.L)
-    out = hermitize(_apply_A_adjoint_any(frame.blocks, coeffs) * scale)
+    out = _apply_A_adjoint_any(frame.blocks, coeffs) * scale
     return out, int(keep.size - keep.sum())
 
 

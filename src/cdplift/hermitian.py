@@ -7,7 +7,8 @@ signals, and the tangent space of the rank-1 manifold at ``X = x x*`` together
 with its orthogonal projectors.
 
 Everything here is pure: inputs are never mutated, and results of matrix
-arithmetic are re-symmetrized (``(Z + Z*)/2``) before they are returned so
+arithmetic are either Hermitian entry for entry by construction (the tangent
+projection) or re-symmetrized (``(Z + Z*)/2``) before they are returned, so
 Hermiticity never drifts.
 """
 
@@ -158,13 +159,19 @@ class TangentSpace:
 
     def project(self, Z) -> np.ndarray:
         """Orthogonal projection of a Hermitian matrix onto T."""
-        Z = as_hermitian(Z)
+        return self._project(as_hermitian(Z))
+
+    def _project(self, Z: np.ndarray) -> np.ndarray:
+        """``project`` of an already validated Hermitian ``Z``.
+
+        XZ + (XZ)* and x x* are Hermitian entry for entry, so the result is
+        too, with no symmetrization.
+        """
         x = self._x
         xZ = x.conj() @ Z            # row vector x* Z
         XZ = np.outer(x, xZ)         # X Z
         trXZ = complex(xZ @ x)       # tr(X Z) = x* Z x, real for Hermitian Z
-        out = XZ + XZ.conj().T - trXZ.real * np.outer(x, x.conj())
-        return hermitize(out)
+        return XZ + XZ.conj().T - trXZ.real * np.outer(x, x.conj())
 
     def project_complement(self, Z) -> np.ndarray:
         """Projection onto the orthogonal complement of T."""

@@ -420,6 +420,20 @@ def test_injectivity_rejects_negative_probes():
         injectivity_spectrum(frame, unit_signal(np.random.default_rng(0), 5), probes=-1)
 
 
+@pytest.mark.parametrize("probes", [2.5, "3", True, None])
+def test_injectivity_rejects_non_integer_probes(probes):
+    frame = MeasurementFrame(sample_masks(ternary_mask_distribution(), 5, 4, seed=0))
+    with pytest.raises(ValueError, match="probes must be an integer >= 0"):
+        injectivity_spectrum(frame, unit_signal(np.random.default_rng(0), 5), probes=probes)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_injectivity_rejects_an_anchor_of_another_dimension(n):
+    frame = MeasurementFrame(sample_masks(ternary_mask_distribution(), 5, 4, seed=0))
+    with pytest.raises(ValueError, match=f"anchor dimension {n} != frame dimension 5"):
+        injectivity_spectrum(frame, unit_signal(np.random.default_rng(0), n))
+
+
 def test_injectivity_quadratic_form_identity():
     # tr(Z R Z) = (1/nu^2 d L) ||A(Z)||^2 ties the restricted spectrum to the
     # measurement energy; holds for every realization, not just on average
@@ -716,6 +730,20 @@ def test_golfing_deterministic(certificate):
     assert isinstance(again, DualCertificate)
     assert np.array_equal(again.Y, cert.Y)
     assert np.array_equal(again.in_range_witness, cert.in_range_witness)
+
+
+def test_golfing_draws_the_sample_masks_stream(certificate):
+    # batch i is sample_masks(dist, d, L_i, s_i) with s_i the i-th draw of
+    # default_rng(seed).integers(2**63); the union stacks the accepted ones
+    x, cert = certificate
+    dist = ternary_mask_distribution()
+    rng = np.random.default_rng(0)
+    accepted = []
+    for rec in cert.construction_log:
+        batch_seed = int(rng.integers(2**63))
+        if rec.xi:
+            accepted.append(sample_masks(dist, x.size, rec.L, batch_seed).epsilon)
+    assert np.array_equal(cert.masks.epsilon, np.vstack(accepted))
 
 
 def test_golfing_leaves_the_callers_anchor_writable():

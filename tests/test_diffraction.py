@@ -29,6 +29,7 @@ from cdplift.diffraction import (
 from cdplift.diffraction import (
     _apply_A_adjoint_any,
     _apply_A_any,
+    _apply_A_rank2,
     _draw_entries,
     _offset_blocks,
     _offset_gram,
@@ -745,21 +746,27 @@ def test_per_mask_parseval_property(parity, seed, h, L, law):
 @settings(max_examples=15, deadline=None)
 @given(m=st.integers(0, 8), **frames)
 def test_A_star_A_maps_each_offset_to_itself(parity, m, seed, h, L, law):
-    # A*(A(Z)) keeps a Z supported on offset m on offset m, as d H_m z_m
+    # A*(A(Z)) keeps a Hermitian Z = W + W* supported on offsets m and d - m
+    # there: d H_m z_m on offset m, its mirror on offset d - m
     d = 2 * h + parity
     m %= d
     blocks = _offset_blocks(_frame(seed, d, L, law).masks.epsilon)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     a = np.arange(d)
-    Z = np.zeros((d, d), dtype=complex)
-    Z[a, (a + m) % d] = z
-    out = _apply_A_adjoint_any(blocks, _apply_A_any(blocks, Z))
-    on_offset = np.zeros((d, d), dtype=bool)
-    on_offset[a, (a + m) % d] = True
-    assert np.allclose(out[~on_offset], 0.0, atol=1e-10)
+    W = np.zeros((d, d), dtype=complex)
+    W[a, (a + m) % d] = z
+    Z = W + W.conj().T
+    coeffs = _apply_A_any(blocks, Z)
+    assert np.allclose(coeffs.imag, 0.0, atol=1e-10)
+    out = _apply_A_adjoint_any(blocks, coeffs.real)
+    on_offsets = np.zeros((d, d), dtype=bool)
+    on_offsets[a, (a + m) % d] = on_offsets[(a + m) % d, a] = True
+    assert np.allclose(out[~on_offsets], 0.0, atol=1e-10)
     H = _offset_gram(blocks)
-    assert np.allclose(out[a, (a + m) % d], d * H[m] @ z, atol=1e-10)
+    expected = d * H[m] @ Z[a, (a + m) % d]
+    assert np.allclose(out[a, (a + m) % d], expected, atol=1e-10)
+    assert np.allclose(out[(a + m) % d, a], expected.conj(), atol=1e-10)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -783,9 +790,10 @@ def test_forward_energy_is_the_offset_gram_form(parity, seed, h, L, law):
 @settings(max_examples=15, deadline=None)
 @given(**frames)
 def test_adjoint_and_gram_outputs_are_hermitian_property(parity, seed, h, L, law):
-    # A* of real coefficients and R of a Hermitian Z are Hermitian.  The public
-    # maps symmetrize their output, so the raw offset-block kernels, which do
-    # not, are checked as well: there a wrong pairing would show.
+    # A* of real coefficients and R of a Hermitian Z are Hermitian entry for
+    # entry.  The raw kernel fills half the offsets from the other half, so
+    # it is Hermitian by construction; it is held against the dense oracle,
+    # where a wrong mirror pairing would show.
     d = 2 * h + parity
     frame = _frame(seed, d, L, law)
     rng = np.random.default_rng(seed)
@@ -797,4 +805,75 @@ def test_adjoint_and_gram_outputs_are_hermitian_property(parity, seed, h, L, law
     assert np.allclose(coeffs.imag, 0.0, atol=1e-10)
     for C in (c.reshape(L, d), coeffs.real):
         raw = _apply_A_adjoint_any(frame.blocks, C)
-        assert np.allclose(raw, raw.conj().T, atol=1e-10 * max(1.0, np.abs(raw).max()))
+        expected = dense_apply_A_adjoint(frame.masks.epsilon, C.reshape(-1))
+        assert np.allclose(raw, expected, atol=1e-10 * max(1.0, np.abs(expected).max()))
+
+
+# ---------------------------------------------------------------------------
+# the golfing kernels: half-offset adjoint, rank-2 forward values
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 15])
+def test_half_adjoint_matches_dense_oracle(d, law):
+    # offsets 0..d//2 contracted, the rest mirrored; at even d the offset d/2
+    # is its own mirror.  A half stack of blocks gives the same matrix.
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    L = 7
+    eps = sample_masks(dist, d, L, seed=40 + d).epsilon
+    C = np.random.default_rng(d).standard_normal((L, d))
+    expected = dense_apply_A_adjoint(eps, C.reshape(-1))
+    full = _apply_A_adjoint_any(_offset_blocks(eps), C)
+    half = _apply_A_adjoint_any(_offset_blocks(eps, half=True), C)
+    assert _offset_blocks(eps, half=True).shape == (d // 2 + 1, L, d)
+    assert np.allclose(full, expected, atol=1e-12 * max(1.0, np.abs(expected).max()))
+    assert np.array_equal(half, full)
+    assert np.array_equal(full, full.conj().T)
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 15])
+def test_rank2_forward_matches_dense_oracle(d, law):
+    # tr(F_{k,l} (x z* + z x*)) from the two masked spectra, for any x and z
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    L = 6
+    eps = sample_masks(dist, d, L, seed=50 + d).epsilon
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    Q = np.outer(x, z.conj()) + np.outer(z, x.conj())
+    expected = dense_apply_A(eps, Q)
+    vals = _apply_A_rank2(eps, x, z)
+    assert vals.shape == (L, d)
+    assert np.allclose(vals.reshape(-1), expected, atol=1e-12 * max(1.0, np.abs(expected).max()))
+
+
+@pytest.mark.parametrize("d", [3, 8, 15])
+def test_rank2_forward_of_a_tangent_element_read_off_Q(d):
+    # every Q in the tangent space at x x* is x z* + z x* with
+    # z = Qx - (x*Qx) x / 2 (golfing's reading), so the rank-2 values are
+    # the block forward values of Q
+    rng = np.random.default_rng(60 + d)
+    eps = sample_masks(ternary_mask_distribution(), d, 9, seed=d).epsilon
+    x = unit_signal(rng, d)
+    Q = TangentSpace(x).project(random_hermitian(rng, d))
+    z = Q @ x - 0.5 * np.vdot(x, Q @ x).real * x
+    assert np.allclose(np.outer(x, z.conj()) + np.outer(z, x.conj()), Q, atol=1e-14)
+    expected = _apply_A_any(_offset_blocks(eps), Q).real
+    assert np.allclose(_apply_A_rank2(eps, x, z), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ("complex", "real"), ("complex-zero", "real"), ("nan", "finite"), ("inf", "finite"),
+])
+def test_apply_A_adjoint_rejects_complex_and_non_finite_coefficients(bad, match):
+    frame = MeasurementFrame(sample_masks(ternary_mask_distribution(), 5, 3, seed=41))
+    c = np.random.default_rng(41).standard_normal(15)
+    if bad == "complex":
+        c = c + 1j
+    elif bad == "complex-zero":
+        c = c.astype(complex)
+    else:
+        c[4] = np.nan if bad == "nan" else -np.inf
+    with pytest.raises(ValueError, match=match):
+        apply_A_adjoint(frame, c)
