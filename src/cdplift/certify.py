@@ -19,7 +19,8 @@ numerical check on concrete mask realizations:
   enters through the frame's offset Grams E_m^T E_m, one batched product;
 * truncation-event statistics against the 4 d^{-gamma} tail bound;
 * per-mask variance bounds (30 and 60 times b^8/nu^4), every mask's M(Z)
-  built at once from the offset contraction E_m z_m;
+  built at once from the offset contraction E_m z_m on offsets 0..d//2 and
+  filled by the Hermitian mirror;
 * the golfing scheme: an iterative, resampled construction of an approximate
   dual certificate Y in range(A*), with the full construction log and an
   explicit witness vector.  Each attempt draws its mask entries straight
@@ -53,8 +54,10 @@ from .diffraction import (
     _apply_A_rank2,
     _contract,
     _draw_entries,
+    _half_offsets,
+    _mirror_fill,
     _offset_blocks,
-    _offset_gram_by_shift,
+    _offset_gram,
     _offset_index,
     _shift_index,
     _truncate,
@@ -62,7 +65,7 @@ from .diffraction import (
     apply_A_adjoint,
     truncation_rate,
 )
-from .hermitian import TangentSpace, as_hermitian, as_signal, hermitize, norm
+from .hermitian import TangentSpace, _norm, as_hermitian, as_signal, hermitize, norm
 from .policy import POLICY, _check_count, _check_counts, _is_int
 
 __all__ = [
@@ -322,9 +325,10 @@ def injectivity_spectrum(
     which must never be negative.  By Parseval over the frequencies k,
     (1/dL)||A(Z)||^2 = (1/L) sum_m z_m^* H_m z_m, so the probes read the same
     Grams, all in one batched product.  The Grams are built by
-    ``_offset_gram_by_shift``, half of them from the shift identity.  The
-    check that does not go through H is in the tests: the margin is compared
-    with the one from the dL forward values of ``apply_A``.
+    ``_offset_gram`` from the frame's half stack, the other offsets from the
+    shift identity.  The check that does not go through H is in the tests:
+    the margin is compared with the one from the dL forward values of
+    ``apply_A``.
     """
     if not _is_int(probes) or probes < 0:
         raise ValueError(f"probes must be an integer >= 0, got {probes!r}")
@@ -337,7 +341,7 @@ def injectivity_spectrum(
     dist = frame.distribution
     offsets = np.ascontiguousarray(  # offsets[m, a, beta]
         basis[(slice(None), *_offset_index(d))].transpose(1, 2, 0))
-    H = _offset_gram_by_shift(frame.blocks)
+    H = _offset_gram(frame.blocks)
     scale = 1.0 / (dist.nu**2 * frame.L) if frame.L else 0.0
     images = (H @ offsets.view(float)).view(complex)  # on float pairs, so H stays real
     M = (offsets.conj().transpose(0, 2, 1) @ images).real.sum(axis=0) * scale
@@ -388,7 +392,7 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     sigma = np.linalg.svd(Z, compute_uv=False)
     if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
         raise ValueError("Z must lie in a tangent space (rank <= 2)")
-    vals = _apply_A_any(frame.blocks, Z).real
+    vals = _apply_A_any(frame.blocks, Z)
     keep = _truncate(vals, float(np.linalg.norm(Z)), frame.distribution.b, gamma)
     total = int(keep.size)
     exceed = total - int(keep.sum())
@@ -458,19 +462,17 @@ def variance_bound_check(
                    for i in range(0, mc_samples, _CHUNK)]
         method = "monte_carlo"
 
-    # offset m of mask n's M(Z) is E_m[n, a] s[m, n] / nu^2 with s[m] = E_m z_m;
-    # for unit x and Hermitian M, ||P_T M||_2^2 = 2 ||M x||^2 - (x* M x)^2
-    index = _offset_index(d)
-    z = Z[index]
+    # offset m of mask n's M(Z) is E_m[n, a] s[m, n] / nu^2 with s[m] = E_m z_m,
+    # built on offsets 0..d//2 and filled by the mirror, Hermitian entry for
+    # entry; for unit x and Hermitian M, ||P_T M||_2^2 = 2 ||M x||^2 - (x* M x)^2
+    z = _half_offsets(Z)
     second_moment = np.zeros((d, d), dtype=complex)
     trace_acc = 0.0
     n_terms = 0
     for eps, p in batches:
         blocks = _offset_blocks(eps)
         s = _contract(blocks, z)
-        M = np.empty((eps.shape[0], d, d), dtype=complex)
-        M[(slice(None), *index)] = (blocks * s[:, :, None]).transpose(1, 0, 2) / dist.nu**2
-        M = hermitize(M)
+        M = _mirror_fill((blocks * s[:, :, None]).transpose(1, 0, 2) / dist.nu**2)
         second_moment += np.tensordot(p, M @ M, axes=1)
         Mx = M @ x
         tangent_sq = 2.0 * np.sum(np.abs(Mx) ** 2, axis=1) - (Mx @ x.conj()).real ** 2
@@ -676,11 +678,11 @@ def golfing_construct(
         keep = _truncate(vals, q_prev_norm, dist.b, p.gamma)
         ntrunc = keep.size - np.count_nonzero(keep)
         coeffs = vals * keep / (dist.nu**2 * d * L_i)
-        candidate = _apply_A_adjoint_any(_offset_blocks(eps, half=True), coeffs)
+        candidate = _apply_A_adjoint_any(_offset_blocks(eps), coeffs)
         trace_q = float(np.trace(Q).real)
         candidate[diagonal] -= trace_q  # R_Q(Q) - tr(Q) Id
         candidate_T = tangent._project(candidate)  # P_Tperp = I - P_T
-        dev_inf = norm(candidate - candidate_T, "operator")
+        dev_inf = _norm(candidate - candidate_T, "operator")
         dev_two = float(np.linalg.norm(candidate_T - Q))
         xi = dev_inf <= t_i * q_prev_norm and dev_two <= c_i * q_prev_norm
         if xi:
@@ -689,7 +691,7 @@ def golfing_construct(
             Y_T = Y_T + candidate_T
             Q = X - Y_T
             accepted.append((eps, coeffs.reshape(-1)))
-            complement_now = norm(Y - Y_T, "operator")
+            complement_now = _norm(Y - Y_T, "operator")
         log.append(IterationRecord(index, phase, L_i, t_i, c_i, xi, ntrunc,
                                    float(np.linalg.norm(Q)), complement_now))
         return xi

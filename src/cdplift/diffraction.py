@@ -21,26 +21,35 @@ blocks ``E_m[l, a] = eps_{l,a} eps_{l,a+m}``,
 
     tr(F_{k,l} Z) = sum_m omega^{mk} (E_m z_m)[l].
 
-So ``A`` is one contraction per offset and L length-d FFTs, and
-``A(Z) = y`` splits into d systems ``E_m z_m = t_m`` (``t`` the per-mask
-inverse DFT of ``y``); as ``||Z||_F^2 = sum_m ||z_m||^2``, least squares
-splits the same way.  The m = 0 block holds the patterns ``eps^2``: two equal
-columns there are exactly a mask collision (``e_a`` and ``e_b`` measure
-alike), the lower-bound argument.  At even d, offset d/2 pairs a with a + d/2
-and back, so its block has equal columns a and a + d/2.
+Every matrix these maps meet is Hermitian, and so is every quantity on the
+lifted side: offset d - m is the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset
+m, and E_{d-m}[l, a+m] = E_m[l, a].  So the one representation of the frame
+is its half-offset stack, the h = floor(d/2) + 1 blocks E_0..E_{d/2}
+(``MeasurementFrame.blocks``, ``_offset_blocks``), and every map works on
+offsets 0..h-1 and fills or sums the rest from the mirror:
 
-``A*`` takes real coefficients, so its result is Hermitian: offset d - m is
-the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset m.  It transforms the
-coefficients once, against half the DFT rows, contracts half the offsets,
-0..floor(d/2), and fills the rest from the mirror by one gather
-(``_apply_A_adjoint_any``).  A rank-2 tangent element Q = x z* + z x* needs
-no blocks at all: tr(F_{k,l} Q) = 2 Re(u_lk conj(v_lk)) with u and v the
-masked spectra of x and z, one real product with the DFT matrix
-(``_apply_A_rank2``).
+* ``A`` contracts the h offsets, s[m, l] = (E_m z_m)[l]; as s_{d-m} =
+  conj(s_m), the sum over all d offsets is one real inverse FFT of the half
+  spectrum (``_apply_A_any``).
+* ``A(Z) = y`` splits into the systems ``E_m z_m = t_m``, t the per-mask
+  inverse DFT of y, whose bins 0..h-1 are one real FFT (``_per_offset``);
+  as ``||Z||_F^2 = sum_m ||z_m||^2``, least squares splits the same way, and
+  offset d - m's system is the mirror of offset m's.
+* ``A*`` takes real coefficients, transforms them once against half the DFT
+  rows, contracts the h offsets and fills the rest by the mirror gather
+  ``_mirror_fill`` (``_apply_A_adjoint_any``).
+
+The m = 0 block holds the patterns ``eps^2``: two equal columns there are
+exactly a mask collision (``e_a`` and ``e_b`` measure alike), the lower-bound
+argument.  At even d, offset d/2 pairs a with a + d/2 and back, so its block
+has equal columns a and a + d/2 and is its own mirror.  A rank-2 tangent
+element Q = x z* + z x* needs no blocks at all: tr(F_{k,l} Q) = 2 Re(u_lk
+conj(v_lk)) with u and v the masked spectra of x and z, one real product with
+the DFT matrix (``_apply_A_rank2``).
 
 The composition ``A* A`` acts on each offset alone: offset m of
 ``A*(A(Z))`` is ``d E_m^T E_m z_m``, so with the real d x d offset Grams
-``H_m = E_m^T E_m`` (``_offset_gram``),
+``H_m = E_m^T E_m``,
 
     ||A(Z)||^2 = d sum_m z_m^* H_m z_m = d sum_m ||E_m z_m||^2,
     R(Z)_m = H_m z_m / (nu^2 L).
@@ -52,9 +61,9 @@ exact enumeration in ``certify`` accumulates their average over every mask
 realization, offset by offset and chunk by chunk, without a block stack.
 
 The Grams come in shifted pairs: ``E_{-m}[l, a+m] = eps_{l,a+m} eps_{l,a} =
-E_m[l, a]``, so ``H_{-m}[a+m, b+m] = H_m[a, b]`` (indices mod d).  Offsets
-0..floor(d/2) take a product each and the others are a gather
-(``_offset_gram_by_shift``).
+E_m[l, a]``, so ``H_{-m}[a+m, b+m] = H_m[a, b]`` (indices mod d).  The h
+blocks take a product each and the other offsets are a gather
+(``_offset_gram``).
 
 Mask entries are drawn i.i.d. from a finite distribution with the moment
 profile E[eps] = E[eps^3] = 0, E[eps^4] = 2 E[eps^2]^2, |eps| <= b.
@@ -71,7 +80,7 @@ from pathlib import Path
 import numpy as np
 
 from .hermitian import as_hermitian, as_signal
-from .policy import POLICY
+from .policy import POLICY, _check_level
 
 __all__ = [
     "MomentReport",
@@ -331,7 +340,8 @@ class MeasurementFrame:
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        """The offset blocks E_m of the masks, (d, L, d), built on first use."""
+        """The offset blocks E_0..E_{d//2} of the masks, (d//2 + 1, L, d),
+        built on first use; the other offsets are their mirrors."""
         blocks = _offset_blocks(self.masks.epsilon)
         blocks.setflags(write=False)
         return blocks
@@ -344,7 +354,7 @@ class MeasurementFrame:
 @dataclass(frozen=True, eq=False)
 class MeasurementVector:
     """Observed intensities y_{k,l}, stored read-only as y[l, k-1] (a copy of the
-    caller's array); optionally ||x||^2."""
+    caller's array); optionally y0 = ||x||^2, a finite real number >= 0."""
 
     y: np.ndarray
     y0: float | None = None
@@ -357,8 +367,8 @@ class MeasurementVector:
             raise ValueError("intensities must be finite")
         if y.size and float(y.min()) < -POLICY.hermitian_tol:
             raise ValueError("intensities must be nonnegative up to roundoff")
-        if self.y0 is not None and not math.isfinite(self.y0):
-            raise ValueError(f"y0 must be finite, got {self.y0}")
+        if self.y0 is not None:
+            _check_level("y0", self.y0)
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
@@ -460,24 +470,26 @@ def _offset_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx
 
 
-def _offset_blocks(epsilon: np.ndarray, half: bool = False) -> np.ndarray:
-    """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m}, stacked as (d, L, d).
+def _half_offsets(Z: np.ndarray) -> np.ndarray:
+    """The offset vectors z_m[a] = Z[a, a+m mod d] of m = 0..d//2, (d//2 + 1, d)."""
+    d = Z.shape[0]
+    rows, cols = _offset_index(d)
+    return Z[rows, cols[: d // 2 + 1]]
 
-    With ``half`` only offsets 0..d//2 are built, all that the adjoint reads:
-    a (d//2 + 1, L, d) stack.  The product is formed in one buffer: the
-    gather of the partner columns a+m is a fresh (offsets, d, L) array,
-    multiplied in place by the columns, so ``epsilon`` is never written.
+
+def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
+    """The real blocks E_m[l, a] = eps_{l,a} eps_{l,a+m} of offsets m = 0..d//2,
+    stacked as (d//2 + 1, L, d).
+
+    The product is formed in one buffer: the gather of the partner columns
+    a+m is a fresh (offsets, d, L) array, multiplied in place by the
+    columns, so ``epsilon`` is never written.
     """
     d = epsilon.shape[1]
     columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
-    product = columns[_offset_index(d)[1][: d // 2 + 1 if half else d]]
+    product = columns[_offset_index(d)[1][: d // 2 + 1]]
     product *= columns
     return product.transpose(0, 2, 1)
-
-
-def _offset_gram(blocks: np.ndarray) -> np.ndarray:
-    """H_m = E_m^T E_m for every offset, a real (d, d, d) array."""
-    return blocks.transpose(0, 2, 1) @ blocks
 
 
 @lru_cache(maxsize=None)
@@ -497,22 +509,24 @@ def _shift_index(d: int) -> np.ndarray:
     return idx
 
 
-def _offset_gram_by_shift(blocks: np.ndarray) -> np.ndarray:
-    """``_offset_gram(blocks)`` for the difference-pair blocks of ``_offset_blocks``.
+def _offset_gram(blocks: np.ndarray) -> np.ndarray:
+    """H_m = E_m^T E_m for every offset m = 0..d-1, a real (d, d, d) array,
+    from the half stack of ``_offset_blocks`` (d is its last axis).
 
-    Only offsets 0..d//2 take a product; the others follow from
+    The h blocks take a product each; the other offsets follow from
     H_{-m}[a+m, b+m] = H_m[a, b], a gather through ``_shift_index``.
     """
-    d = blocks.shape[0]
-    return _offset_gram(blocks[: d // 2 + 1]).ravel()[_shift_index(d)]
+    d = blocks.shape[-1]
+    return (blocks.transpose(0, 2, 1) @ blocks).ravel()[_shift_index(d)]
 
 
 def _per_offset(C: np.ndarray) -> np.ndarray:
-    """t of shape (d, L) with C[l, k-1] = sum_m omega^{mk} t[m, l].
+    """t of shape (d//2 + 1, L) for real C, with C[l, k-1] = sum_m omega^{mk}
+    t[m, l] over all d offsets and t[d-m] = conj(t[m]).
 
     The inverse of the forward map's FFT step: A(Z) = y reads E_m z_m = t_m.
     """
-    return np.fft.fft(np.roll(C, 1, axis=1), axis=1, norm="forward").T
+    return np.fft.rfft(np.roll(C, 1, axis=1), axis=1, norm="forward").T
 
 
 def _contract(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -522,14 +536,15 @@ def _contract(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _apply_A_any(blocks: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """tr(F_{k,l} Z) for arbitrary complex Z, returned as an (L, d) array.
+    """tr(F_{k,l} Z) for Hermitian Z, returned as a real (L, d) array.
 
     ``blocks`` is _offset_blocks of the masks, which may be any raw batch.
-    With s[m, l] = (E_m z_m)[l], tr(F_{k,l} Z) = sum_m omega^{mk} s[m, l].
+    With s[m, l] = (E_m z_m)[l], tr(F_{k,l} Z) = sum_m omega^{mk} s[m, l],
+    and s[d-m] = conj(s[m]), so the h = d//2 + 1 contracted offsets are the
+    half spectrum of one real inverse FFT.
     """
-    d = Z.shape[0]
-    s = _contract(blocks, np.asarray(Z, dtype=complex)[_offset_index(d)])
-    return np.roll(np.fft.ifft(s, axis=0, norm="forward"), -1, axis=0).T
+    s = _contract(blocks, _half_offsets(np.asarray(Z, dtype=complex)))
+    return np.roll(np.fft.irfft(s, n=Z.shape[0], axis=0, norm="forward"), -1, axis=0).T
 
 
 @lru_cache(maxsize=None)
@@ -550,6 +565,16 @@ def _mirror_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     for part in (idx, mirror):
         part.setflags(write=False)
     return idx, mirror
+
+
+def _mirror_fill(half: np.ndarray) -> np.ndarray:
+    """The Hermitian (..., d, d) matrices whose offset vectors 0..d//2 are
+    ``half`` (..., d//2 + 1, d), Hermitian entry for entry (``_mirror_index``)."""
+    *batch, _, d = half.shape
+    idx, mirror = _mirror_index(d)
+    out = half.reshape(*batch, -1)[..., idx]
+    np.conjugate(out, out=out, where=mirror)
+    return out.reshape(*batch, d, d)
 
 
 @lru_cache(maxsize=None)
@@ -574,21 +599,16 @@ def _apply_A_adjoint_any(blocks: np.ndarray, C: np.ndarray) -> np.ndarray:
     gives t_{d-m} = conj(t_m), and with E_{d-m}[l, a+m] = E_m[l, a] offset
     d - m is the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset m.  So only
     offsets m = 0..d//2 are transformed, d t_m = C @ W[m] (``_dft_matrix``)
-    as one real product, and contracted with the leading d//2 + 1 rows of
-    ``blocks`` (a ``half`` stack of ``_offset_blocks`` will do); the rest is
-    the gather of ``_mirror_index``.
+    as one real product, and contracted with the half stack ``blocks``; the
+    rest is the gather of ``_mirror_fill``.
     """
     L, d = C.shape
     h = d // 2 + 1
     rows = _dft_matrix(d)[:h]
     # rows 2m and 2m + 1 of t2 are the real and imaginary parts of d t_m
     t2 = np.concatenate([rows.real, rows.imag], axis=1).reshape(2 * h, d) @ C.T
-    parts = t2.reshape(h, 2, L) @ blocks[:h]  # Re and Im of d E_m^T t_m
-    half = parts[:, 0] + 1j * parts[:, 1]
-    idx, mirror = _mirror_index(d)
-    out = half.ravel()[idx]
-    np.conjugate(out, out=out, where=mirror)
-    return out.reshape(d, d)
+    parts = t2.reshape(h, 2, L) @ blocks  # Re and Im of d E_m^T t_m
+    return _mirror_fill(parts[:, 0] + 1j * parts[:, 1])
 
 
 def _apply_A_rank2(epsilon: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -632,7 +652,7 @@ def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
     Z = as_hermitian(Z)
     if Z.shape[0] != frame.d:
         raise ValueError(f"matrix dimension {Z.shape[0]} != frame dimension {frame.d}")
-    return _apply_A_any(frame.blocks, Z).real.reshape(-1)
+    return _apply_A_any(frame.blocks, Z).reshape(-1)
 
 
 def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
@@ -686,9 +706,9 @@ def apply_R_truncated(
     if frame.L == 0:
         return np.zeros_like(Z), 0
     dist = frame.distribution
-    anchor_vals = _apply_A_any(frame.blocks, anchor_Z).real
+    anchor_vals = _apply_A_any(frame.blocks, anchor_Z)
     keep = _truncate(anchor_vals, float(np.linalg.norm(anchor_Z)), dist.b, gamma)
-    coeffs = _apply_A_any(frame.blocks, Z).real * keep
+    coeffs = _apply_A_any(frame.blocks, Z) * keep
     scale = 1.0 / (dist.nu**2 * frame.d * frame.L)
     out = _apply_A_adjoint_any(frame.blocks, coeffs) * scale
     return out, int(keep.size - keep.sum())

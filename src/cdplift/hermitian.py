@@ -79,7 +79,11 @@ def norm(Z, kind: str) -> float:
         The requested norm.  For Hermitian input these satisfy
         ``operator <= frobenius <= trace <= sqrt(rank) * frobenius``.
     """
-    Z = as_hermitian(Z)
+    return _norm(as_hermitian(Z), kind)
+
+
+def _norm(Z: np.ndarray, kind: str) -> float:
+    """``norm`` of an already validated Hermitian ``Z``."""
     if kind == "frobenius":
         # no eigendecomposition needed: ||Z||_2^2 = sum |Z_ij|^2
         return float(np.linalg.norm(Z))

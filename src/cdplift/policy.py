@@ -4,9 +4,10 @@ Every module draws its default tolerances from :data:`POLICY` so there is a
 single tuning point.  The individual fields exist because different contracts
 pin different accuracies (moment identities are checked to 1e-12, adjoint
 pairings to 1e-9 relative, etc.).  The option dataclasses share the integer
-checks below.
+and level checks below.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,6 +40,13 @@ def _check_count(key: str, value) -> None:
     """ValueError naming ``key`` unless ``value`` is an integer >= 1."""
     if not _is_int(value) or value < 1:
         raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def _check_level(key: str, value) -> None:
+    """ValueError naming ``key`` unless ``value`` is a finite real number >= 0."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{key} must be a finite real number >= 0, got {value!r}")
 
 
 def _check_counts(options, *keys) -> None:

@@ -16,14 +16,23 @@ trace weight ``rho = sum(y) / (nu d^2 L)`` comes from the data: it estimates
 The affine projection is exact: in the offset-block form of ``A`` (see
 ``cdplift.diffraction``) the constraints split into one small real system per
 offset, and the Frobenius norm splits the same way, so the projection is a
-least-squares correction per block, factored once per solve.  A block with at
-least d rows whose Gram matrix shows kappa_2 <= 1e3 (almost every block when
-L >= d) is solved by its normal equations, which then lose at most about
-1e6 eps, and has no null space; every other block keeps a pseudo-inverse from
-the SVD.  The data residual of each PSD iterate comes from the same blocks, so
-neither step needs ``A`` in dense form, nor a call of the public forward map.
-A solve converges when the PSD iterate W meets both ``||W - X||_F <= tol
-||W||_F`` and a relative data residual ``<= tol``, with tol = 1e-7.
+least-squares correction per block, factored once per solve.  Every iterate
+is Hermitian and y is real, so offset d - m's system is the conjugate mirror
+of offset m's: only the blocks of offsets 0..d//2 are factored and projected,
+and the other offsets are filled by the mirror, which keeps the projection
+Hermitian entry for entry.  A block with at least d rows whose Gram matrix
+shows kappa_2 <= 1e3 (almost every block when L >= d) is solved by its normal
+equations, which then lose at most about 1e6 eps, and has no null space; every
+other block keeps a pseudo-inverse from the SVD.  The data residual of each
+PSD iterate comes from the same blocks, so neither step needs ``A`` in dense
+form, nor a call of the public forward map.
+
+When no block has a null space, A is injective on Hermitian matrices and the
+affine set is one point X0.  Then V = X0 - rho Id is the fixed point of the
+loop for consistent data, and the loop starts there: its first sweep tests
+X0 itself.  Otherwise it starts at V = 0.  A solve converges when the PSD
+iterate W meets both ``||W - X||_F <= tol ||W||_F`` and a relative data
+residual ``<= tol``, with tol = 1e-7.
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffraction import MeasurementFrame, MeasurementVector, apply_A
-from .diffraction import _contract, _offset_index, _per_offset
+from .diffraction import _contract, _half_offsets, _mirror_fill, _per_offset
 from .hermitian import as_hermitian, psd_project
-from .policy import _check_counts
+from .policy import _check_counts, _check_level
 
 __all__ = [
     "SolverConfig",
@@ -54,8 +63,9 @@ class SolverConfig:
     """Knobs for solve_phaselift.
 
     ``mode`` is "feasibility" or "trace_min"; a solve stops after
-    ``max_iterations`` sweeps if it has not converged.  ``trace_target`` (y0)
-    is mandatory in feasibility mode and unused in trace_min mode.
+    ``max_iterations`` sweeps if it has not converged.  ``trace_target`` (y0
+    = ||x||^2, a finite real number >= 0) is mandatory in feasibility mode and
+    unused in trace_min mode.
     """
 
     mode: str = "feasibility"
@@ -68,6 +78,8 @@ class SolverConfig:
         _check_counts(self, "max_iterations")
         if self.mode == "feasibility" and self.trace_target is None:
             raise ValueError("feasibility mode requires trace_target (= y0)")
+        if self.trace_target is not None:
+            _check_level("trace_target", self.trace_target)
 
 
 @dataclass
@@ -129,15 +141,20 @@ def _lstsq_factors(E: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _AffineSet:
-    """{A(X) = y}, with tr X = y0 when y0 is given, in offset-block form.
+    """{A(X) = y}, with tr X = y0 when y0 is given, on offsets 0..d//2.
 
     The constraints read E_m z_m = t_m and ||X||_F^2 = sum_m ||z_m||^2, so the
-    nearest point is z_m + E_m^+ (t_m - E_m z_m) for every m; as y and E are
-    real, it is Hermitian.  The trace row [1 ... 1 | y0] joins the m = 0 block
-    scaled by 1/sqrt(d), since ||A(X) - y||^2 = d sum_m ||E_m z_m - t_m||^2:
-    on inconsistent data this gives the least-squares projection.  The other
-    blocks keep their L rows, so each stack goes to _lstsq_factors with its
-    true row count, and with L >= d almost every block takes the Gram path.
+    nearest point is z_m + E_m^+ (t_m - E_m z_m) for every m; for Hermitian X
+    it is Hermitian, offset d - m the mirror of offset m, so the h = d//2 + 1
+    blocks of ``frame.blocks`` are projected and the rest is the gather of
+    ``_mirror_fill``.  Only a block with a null space reads z_m; every other
+    one sets z_m to its shift.  The trace row [1 ... 1 | y0] joins the m = 0
+    block scaled by 1/sqrt(d), since ||A(X) - y||^2 = d sum_m ||E_m z_m -
+    t_m||^2 over all d offsets: on inconsistent data this gives the
+    least-squares projection.  In that sum offsets 0 and d/2 are their own
+    mirrors and every other half offset stands for two.  The other blocks
+    keep their L rows, so each stack goes to _lstsq_factors with its true
+    row count, and with L >= d almost every block takes the Gram path.
     """
 
     def __init__(self, frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None):
@@ -150,19 +167,34 @@ class _AffineSet:
             t0 = np.append(t[0], y0 / np.sqrt(d))[None]
             parts = _lstsq_factors(E0, t0), _lstsq_factors(E[1:], t[1:])
             keep, shift = (np.concatenate(p) for p in zip(*parts))
-        self._keep, self._shift = keep, shift
-        self._E, self._t, self._y0, self._d = E, t, y0, d
-        self._idx = _offset_index(d)
+        self._null = np.flatnonzero(keep.any(axis=(1, 2)))  # blocks with a null space
+        self._keep, self._shift = keep[self._null], shift
+        weights = np.full(len(E), 2.0 * d)
+        weights[0] = d
+        if d % 2 == 0:
+            weights[-1] = d  # offset d/2 is its own mirror
+        self._weights = weights
+        self._E, self._t, self._y0 = E, t, y0
+
+    @property
+    def is_point(self) -> bool:
+        """Whether no block has a null space: A is then injective on Hermitian
+        matrices, and the set (the least-squares one on inconsistent data) is
+        the one point ``project(0)``."""
+        return not self._null.size
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty_like(X)
-        out[self._idx] = (self._keep @ X[self._idx][..., None])[..., 0] + self._shift
-        return out
+        half = self._shift
+        if self._null.size:
+            z = _half_offsets(X)[self._null]
+            half = half.copy()
+            half[self._null] += (self._keep @ z[..., None])[..., 0]
+        return _mirror_fill(half)
 
     def residual(self, X: np.ndarray) -> float:
         """||A(X) - y|| (with the trace row: ||(A(X), tr X) - (y, y0)||)."""
-        r = _contract(self._E, X[self._idx]) - self._t
-        res2 = self._d * np.vdot(r, r).real
+        r = _contract(self._E, _half_offsets(X)) - self._t
+        res2 = self._weights @ (r.real**2 + r.imag**2).sum(axis=1)
         if self._y0 is not None:
             res2 += abs(np.trace(X) - self._y0) ** 2
         return float(np.sqrt(res2))
@@ -190,7 +222,9 @@ def solve_phaselift(
     shift = rho * np.eye(d)
 
     V = np.zeros((d, d), dtype=complex)
-    bnorm = max(aff.residual(V), 1e-300)  # the residual of 0 is ||(y, y0)||
+    if aff.is_point:  # V = X0 - rho Id, the fixed point for consistent data
+        V = aff.project(V) - shift
+    bnorm = max(float(np.hypot(np.linalg.norm(y_flat), target or 0.0)), 1e-300)
     history = []
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):

@@ -33,7 +33,6 @@ from cdplift.diffraction import (
     _draw_entries,
     _offset_blocks,
     _offset_gram,
-    _offset_gram_by_shift,
     _offset_index,
 )
 from cdplift.hermitian import TangentSpace
@@ -43,6 +42,7 @@ from util import (
     dense_apply_A_adjoint,
     dense_frame_element,
     offset_blocks_two_array,
+    offset_gram_every_product,
     random_hermitian,
     support_gaps_3d,
     unit_signal,
@@ -345,6 +345,14 @@ def test_measurement_vector_rejects_non_finite_y0(bad):
         MeasurementVector(y=np.ones((1, 2)), y0=bad)
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, -np.inf, "1.0", 1.0 + 0j, True])
+def test_measurement_vector_rejects_negative_or_non_real_y0(bad):
+    # y0 = ||x||^2: a finite real number >= 0
+    with pytest.raises(ValueError, match="y0"):
+        MeasurementVector(y=np.ones((1, 2)), y0=bad)
+    assert MeasurementVector(y=np.ones((1, 2)), y0=0.0).y0 == 0.0
+
+
 def test_measurement_csv_missing_row_rejected(tmp_path):
     path = tmp_path / "y.csv"
     path.write_text("l,k,y\n1,1,0.5\n2,2,1.0\n")
@@ -605,9 +613,16 @@ def test_offset_blocks_match_two_array_form(pairs, d, L, order):
     eps = np.array(masks.epsilon[:L], order=order)  # writable, so a write would show
     before = eps.copy()
     if pairs == "difference":
+        # offsets 0..d//2 are built; every other offset d - m of the full
+        # two-array stack is the mirror E_{d-m}[l, a+m] = E_m[l, a] of one
+        h = d // 2 + 1
         blocks = _offset_blocks(eps)
-        assert blocks.shape == (d, L, d)
-        assert np.array_equal(blocks, offset_blocks_two_array(eps))
+        full = offset_blocks_two_array(eps)
+        assert blocks.shape == (h, L, d)
+        assert np.array_equal(blocks, full[:h])
+        a = np.arange(d)
+        for m in range(1, d):
+            assert np.array_equal(full[d - m][:, (a + m) % d], full[m])
     else:
         partner = _sum_partners(d)
         weights = np.random.default_rng(d + L).random(L)
@@ -638,12 +653,11 @@ def test_offset_blocks_build_in_one_buffer():
 @example(L=0, seed=0, law="five-point")
 def test_offset_gram_by_shift_matches_every_product(d, L, seed, law):
     # offsets past d/2 gathered by H_{-m}[a+m, b+m] = H_m[a, b] equal the
-    # product E_m^T E_m that _offset_gram forms for every offset
+    # product E_m^T E_m of every offset's own two-array block
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
     eps = sample_masks(dist, d, max(L, 1), seed=seed).epsilon[:L]
-    blocks = _offset_blocks(eps)
-    expected = _offset_gram(blocks)
-    shifted = _offset_gram_by_shift(blocks)
+    expected = offset_gram_every_product(eps)
+    shifted = _offset_gram(_offset_blocks(eps))
     assert shifted.shape == expected.shape == (d, d, d)
     scale = max(float(np.abs(expected).max(initial=0.0)), 1.0)
     assert np.max(np.abs(shifted - expected), initial=0.0) <= 1e-12 * scale
@@ -750,7 +764,8 @@ def test_A_star_A_maps_each_offset_to_itself(parity, m, seed, h, L, law):
     # there: d H_m z_m on offset m, its mirror on offset d - m
     d = 2 * h + parity
     m %= d
-    blocks = _offset_blocks(_frame(seed, d, L, law).masks.epsilon)
+    eps = _frame(seed, d, L, law).masks.epsilon
+    blocks = _offset_blocks(eps)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     a = np.arange(d)
@@ -758,12 +773,12 @@ def test_A_star_A_maps_each_offset_to_itself(parity, m, seed, h, L, law):
     W[a, (a + m) % d] = z
     Z = W + W.conj().T
     coeffs = _apply_A_any(blocks, Z)
-    assert np.allclose(coeffs.imag, 0.0, atol=1e-10)
-    out = _apply_A_adjoint_any(blocks, coeffs.real)
+    assert np.allclose(coeffs.reshape(-1), dense_apply_A(eps, Z), atol=1e-10)
+    out = _apply_A_adjoint_any(blocks, coeffs)
     on_offsets = np.zeros((d, d), dtype=bool)
     on_offsets[a, (a + m) % d] = on_offsets[(a + m) % d, a] = True
     assert np.allclose(out[~on_offsets], 0.0, atol=1e-10)
-    H = _offset_gram(blocks)
+    H = offset_gram_every_product(eps)
     expected = d * H[m] @ Z[a, (a + m) % d]
     assert np.allclose(out[a, (a + m) % d], expected, atol=1e-10)
     assert np.allclose(out[(a + m) % d, a], expected.conj(), atol=1e-10)
@@ -778,7 +793,7 @@ def test_forward_energy_is_the_offset_gram_form(parity, seed, h, L, law):
     frame = _frame(seed, d, L, law)
     Z = random_hermitian(np.random.default_rng(seed), d)
     z = Z[_offset_index(d)]
-    H = _offset_gram(frame.blocks)
+    H = offset_gram_every_product(frame.masks.epsilon)
     gram_form = d * np.einsum("ma,mab,mb->", z.conj(), H, z)
     energy = float(np.sum(apply_A(frame, Z) ** 2))
     assert gram_form.real == pytest.approx(energy, rel=1e-10)
@@ -802,33 +817,49 @@ def test_adjoint_and_gram_outputs_are_hermitian_property(parity, seed, h, L, law
     for out in (apply_A_adjoint(frame, c), apply_R(frame, Z)):
         assert np.array_equal(out, out.conj().T)
     coeffs = _apply_A_any(frame.blocks, Z)
-    assert np.allclose(coeffs.imag, 0.0, atol=1e-10)
-    for C in (c.reshape(L, d), coeffs.real):
+    assert np.isrealobj(coeffs)
+    for C in (c.reshape(L, d), coeffs):
         raw = _apply_A_adjoint_any(frame.blocks, C)
         expected = dense_apply_A_adjoint(frame.masks.epsilon, C.reshape(-1))
         assert np.allclose(raw, expected, atol=1e-10 * max(1.0, np.abs(expected).max()))
 
 
 # ---------------------------------------------------------------------------
-# the golfing kernels: half-offset adjoint, rank-2 forward values
+# the half-offset kernels and the rank-2 forward values
 
 
 @pytest.mark.parametrize("law", ["ternary", "five-point"])
 @pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 15])
 def test_half_adjoint_matches_dense_oracle(d, law):
     # offsets 0..d//2 contracted, the rest mirrored; at even d the offset d/2
-    # is its own mirror.  A half stack of blocks gives the same matrix.
+    # is its own mirror
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
     L = 7
     eps = sample_masks(dist, d, L, seed=40 + d).epsilon
     C = np.random.default_rng(d).standard_normal((L, d))
     expected = dense_apply_A_adjoint(eps, C.reshape(-1))
-    full = _apply_A_adjoint_any(_offset_blocks(eps), C)
-    half = _apply_A_adjoint_any(_offset_blocks(eps, half=True), C)
-    assert _offset_blocks(eps, half=True).shape == (d // 2 + 1, L, d)
-    assert np.allclose(full, expected, atol=1e-12 * max(1.0, np.abs(expected).max()))
-    assert np.array_equal(half, full)
-    assert np.array_equal(full, full.conj().T)
+    blocks = _offset_blocks(eps)
+    assert blocks.shape == (d // 2 + 1, L, d)
+    half = _apply_A_adjoint_any(blocks, C)
+    assert np.allclose(half, expected, atol=1e-12 * max(1.0, np.abs(expected).max()))
+    assert np.array_equal(half, half.conj().T)
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 15])
+def test_half_forward_matches_dense_oracle(d, law):
+    # offsets 0..d//2 contracted and summed with their mirrors by one real
+    # inverse FFT: real values, the dense tr(F_{k,l} Z) in apply_A's order
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    L = 7
+    masks = sample_masks(dist, d, L, seed=45 + d)
+    Z = random_hermitian(np.random.default_rng(d + 1), d)
+    expected = dense_apply_A(masks.epsilon, Z)
+    vals = _apply_A_any(_offset_blocks(masks.epsilon), Z)
+    assert vals.shape == (L, d) and np.isrealobj(vals)
+    scale = max(1.0, np.abs(expected).max())
+    assert np.allclose(vals.reshape(-1), expected, atol=1e-12 * scale)
+    assert np.array_equal(apply_A(MeasurementFrame(masks), Z), vals.reshape(-1))
 
 
 @pytest.mark.parametrize("law", ["ternary", "five-point"])
@@ -859,7 +890,7 @@ def test_rank2_forward_of_a_tangent_element_read_off_Q(d):
     Q = TangentSpace(x).project(random_hermitian(rng, d))
     z = Q @ x - 0.5 * np.vdot(x, Q @ x).real * x
     assert np.allclose(np.outer(x, z.conj()) + np.outer(z, x.conj()), Q, atol=1e-14)
-    expected = _apply_A_any(_offset_blocks(eps), Q).real
+    expected = _apply_A_any(_offset_blocks(eps), Q)
     assert np.allclose(_apply_A_rank2(eps, x, z), expected, atol=1e-12)
 
 

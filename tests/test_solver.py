@@ -19,7 +19,12 @@ from cdplift.solver import (
     solve_phaselift,
     verify_feasibility,
 )
-from util import dense_affine_projection, random_hermitian, unit_signal
+from util import (
+    dense_affine_projection,
+    random_hermitian,
+    reference_douglas_rachford,
+    unit_signal,
+)
 
 
 def make_instance(d, L, seed):
@@ -38,6 +43,16 @@ def test_config_validation():
         with pytest.raises(ValueError, match="max_iterations"):
             SolverConfig(mode="trace_min", max_iterations=bad)
     assert SolverConfig(mode="trace_min", max_iterations=np.int64(3)).max_iterations == 3
+
+
+@pytest.mark.parametrize("mode", ["feasibility", "trace_min"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, "1.0", 1.0 + 0j, True])
+def test_config_rejects_a_bad_trace_target(mode, bad):
+    # trace_target is y0 = ||x||^2: a finite real number >= 0, or None
+    with pytest.raises(ValueError, match="trace_target"):
+        SolverConfig(mode=mode, trace_target=bad)
+    for good in (0.0, 2, np.float64(1.5)):
+        assert SolverConfig(mode=mode, trace_target=good).trace_target == good
 
 
 @pytest.mark.parametrize("d, L", [(5, 20), (6, 24)])
@@ -234,20 +249,20 @@ def test_noisy_intensities_give_a_stable_estimate(mode, L, sigma):
     assert phase_aligned_distance(x, x_hat) <= 5 * sigma
 
 
-# Which offsets take the Gram path of _lstsq_factors, by case: tall
-# well-conditioned blocks; a position masked to 0 in every mask (a zero column
-# in every block but the one the trace row joins); even d (offset d/2 has
-# equal columns); wide blocks; and d = 7, L = 6, where only the trace row
-# makes block 0 square.
+# Which of the offsets 0..d//2 take the Gram path of _lstsq_factors, by case:
+# tall well-conditioned blocks; a position masked to 0 in every mask (a zero
+# column in every block but the one the trace row joins); even d (offset d/2
+# has equal columns); wide blocks; and d = 7, L = 6, where only the trace row
+# makes block 0 square.  The others are the blocks with a null space.
 @pytest.mark.parametrize(
     "d, L, zero_column, y0, gram_offsets",
     [
-        (15, 30, False, None, range(15)),
-        (15, 30, False, 1.3, range(15)),
+        (15, 30, False, None, range(8)),
+        (15, 30, False, 1.3, range(8)),
         (15, 30, True, None, ()),
         (15, 30, True, 1.3, (0,)),  # the trace row fills column 3 of block 0
-        (6, 24, False, None, (0, 1, 2, 4, 5)),
-        (6, 24, False, 1.3, (0, 1, 2, 4, 5)),
+        (6, 24, False, None, (0, 1, 2)),
+        (6, 24, False, 1.3, (0, 1, 2)),
         (15, 10, False, None, ()),
         (15, 10, False, 1.3, ()),
         (7, 6, False, None, ()),
@@ -266,9 +281,12 @@ def test_every_factorisation_branch_matches_dense_oracle(d, L, zero_column, y0, 
     y_flat = rng.random(L * d)
     X = random_hermitian(rng, d)
     aff = _AffineSet(MeasurementFrame(masks), y_flat, y0)
-    assert list(np.flatnonzero(~aff._keep.any(axis=(1, 2)))) == list(gram_offsets)
+    assert [m for m in range(d // 2 + 1) if m not in aff._null] == list(gram_offsets)
+    assert aff.is_point == (len(gram_offsets) == d // 2 + 1)
     expected = dense_affine_projection(masks.epsilon, y_flat, y0, X)
-    assert np.max(np.abs(aff.project(X) - expected)) <= 1e-10
+    projected = aff.project(X)
+    assert np.max(np.abs(projected - expected)) <= 1e-10
+    assert np.array_equal(projected, projected.conj().T)  # the mirror fill
 
 
 def test_block_beyond_the_condition_gate_takes_the_svd():
@@ -285,3 +303,35 @@ def test_block_beyond_the_condition_gate_takes_the_svd():
     assert np.linalg.norm(shift - expected) <= 1e-10 * np.linalg.norm(expected)
     assert not keep[[0, 2]].any()  # the well-conditioned blocks take the Gram path
     assert np.max(np.abs(keep[1])) <= 1e-10  # full rank: no null space either way
+
+
+# The solver against a Douglas-Rachford loop on dense oracles: the affine
+# projection by least squares over an orthonormal Hermitian basis, the data
+# residual from the dense forward map, and a fixed-point start read off the
+# rank of the dense constraint matrix.  Cases: a point frame in both modes
+# (one sweep from X0 - rho Id), even d (offset d/2 has a null space on the
+# Hermitian matrices), and wide blocks.
+@pytest.mark.parametrize(
+    "d, L, mode, point",
+    [
+        (5, 20, "trace_min", True),
+        (5, 20, "feasibility", True),
+        (6, 24, "trace_min", False),
+        (5, 4, "feasibility", False),
+        (5, 4, "trace_min", False),
+    ],
+)
+def test_solver_follows_the_dense_douglas_rachford_loop(d, L, mode, point):
+    x, frame, y = make_instance(d, L, seed=40 + d + L)
+    y0 = y.y0 if mode == "feasibility" else None
+    cfg = SolverConfig(mode=mode, trace_target=y0, max_iterations=400)
+    res = solve_phaselift(frame, y, cfg)
+    ref = reference_douglas_rachford(frame.masks.epsilon, frame.distribution.nu,
+                                     y.ravel(), y0, cfg.max_iterations)
+    assert ref.point == point
+    assert res.converged and ref.converged
+    assert res.iterations_used == ref.iterations_used
+    if point:
+        assert res.iterations_used == 1
+    scale = np.linalg.norm(ref.X_hat)
+    assert np.linalg.norm(res.X_hat - ref.X_hat) <= 1e-10 * scale

@@ -1,6 +1,7 @@
 """Shared test helpers: random draws and independent dense oracles."""
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from cdplift.diffraction import (
     apply_A,
     dft_vector,
 )
-from cdplift.hermitian import TangentSpace, hermitize, norm
+from cdplift.hermitian import TangentSpace, hermitize, norm, psd_project
 
 
 def unit_signal(rng, d):
@@ -98,27 +99,69 @@ def hermitian_basis(d):
     return basis
 
 
-def dense_affine_projection(eps, y_flat, y0, X):
-    """Frobenius least-squares projection of Hermitian X onto {A(X) = y, tr X = y0}.
+def dense_constraints(eps, y0):
+    """The constraint matrix of {A(X) = y} (with the trace row when y0 is given)
+    in the coordinates of the orthonormal Hermitian basis, and the basis.
 
-    The constraint matrix holds tr(F_{k,l} B) for the dense frame elements
-    (rows in dense_apply_A's order) plus the trace row, in the coordinates of
-    an orthonormal Hermitian basis B; the correction is the minimum-norm
-    least-squares step.  With y0 = None there is no trace row: the projection
-    onto {A(X) = y}.
+    Rows hold tr(F_{k,l} B) for the dense frame elements, in dense_apply_A's
+    order, then tr(B) when y0 is not None.
     """
     L, d = eps.shape
     basis = hermitian_basis(d)
     F = np.array([dense_frame_element(eps[l], k) for l in range(L) for k in range(1, d + 1)])
     M = np.einsum("iab,jba->ij", F, np.array(basis)).real
-    M = np.vstack([M, [np.trace(B).real for B in basis]])
-    if y0 is None:
-        M, b = M[:-1], y_flat
-    else:
-        b = np.append(y_flat, y0)
+    if y0 is not None:
+        M = np.vstack([M, [np.trace(B).real for B in basis]])
+    return M, basis
+
+
+def dense_affine_projection(eps, y_flat, y0, X):
+    """Frobenius least-squares projection of Hermitian X onto {A(X) = y, tr X = y0}.
+
+    The correction is the minimum-norm least-squares step in the coordinates
+    of ``dense_constraints``.  With y0 = None there is no trace row: the
+    projection onto {A(X) = y}.
+    """
+    M, basis = dense_constraints(eps, y0)
+    b = y_flat if y0 is None else np.append(y_flat, y0)
     coords = np.array([np.trace(B.conj().T @ X).real for B in basis])
     step, *_ = np.linalg.lstsq(M, b - M @ coords, rcond=None)
     return sum(c * B for c, B in zip(coords + step, basis))
+
+
+DenseSolve = namedtuple("DenseSolve", "X_hat iterations_used converged point")
+
+
+def reference_douglas_rachford(eps, nu, y_flat, y0, max_iterations, tol=1e-7):
+    """The Douglas-Rachford loop of solve_phaselift on dense oracles.
+
+    X = P_aff(V) by ``dense_affine_projection``, W = psd_project(2X - V -
+    rho Id), V += W - X, with rho = sum(y) / (nu d^2 L); it stops when
+    ||W - X|| <= tol ||W|| and the residual ||(A(W), tr W) - (y, y0)|| from
+    ``dense_apply_A`` is <= tol ||(y, y0)||.  When the constraint matrix has
+    full column rank d^2 the affine set is one point X0, and the loop starts
+    at V = X0 - rho Id, else at V = 0.
+    """
+    L, d = eps.shape
+    rho = float(np.sum(y_flat)) / (nu * d * d * L)
+    shift = rho * np.eye(d)
+    point = np.linalg.matrix_rank(dense_constraints(eps, y0)[0]) == d * d
+    V = np.zeros((d, d), dtype=complex)
+    if point:
+        V = dense_affine_projection(eps, y_flat, y0, V) - shift
+    b = y_flat if y0 is None else np.append(y_flat, y0)
+    for iterations in range(1, max_iterations + 1):
+        X = dense_affine_projection(eps, y_flat, y0, V)
+        W = psd_project(2 * X - V - shift)
+        step = W - X
+        V = V + step
+        r = dense_apply_A(eps, W)
+        if y0 is not None:
+            r = np.append(r, np.trace(W).real)
+        if (np.linalg.norm(r - b) <= tol * np.linalg.norm(b)
+                and np.linalg.norm(step) <= tol * np.linalg.norm(W)):
+            return DenseSolve(W, iterations, True, point)
+    return DenseSolve(W, max_iterations, False, point)
 
 
 def dense_injectivity_lambda_min(eps, nu, x):
@@ -237,7 +280,7 @@ def variance_moments_loop(dist, x, Z, budget=10**6, mc_samples=10**4, seed=0):
     n_terms = 0
     for eps, p in batches:
         blocks = _offset_blocks(eps)
-        coeffs = _apply_A_any(blocks, Z).real
+        coeffs = _apply_A_any(blocks, Z)
         for row in range(eps.shape[0]):
             M = hermitize(
                 _apply_A_adjoint_any(blocks[:, row : row + 1], coeffs[row : row + 1]) * scale
@@ -268,6 +311,13 @@ def offset_blocks_two_array(eps, partner=None):
         partner = (a[:, None] + a[None, :]) % d
     columns = np.ascontiguousarray(eps.T)
     return (columns[partner] * columns).transpose(0, 2, 1)
+
+
+def offset_gram_every_product(eps):
+    """H_m = E_m^T E_m for all d offsets, one product per offset of the full
+    two-array stack: no half stack, no shift gather."""
+    blocks = offset_blocks_two_array(eps)
+    return blocks.transpose(0, 2, 1) @ blocks
 
 
 def lstsq_identity_fold(eps, beta):
