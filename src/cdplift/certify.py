@@ -7,16 +7,16 @@ numerical check on concrete mask realizations:
   and the companion 2-design identity
   (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, both by full enumeration
   of the finite mask distribution, both read off one set of offset Grams
-  H_m = sum p E_m^T E_m of the difference pairs (a, a+m) weighted by the
-  exact probabilities.  Only offsets 0..d//2 are products, accumulated per
-  chunk of masks and per offset as one 2-D product of a pair block with its
-  weighted copy in (d, n) buffers reused across chunks, never as a stack of
-  blocks; the other offsets are a gather by the shift identity
-  H_{-m}[a+m, b+m] = H_m[a, b].  The 2-design's sum-pair Grams are the same
-  H relabeled, G_s[a, b] = H_{(s-a-b) mod d}[a, b];
+  H_m = sum p E_m^T E_m of the difference pairs (a, a+m), m = 0..d//2,
+  weighted by the exact probabilities and accumulated per chunk of masks
+  and per offset as one 2-D product of a pair block with its weighted copy
+  in (d, n) buffers reused across chunks, never as a stack of blocks.  The
+  other offsets, H_{-m}[a+m, b+m] = H_m[a, b], are never formed; the
+  2-design's sum-pair Grams G_s[a, b] = H_{(s-a-b) mod d}[a, b] read them
+  off the half through the shift;
 * the restricted-spectrum injectivity check: 1 + lambda_min(P_T (R - E[R]) P_T)
   must exceed 1/4 for the measurements to separate tangent directions; R
-  enters through the frame's offset Grams E_m^T E_m, one batched product;
+  enters through the frame's half offset Grams, one batched product;
 * truncation-event statistics against the 4 d^{-gamma} tail bound;
 * per-mask variance bounds (30 and 60 times b^8/nu^4), every mask's M(Z)
   built at once from the offset contraction E_m z_m on offsets 0..d//2 and
@@ -52,14 +52,15 @@ from .diffraction import (
     _apply_A_adjoint_any,
     _apply_A_any,
     _apply_A_rank2,
+    _check_truncation,
     _contract,
     _draw_entries,
     _half_offsets,
     _mirror_fill,
+    _mirror_weights,
     _offset_blocks,
     _offset_gram,
     _offset_index,
-    _shift_index,
     _truncate,
     apply_A,  # noqa: F401  (bound here too; the benchmark's tracer wraps every site)
     apply_A_adjoint,
@@ -187,23 +188,17 @@ def _pair_grams(chunks, partner: np.ndarray) -> np.ndarray:
 
 
 def _moment_grams(dist: MaskDistribution, d: int) -> np.ndarray:
-    """The exact offset Grams H_m = sum_n p_n E_m^T E_m, a real (d, d, d) array.
-
-    Every mask realization is enumerated once, with its exact probability
-    p_n.  Only the difference pairs (a, a+m) of offsets 0..d//2 are products
-    (``_pair_grams``); the other offsets follow from the shift identity
-    H_{-m}[a+m, b+m] = H_m[a, b], a gather through ``_shift_index``, which
-    holds mask by mask and so for any law.
-    """
-    half = _pair_grams(_enumerate_masks(dist, d), _offset_index(d)[1][: d // 2 + 1])
-    return half.ravel()[_shift_index(d)]
+    """The exact offset Grams H_m = sum_n p_n E_m^T E_m of offsets m = 0..d//2,
+    a real (d//2 + 1, d, d) array, from one enumeration of every mask
+    realization with its exact probability p_n (``_pair_grams``)."""
+    return _pair_grams(_enumerate_masks(dist, d), _offset_index(d)[1])
 
 
 @lru_cache(maxsize=None)
 def _isotropy_target(d: int) -> np.ndarray:
-    """Z -> Z + tr(Z)*Id on the offsets: I at every offset, plus all ones at
-    offset 0; read-only."""
-    target = np.tile(np.eye(d), (d, 1, 1))
+    """Z -> Z + tr(Z)*Id on offsets 0..d//2: I at every offset, plus all ones
+    at offset 0; read-only."""
+    target = np.tile(np.eye(d), (d // 2 + 1, 1, 1))
     target[0] += 1.0
     target.setflags(write=False)
     return target
@@ -211,11 +206,12 @@ def _isotropy_target(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _relabel_index(d: int) -> np.ndarray:
-    """Flat index with H.ravel()[idx][s, a, b] = H_{(s-a-b) mod d}[a, b] = G_s[a, b];
-    read-only."""
+    """Flat index with H.ravel()[idx][s, a, b] = H_{(s-a-b) mod d}[a, b] = G_s[a, b]
+    for the half Grams H, offset m > d/2 read as H_{d-m}[a+m, b+m]; read-only."""
     a = np.arange(d)
     m = (a[:, None, None] - a[None, :, None] - a) % d
-    idx = (m * d + a[:, None]) * d + a
+    shift = np.where(m > d // 2, m, 0)
+    idx = (np.minimum(m, d - m) * d + (a[:, None] + shift) % d) * d + (a + shift) % d
     idx.setflags(write=False)
     return idx
 
@@ -231,14 +227,14 @@ def _two_design_target(d: int) -> np.ndarray:
 
 
 def _isotropy_deviation(H: np.ndarray, nu: float) -> float:
-    """Max entry of |H_m / nu^2 - target_m| over the offsets (``check_near_isotropy_exact``)."""
-    return float(np.max(np.abs(H / nu**2 - _isotropy_target(H.shape[0]))))
+    """Max entry of |H_m / nu^2 - target_m| over the half (``check_near_isotropy_exact``)."""
+    return float(np.max(np.abs(H / nu**2 - _isotropy_target(H.shape[-1]))))
 
 
 def _two_design_deviation(H: np.ndarray, nu: float) -> float:
     """Max entry of |G_s / nu^2 - (I + SWAP)_s| over s, with G read off H
     (``check_two_design_exact``)."""
-    d = H.shape[0]
+    d = H.shape[-1]
     G = H.ravel()[_relabel_index(d)]
     return float(np.max(np.abs(G / nu**2 - _two_design_target(d))))
 
@@ -249,15 +245,17 @@ def check_near_isotropy_exact(
     """Max entry deviation of the exact E[R] from Z -> Z + tr(Z)*Id.
 
     Enumerates every mask realization once with its exact probability p and
-    reads the offset Grams H_m = sum p E_m^T E_m (``_moment_grams``: offsets
-    0..d//2 are products, the rest a shift gather).  E[R] acts on offset m
-    as H_m over nu^2, and the target acts as I at every offset plus the
-    all-ones matrix at offset 0 (tr(Z) = 1^T z_0, and Id sits on offset 0).
-    Entry (a, i) of offset m is entry (a, a+m) of E[R](E_{i,i+m}) less its
-    target, so the result equals the largest entry deviation of E[R](E_ij)
-    from E_ij + delta_ij * Id over all standard basis matrices.  For odd d
-    the deviation is roundoff-level; even d genuinely breaks the identity
-    and the returned deviation records by how much.  ``d`` and ``budget``
+    reads the offset Grams H_m = sum p E_m^T E_m of offsets 0..d//2
+    (``_moment_grams``).  E[R] acts on offset m as H_m over nu^2, and the
+    target acts as I at every offset plus the all-ones matrix at offset 0
+    (tr(Z) = 1^T z_0, and Id sits on offset 0).  Entry (a, i) of offset m is
+    entry (a, a+m) of E[R](E_{i,i+m}) less its target, so the result equals
+    the largest entry deviation of E[R](E_ij) from E_ij + delta_ij * Id over
+    all standard basis matrices.  Offset d - m shifts offset m's entries,
+    H_{-m}[a+m, b+m] = H_m[a, b], and its target I alike, so the half holds
+    every deviation.  For odd d the deviation is roundoff-level; even d
+    genuinely breaks the identity and the returned deviation records by how
+    much.  ``d`` and ``budget``
     must be integers >= 1, and |support|^d must fit the budget.
     """
     _check_enumeration(dist, d, budget)
@@ -278,8 +276,8 @@ def check_two_design_exact(
     I + SWAP reads delta_ab + [b = s-a mod d].  The same four entries make
     the offset Gram entry H_m[a, b] at m = s-a-b, so G is a relabeling of
     the offset Grams, G_s[a, b] = H_{(s-a-b) mod d}[a, b]: the check
-    enumerates every mask once for H (``_moment_grams``) and reads G off it
-    through one flat index.  ``d`` and ``budget`` are checked as in
+    enumerates every mask once for the half Grams (``_moment_grams``) and
+    reads G off them through one flat index (``_relabel_index``).  ``d`` and ``budget`` are checked as in
     ``check_near_isotropy_exact``.
     """
     _check_enumeration(dist, d, budget)
@@ -313,22 +311,23 @@ def injectivity_spectrum(
 ) -> InjectivityReport:
     """Spectrum of the tangent-restricted deviation operator P_T(R - E[R])P_T.
 
-    In an orthonormal basis B_beta of T the operator's matrix is
+    In an orthonormal basis B_beta = x z_beta* + z_beta x* of T (the z_beta
+    of ``TangentSpace.basis``) the operator's matrix is
     M = <B_alpha, R(B_beta)> - <B_alpha, B_beta> - t_alpha t_beta with
-    t = tr(B): E[R] is taken analytically as Z + tr(Z)*Id (the near-isotropy
-    identity), and only R touches the sampled masks.  R acts on offset m as
-    H_m / (nu^2 L) with the offset Grams H_m = E_m^T E_m, so its part is
-    Re sum_m b_alpha,m^* H_m b_beta,m / (nu^2 L) over the basis elements'
-    offset vectors, from one Gram of the frame's blocks.  The report also
-    carries the worst-case margin of the deterministic upper bound
-    b^4 d ||Z||_2^2 - (1/dL)||A(Z)||^2 over ``probes`` random Hermitian Z,
-    which must never be negative.  By Parseval over the frequencies k,
-    (1/dL)||A(Z)||^2 = (1/L) sum_m z_m^* H_m z_m, so the probes read the same
-    Grams, all in one batched product.  The Grams are built by
-    ``_offset_gram`` from the frame's half stack, the other offsets from the
-    shift identity.  The check that does not go through H is in the tests:
-    the margin is compared with the one from the dL forward values of
-    ``apply_A``.
+    t = tr(B) = 2 Re(z^* x): E[R] is taken analytically as Z + tr(Z)*Id (the
+    near-isotropy identity), and only R touches the sampled masks.  R acts
+    on offset m as H_m / (nu^2 L) with the offset Grams H_m = E_m^T E_m, so
+    the first two terms are one contraction of the offset vectors
+    b_m[a] = x_a conj(z_{a+m}) + z_a conj(x_{a+m}) of the basis elements,
+    Re sum_m w_m b_alpha,m^* (H_m / (nu^2 L) - I) b_beta,m over the half
+    offsets with the weights w of ``_mirror_weights``; no basis matrix is
+    formed.  The report also carries the worst-case margin of the
+    deterministic upper bound b^4 d ||Z||_2^2 - (1/dL)||A(Z)||^2 over
+    ``probes`` random Hermitian Z, which must never be negative.  By Parseval over the frequencies k,
+    (1/dL)||A(Z)||^2 = (1/L) sum_m w_m z_m^* H_m z_m, so the probes read the
+    same half Grams, all in one batched product.  The check that does not go
+    through H is in the tests: the margin is compared with the one from the
+    dL forward values of ``apply_A``.
     """
     if not _is_int(probes) or probes < 0:
         raise ValueError(f"probes must be an integer >= 0, got {probes!r}")
@@ -336,25 +335,27 @@ def injectivity_spectrum(
     d = frame.d
     if tangent.d != d:
         raise ValueError(f"anchor dimension {tangent.d} != frame dimension {d}")
-    basis = tangent.basis()
-    dim = basis.shape[0]
+    x, z = tangent.anchor, tangent.basis().T  # z[a, beta]
     dist = frame.distribution
-    offsets = np.ascontiguousarray(  # offsets[m, a, beta]
-        basis[(slice(None), *_offset_index(d))].transpose(1, 2, 0))
-    H = _offset_gram(frame.blocks)
+    index = _offset_index(d)
+    b = z.conj()[index[1]]  # b[m, a, beta] = B_beta[a, a+m], built in place
+    b *= x[:, None]
+    b += z * x.conj()[index[1]][..., None]
+    parts = np.stack([b.real, b.imag], axis=2)  # real, so the Grams stay real
+    w = _mirror_weights(d)[:, None, None]
+    H = w * _offset_gram(frame.blocks)  # each half Gram stands for its mirror too
     scale = 1.0 / (dist.nu**2 * frame.L) if frame.L else 0.0
-    images = (H @ offsets.view(float)).view(complex)  # on float pairs, so H stays real
-    M = (offsets.conj().transpose(0, 2, 1) @ images).real.sum(axis=0) * scale
-    pairs = basis.reshape(dim, -1).view(float)  # Re<B_alpha, B_beta> = pairs @ pairs.T
-    traces = np.trace(basis, axis1=1, axis2=2).real
-    M -= pairs @ pairs.T + np.outer(traces, traces)
+    K = H * scale - w * np.eye(d)  # R less the identity, offset by offset
+    images = K @ parts.reshape(len(K), d, -1)
+    M = parts.reshape(-1, 2 * d - 1).T @ images.reshape(-1, 2 * d - 1)  # Re sum conj(b) K b
+    traces = 2.0 * (x.conj() @ z).real
+    M -= np.outer(traces, traces)
     M = (M + M.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(M)[0])
 
     draws = np.random.default_rng(seed).standard_normal((probes, 2, d, d))
     Z = hermitize(draws[:, 0] + 1j * draws[:, 1])
-    z = np.ascontiguousarray(Z[(slice(None), *_offset_index(d))].transpose(1, 2, 0))
-    pairs = z.view(float)  # z[m, a, probe] as float pairs
+    pairs = np.ascontiguousarray(Z[(slice(None), *index)].transpose(1, 2, 0)).view(float)
     energy = np.einsum("maj,maj->j", pairs, H @ pairs).reshape(probes, 2).sum(axis=1)
     energy *= 1.0 / frame.L if frame.L else 0.0
     z2 = np.square(np.abs(Z)).sum(axis=(1, 2))
@@ -386,12 +387,8 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     The boundary |tr| == threshold counts as inside the good event (not
     exceeded); in particular Z = 0 never triggers anything.
     """
-    if not gamma >= 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
     Z = as_hermitian(Z)
-    sigma = np.linalg.svd(Z, compute_uv=False)
-    if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
-        raise ValueError("Z must lie in a tangent space (rank <= 2)")
+    _check_truncation("Z", Z, gamma)
     vals = _apply_A_any(frame.blocks, Z)
     keep = _truncate(vals, float(np.linalg.norm(Z)), frame.distribution.b, gamma)
     total = int(keep.size)
@@ -543,15 +540,16 @@ _Schedule = namedtuple("_Schedule", "gamma r w t_first c_first t_later c_later")
 def _schedule(d: int, dist: MaskDistribution) -> _Schedule:
     """The golfing schedule at dimension d for the law's (b, nu).
 
-    Truncation rate gamma = 8 + log2(b^2/nu), r = ceil(log2(d)/2) +
-    ceil(log2(b^2/nu)) + 1 coarse successes within w = 10 r attempts, fine
+    Truncation rate gamma = 8 + log2(b^2/nu) (``truncation_rate``),
+    r = ceil(log2(d)/2) + ceil(log2(b^2/nu)) + 1 coarse successes within
+    w = 10 r attempts, with log2(b^2/nu) read off gamma as gamma - 8, fine
     thresholds t = 1/8 and c = 1/sqrt(2 log d), coarse thresholds
     t = log(d)/4 and c = 1/2.
     """
-    mass_ratio = round(math.log2(dist.b**2 / dist.nu), 12)
-    r = math.ceil(math.log2(d) / 2) + math.ceil(mass_ratio) + 1
+    gamma = truncation_rate(dist)
+    r = math.ceil(math.log2(d) / 2) + math.ceil(gamma - 8.0) + 1
     return _Schedule(
-        gamma=truncation_rate(dist),
+        gamma=gamma,
         r=r,
         w=10 * r,
         t_first=0.125,

@@ -55,15 +55,15 @@ The composition ``A* A`` acts on each offset alone: offset m of
     R(Z)_m = H_m z_m / (nu^2 L).
 
 The second form is Parseval over the frequencies k, with no Gram formed.
-Every second-order quantity of the frame (the tangent-restricted spectrum,
-the probe energies of the injectivity check) is read off these d Grams.  The
+The Grams come in shifted pairs, ``H_{-m}[a+m, b+m] = H_m[a, b]`` (indices
+mod d), so for Hermitian Z the term of offset d - m is the conjugate of
+offset m's.  Only the h Grams H_0..H_{d/2} are formed (``_offset_gram``),
+and a sum over all d offsets is the half sum weighted 1 at offset 0 and at
+the self-mirrored d/2, and 2 elsewhere (``_mirror_weights``).  Every
+second-order quantity of the frame (the tangent-restricted spectrum, the
+probe energies of the injectivity check) is read off these h Grams.  The
 exact enumeration in ``certify`` accumulates their average over every mask
 realization, offset by offset and chunk by chunk, without a block stack.
-
-The Grams come in shifted pairs: ``E_{-m}[l, a+m] = eps_{l,a+m} eps_{l,a} =
-E_m[l, a]``, so ``H_{-m}[a+m, b+m] = H_m[a, b]`` (indices mod d).  The h
-blocks take a product each and the other offsets are a gather
-(``_offset_gram``).
 
 Mask entries are drawn i.i.d. from a finite distribution with the moment
 profile E[eps] = E[eps^3] = 0, E[eps^4] = 2 E[eps^2]^2, |eps| <= b.
@@ -80,7 +80,7 @@ from pathlib import Path
 import numpy as np
 
 from .hermitian import as_hermitian, as_signal
-from .policy import POLICY, _check_level
+from .policy import POLICY, _check_count, _check_level, _is_int
 
 __all__ = [
     "MomentReport",
@@ -314,8 +314,8 @@ def _draw_entries(dist: MaskDistribution, rng: np.random.Generator, shape) -> np
 
 def sample_masks(dist: MaskDistribution, d: int, L: int, seed: int) -> MaskSet:
     """Draw an (L, d) i.i.d. mask set; deterministic for a given seed."""
-    if d < 1 or L < 1:
-        raise ValueError("d and L must be >= 1")
+    _check_count("d", d)
+    _check_count("L", L)
     eps = _draw_entries(dist, np.random.default_rng(seed), (L, d))
     return MaskSet(epsilon=eps, distribution=dist, seed=seed)
 
@@ -428,8 +428,9 @@ def dft_vector(d: int, k: int) -> np.ndarray:
     vector.  Exponents are reduced mod d before exponentiation so entries are
     accurate to a few ulp even for large k*d.
     """
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in 1..{d}, got {k}")
+    _check_count("d", d)
+    if not (_is_int(k) and 1 <= k <= d):
+        raise ValueError(f"k must be an integer in 1..{d}, got {k!r}")
     exponents = (k * np.arange(1, d + 1)) % d
     return np.exp(2j * np.pi * exponents / d)
 
@@ -462,19 +463,28 @@ def measure(x, masks: MaskSet) -> MeasurementVector:
 
 @lru_cache(maxsize=None)
 def _offset_index(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair with Z[idx][m, a] = Z[a, a+m mod d] = z_m[a]; read-only."""
+    """Index pair with Z[idx][m, a] = Z[a, a+m mod d] = z_m[a], m = 0..d//2; read-only."""
     a = np.arange(d)
-    idx = (a[None, :], (a[:, None] + a[None, :]) % d)
+    idx = (a[None, :], (a[: d // 2 + 1, None] + a) % d)
     for part in idx:
         part.setflags(write=False)
     return idx
 
 
+@lru_cache(maxsize=None)
+def _mirror_weights(d: int) -> np.ndarray:
+    """How many of the d offsets each of offsets 0..d//2 stands for in a sum
+    of a mirror-invariant quantity: 1 at offset 0 and at the self-mirrored
+    d/2 of even d, 2 elsewhere; read-only."""
+    m = np.arange(d // 2 + 1)
+    w = np.where(2 * m % d == 0, 1.0, 2.0)  # offset m is its own mirror iff 2m = 0 mod d
+    w.setflags(write=False)
+    return w
+
+
 def _half_offsets(Z: np.ndarray) -> np.ndarray:
     """The offset vectors z_m[a] = Z[a, a+m mod d] of m = 0..d//2, (d//2 + 1, d)."""
-    d = Z.shape[0]
-    rows, cols = _offset_index(d)
-    return Z[rows, cols[: d // 2 + 1]]
+    return Z[_offset_index(Z.shape[0])]
 
 
 def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
@@ -485,39 +495,16 @@ def _offset_blocks(epsilon: np.ndarray) -> np.ndarray:
     a+m is a fresh (offsets, d, L) array, multiplied in place by the
     columns, so ``epsilon`` is never written.
     """
-    d = epsilon.shape[1]
     columns = np.ascontiguousarray(epsilon.T)  # whole-column gathers are cheap
-    product = columns[_offset_index(d)[1][: d // 2 + 1]]
+    product = columns[_offset_index(epsilon.shape[1])[1]]
     product *= columns
     return product.transpose(0, 2, 1)
 
 
-@lru_cache(maxsize=None)
-def _shift_index(d: int) -> np.ndarray:
-    """Flat index with half.ravel()[idx][m, a, b] = H_m[a, b] for the stacked
-    Grams half = H_0..H_{d//2}; read-only.
-
-    Offset m > d/2 reads H_{d-m}[a+m, b+m] (indices mod d).
-    """
-    m = np.arange(d)[:, None, None]
-    a = np.arange(d)
-    shift = np.where(m > d // 2, m, 0)
-    rows = (a[None, :, None] + shift) % d
-    cols = (a[None, None, :] + shift) % d
-    idx = (np.minimum(m, d - m) * d + rows) * d + cols
-    idx.setflags(write=False)
-    return idx
-
-
 def _offset_gram(blocks: np.ndarray) -> np.ndarray:
-    """H_m = E_m^T E_m for every offset m = 0..d-1, a real (d, d, d) array,
-    from the half stack of ``_offset_blocks`` (d is its last axis).
-
-    The h blocks take a product each; the other offsets follow from
-    H_{-m}[a+m, b+m] = H_m[a, b], a gather through ``_shift_index``.
-    """
-    d = blocks.shape[-1]
-    return (blocks.transpose(0, 2, 1) @ blocks).ravel()[_shift_index(d)]
+    """H_m = E_m^T E_m for offsets m = 0..d//2, a real (d//2 + 1, d, d) array,
+    from the half stack of ``_offset_blocks``."""
+    return blocks.transpose(0, 2, 1) @ blocks
 
 
 def _per_offset(C: np.ndarray) -> np.ndarray:
@@ -643,6 +630,16 @@ def _truncate(anchor_vals: np.ndarray, anchor_norm: float, b: float, gamma: floa
     return np.abs(anchor_vals) <= threshold
 
 
+def _check_truncation(name: str, anchor: np.ndarray, gamma) -> None:
+    """ValueError unless ``gamma`` is finite and >= 1 and the Hermitian
+    ``anchor`` has rank <= 2 up to the policy tolerance (lies in a tangent space)."""
+    if not (gamma >= 1 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
+    sigma = np.linalg.svd(anchor, compute_uv=False)
+    if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
+        raise ValueError(f"{name} must have rank <= 2 (lie in a tangent space)")
+
+
 def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
     """Forward lifted map: the real vector (tr(F_{k,l} Z))_{k,l}, length dL.
 
@@ -694,15 +691,11 @@ def apply_R_truncated(
     the boundary counting as inside (kept).  The anchor must lie in a tangent
     space, i.e. have rank <= 2 up to the policy tolerance.
     """
-    if not gamma >= 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
     Z = as_hermitian(Z)
     anchor_Z = as_hermitian(anchor_Z)
+    _check_truncation("anchor matrix", anchor_Z, gamma)
     if Z.shape[0] != frame.d or anchor_Z.shape[0] != frame.d:
         raise ValueError("dimension mismatch with frame")
-    sigma = np.linalg.svd(anchor_Z, compute_uv=False)
-    if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
-        raise ValueError("anchor matrix must have rank <= 2 (lie in a tangent space)")
     if frame.L == 0:
         return np.zeros_like(Z), 0
     dist = frame.distribution

@@ -70,7 +70,7 @@ from .diffraction import (
     ternary_mask_distribution,
 )
 from .hermitian import phase_aligned_distance
-from .policy import _check_counts, _is_int
+from .policy import _check_count, _check_counts, _is_int
 from .solver import _MODES, SolverConfig, extract_signal, solve_phaselift
 
 __all__ = [
@@ -412,8 +412,10 @@ def run_lower_bound(d: int, L: int, trials: int, seed: int) -> float:
     The collision rate of the ``lower_bound`` sweep's cell (d, L) at base
     seed ``seed``; no CSV is written.
     """
-    if d < 2 or L < 1 or trials < 1:
-        raise ValueError("need d >= 2, L >= 1, trials >= 1")
+    for key, value in (("d", d), ("L", L), ("trials", trials)):
+        _check_count(key, value)
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     cfg = ExperimentConfig(experiment="lower_bound", trials=trials, base_seed=seed)
     rows = _trial_rows(cfg, [(d, L)], _collision_trial, _CollisionTrial)
     return sum(r.collision for r in rows) / trials

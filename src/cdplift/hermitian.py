@@ -191,22 +191,21 @@ class TangentSpace:
         return float(np.linalg.norm(Z - self.project(Z))) <= POLICY.rank_rel_tol * scale
 
     def basis(self) -> np.ndarray:
-        """Orthonormal basis of T, shape ``(2d - 1, d, d)``.
+        """Orthonormal basis of T in the rank-2 form, shape ``(2d - 1, d)``.
 
-        Consists of ``x x*`` followed by ``(x u_j* + u_j x*)/sqrt(2)`` and
-        ``i (x u_j* - u_j x*)/sqrt(2)`` over an orthonormal completion
-        ``{u_j}`` of ``x``.
+        Row beta is the vector z_beta of the basis element B_beta = x z_beta*
+        + z_beta x*: z = x/2 (B = x x*), then u_j/sqrt(2) (B = (x u_j* +
+        u_j x*)/sqrt(2)) and -i u_j/sqrt(2) (B = i (x u_j* - u_j x*)/sqrt(2))
+        over an orthonormal completion ``{u_j}`` of ``x``.
         """
         x = self._x
-        d = self.d
         # unitary completion of x: QR of x as a single column, complete mode
         Q, R = np.linalg.qr(x[:, None], mode="complete")
         # first column of Q equals x up to the phase sign in R[0, 0]
         Q = Q * np.sign(R[0, 0]) if R[0, 0] != 0 else Q
-        out = np.empty((2 * d - 1, d, d), dtype=complex)
-        out[0] = np.outer(x, x.conj())
-        xu = x[:, None] * Q[:, 1:].T.conj()[:, None, :]  # xu[j - 1] = x u_j*
-        ux = xu.conj().transpose(0, 2, 1)
-        out[1::2] = (xu + ux) / np.sqrt(2.0)
-        out[2::2] = 1j * (xu - ux) / np.sqrt(2.0)
+        u = Q[:, 1:].T / np.sqrt(2.0)
+        out = np.empty((2 * self.d - 1, self.d), dtype=complex)
+        out[0] = x / 2.0
+        out[1::2] = u
+        out[2::2] = -1j * u
         return out

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffraction import MeasurementFrame, MeasurementVector, apply_A
-from .diffraction import _contract, _half_offsets, _mirror_fill, _per_offset
+from .diffraction import _contract, _half_offsets, _mirror_fill, _mirror_weights, _per_offset
 from .hermitian import as_hermitian, psd_project
 from .policy import _check_counts, _check_level
 
@@ -151,8 +151,8 @@ class _AffineSet:
     one sets z_m to its shift.  The trace row [1 ... 1 | y0] joins the m = 0
     block scaled by 1/sqrt(d), since ||A(X) - y||^2 = d sum_m ||E_m z_m -
     t_m||^2 over all d offsets: on inconsistent data this gives the
-    least-squares projection.  In that sum offsets 0 and d/2 are their own
-    mirrors and every other half offset stands for two.  The other blocks
+    least-squares projection.  The residual reads that sum off the half,
+    weighted by ``_mirror_weights``.  The other blocks
     keep their L rows, so each stack goes to _lstsq_factors with its true
     row count, and with L >= d almost every block takes the Gram path.
     """
@@ -169,11 +169,7 @@ class _AffineSet:
             keep, shift = (np.concatenate(p) for p in zip(*parts))
         self._null = np.flatnonzero(keep.any(axis=(1, 2)))  # blocks with a null space
         self._keep, self._shift = keep[self._null], shift
-        weights = np.full(len(E), 2.0 * d)
-        weights[0] = d
-        if d % 2 == 0:
-            weights[-1] = d  # offset d/2 is its own mirror
-        self._weights = weights
+        self._weights = d * _mirror_weights(d)
         self._E, self._t, self._y0 = E, t, y0
 
     @property
@@ -200,6 +196,14 @@ class _AffineSet:
         return float(np.sqrt(res2))
 
 
+def _check_shape(frame: MeasurementFrame, y: MeasurementVector) -> None:
+    """ValueError unless ``y`` holds one intensity per (mask, frequency) of ``frame``."""
+    if y.y.shape != (frame.L, frame.d):
+        raise ValueError(
+            f"measurement shape {y.y.shape} does not match frame ({frame.L}, {frame.d})"
+        )
+
+
 def solve_phaselift(
     frame: MeasurementFrame, y: MeasurementVector, cfg: SolverConfig
 ) -> SolveResult:
@@ -210,10 +214,7 @@ def solve_phaselift(
     exception; dimension mismatches do raise.  The returned ``X_hat`` is the
     last PSD iterate.
     """
-    if y.y.shape != (frame.L, frame.d):
-        raise ValueError(
-            f"measurement shape {y.y.shape} does not match frame ({frame.L}, {frame.d})"
-        )
+    _check_shape(frame, y)
     y_flat = y.ravel()
     d = frame.d
     target = cfg.trace_target if cfg.mode == "feasibility" else None
@@ -270,7 +271,11 @@ def extract_signal(X_hat) -> tuple[np.ndarray, float]:
 def verify_feasibility(
     frame: MeasurementFrame, y: MeasurementVector, X, y0: float | None = None
 ) -> FeasibilityReport:
-    """Constraint-violation report for a candidate lifted matrix (pure check)."""
+    """Constraint-violation report for a candidate lifted matrix (pure check);
+    ``y`` and ``y0`` are checked as ``solve_phaselift`` and ``SolverConfig`` do."""
+    _check_shape(frame, y)
+    if y0 is not None:
+        _check_level("y0", y0)
     X = as_hermitian(X)
     residual = apply_A(frame, X) - y.ravel()
     max_violation = float(np.max(np.abs(residual))) if residual.size else 0.0

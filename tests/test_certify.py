@@ -360,16 +360,18 @@ def test_exact_checks_enumerate_once_with_half_the_products(check, chunk, d, mon
 @pytest.mark.parametrize("law", ["ternary", "five-point"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_moment_grams_match_two_array_oracle(law, d):
-    # H from half the products and the shift gather is every difference-pair
-    # Gram, and G read off H by the relabeling is every sum-pair Gram, each
-    # from its own two-array blocks over itertools-enumerated masks
+    # H is the difference-pair Grams of offsets 0..d//2, and G read off H by
+    # the relabeling (offsets past d/2 through the shift identity) is every
+    # sum-pair Gram, each from its own two-array blocks over
+    # itertools-enumerated masks
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
     eps, p = itertools_masks(dist, d)
     H = _moment_grams(dist, d)
-    for partner, grams in ((None, H), (_sum_partners(d), H.ravel()[_relabel_index(d)])):
+    G = H.ravel()[_relabel_index(d)]
+    assert H.shape == (d // 2 + 1, d, d) and G.shape == (d, d, d)
+    for partner, grams in ((None, H), (_sum_partners(d), G)):
         blocks = offset_blocks_two_array(eps, partner)
-        expected = np.einsum("jna,n,jnb->jab", blocks, p, blocks)
-        assert grams.shape == (d, d, d)
+        expected = np.einsum("jna,n,jnb->jab", blocks, p, blocks)[: len(grams)]
         assert np.allclose(grams, expected, rtol=1e-13, atol=1e-15)
 
 
@@ -527,8 +529,9 @@ def test_truncation_validates_inputs():
     frame = MeasurementFrame(sample_masks(ternary_mask_distribution(), 5, 3, seed=10))
     with pytest.raises(ValueError):
         truncation_statistics(frame, np.zeros((5, 5)), gamma=0.5)
-    with pytest.raises(ValueError, match="gamma must be >= 1, got nan"):
-        truncation_statistics(frame, np.zeros((5, 5)), gamma=float("nan"))
+    for gamma in ("nan", "inf"):
+        with pytest.raises(ValueError, match=f"gamma must be finite and >= 1, got {gamma}"):
+            truncation_statistics(frame, np.zeros((5, 5)), gamma=float(gamma))
     with pytest.raises(ValueError):
         truncation_statistics(frame, np.eye(5), gamma=1.0)  # rank 5, not tangent
 
@@ -649,10 +652,10 @@ def test_golfing_schedule_from_d_and_law(certificate):
     # r = ceil(log2(d)/2) + ceil(log2(b^2/nu)) + 1 and w = 10 r; b^2/nu is 2
     # for the ternary law and 2.5 for the five-point law
     for dist, gamma, rs in (
-        (ternary_mask_distribution(), 9.0, (3, 4, 5)),
-        (five_point_distribution(), 9.263034405834, (4, 5, 6)),
+        (ternary_mask_distribution(), 9.0, (3, 4, 5, 5)),
+        (five_point_distribution(), 9.263034405834, (4, 5, 6, 6)),
     ):
-        for d, r in zip((3, 15, 31), rs):
+        for d, r in zip((3, 15, 31, 63), rs):
             p = _schedule(d, dist)
             assert p.gamma == pytest.approx(gamma, abs=1e-12)
             assert (p.r, p.w) == (r, 10 * r)

@@ -32,9 +32,11 @@ from cdplift.diffraction import (
     _apply_A_rank2,
     _draw_entries,
     _offset_blocks,
+    _mirror_weights,
     _offset_gram,
     _offset_index,
 )
+from cdplift.experiments import run_lower_bound
 from cdplift.hermitian import TangentSpace
 from cdplift.policy import POLICY
 from util import (
@@ -553,8 +555,9 @@ def test_truncated_R_rejects_bad_inputs():
     anchor = np.outer(x, x.conj())
     with pytest.raises(ValueError):
         apply_R_truncated(frame, anchor, anchor, gamma=0.5)
-    with pytest.raises(ValueError, match="gamma must be >= 1, got nan"):
-        apply_R_truncated(frame, anchor, anchor, gamma=float("nan"))
+    for gamma in ("nan", "inf"):
+        with pytest.raises(ValueError, match=f"gamma must be finite and >= 1, got {gamma}"):
+            apply_R_truncated(frame, anchor, anchor, gamma=float(gamma))
     with pytest.raises(ValueError):  # full-rank anchor is not tangent
         apply_R_truncated(frame, anchor, np.eye(5), gamma=2.0)
 
@@ -652,15 +655,35 @@ def test_offset_blocks_build_in_one_buffer():
 @example(L=0, seed=0, law="ternary")
 @example(L=0, seed=0, law="five-point")
 def test_offset_gram_by_shift_matches_every_product(d, L, seed, law):
-    # offsets past d/2 gathered by H_{-m}[a+m, b+m] = H_m[a, b] equal the
-    # product E_m^T E_m of every offset's own two-array block
+    # the half Grams are the products E_m^T E_m of offsets 0..d//2, and every
+    # offset past d/2 of the two-array oracle is a half Gram shifted by
+    # H_{-m}[a+m, b+m] = H_m[a, b]
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
     eps = sample_masks(dist, d, max(L, 1), seed=seed).epsilon[:L]
     expected = offset_gram_every_product(eps)
-    shifted = _offset_gram(_offset_blocks(eps))
-    assert shifted.shape == expected.shape == (d, d, d)
+    half = _offset_gram(_offset_blocks(eps))
+    h = d // 2 + 1
+    assert half.shape == (h, d, d) and expected.shape == (d, d, d)
     scale = max(float(np.abs(expected).max(initial=0.0)), 1.0)
-    assert np.max(np.abs(shifted - expected), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(half - expected[:h]), initial=0.0) <= 1e-12 * scale
+    for m in range(h, d):
+        shifted = np.roll(expected[d - m], (-m, -m), axis=(0, 1))
+        assert np.max(np.abs(expected[m] - shifted), initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: sample_masks(ternary_mask_distribution(), 5, 2.5, 0), "L"),
+    (lambda: sample_masks(ternary_mask_distribution(), True, 3, 0), "d"),
+    (lambda: run_lower_bound(5, 2.5, 10, 0), "L"),
+    (lambda: run_lower_bound(5, 3, 0, 0), "trials"),
+    (lambda: run_lower_bound(1, 3, 10, 0), "d"),
+    (lambda: dft_vector(5, 1.5), "k"),
+    (lambda: dft_vector(5, 6), "k"),
+    (lambda: dft_vector(5.0, 2), "d"),
+])
+def test_counts_are_integers_named_in_the_error(call, key):
+    with pytest.raises(ValueError, match=rf"^{key} must be"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -788,16 +811,24 @@ def test_A_star_A_maps_each_offset_to_itself(parity, m, seed, h, L, law):
 @settings(max_examples=15, deadline=None)
 @given(**frames)
 def test_forward_energy_is_the_offset_gram_form(parity, seed, h, L, law):
-    # ||A(Z)||^2 = d sum_m z_m^* H_m z_m with z_m[a] = Z[a, a+m], H_m = E_m^T E_m
+    # ||A(Z)||^2 = d sum_m z_m^* H_m z_m with z_m[a] = Z[a, a+m], H_m = E_m^T E_m,
+    # over all d offsets from the oracle, and over the half offsets weighted
+    # by _mirror_weights from the half Grams
     d = 2 * h + parity
     frame = _frame(seed, d, L, law)
     Z = random_hermitian(np.random.default_rng(seed), d)
-    z = Z[_offset_index(d)]
+    a = np.arange(d)
+    z = Z[a, (a[:, None] + a) % d]
     H = offset_gram_every_product(frame.masks.epsilon)
-    gram_form = d * np.einsum("ma,mab,mb->", z.conj(), H, z)
     energy = float(np.sum(apply_A(frame, Z) ** 2))
+    gram_form = d * np.einsum("ma,mab,mb->", z.conj(), H, z)
     assert gram_form.real == pytest.approx(energy, rel=1e-10)
     assert abs(gram_form.imag) <= 1e-10 * energy
+    half = Z[_offset_index(d)]
+    assert np.array_equal(half, z[: h + 1])
+    terms = np.einsum("ma,mab,mb->m", half.conj(), _offset_gram(frame.blocks), half)
+    assert np.max(np.abs(terms.imag), initial=0.0) <= 1e-10 * energy
+    assert d * _mirror_weights(d) @ terms.real == pytest.approx(energy, rel=1e-10)
 
 
 

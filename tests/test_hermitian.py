@@ -101,8 +101,10 @@ def test_projection_dimension_is_2d_minus_1():
         x = unit_signal(rng, d)
         T = TangentSpace(x)
         assert T.dim == 2 * d - 1
-        B = T.basis()
-        assert B.shape == (2 * d - 1, d, d)
+        z = T.basis()
+        assert z.shape == (2 * d - 1, d)
+        # row beta is z_beta of the basis element B_beta = x z_beta* + z_beta x*
+        B = x[:, None] * z.conj()[:, None, :] + z[:, :, None] * x.conj()
         gram = np.einsum("aij,bij->ab", B.conj(), B)
         assert np.allclose(gram, np.eye(2 * d - 1), atol=1e-10)
         # every basis element is a fixed point of the projector

@@ -174,12 +174,21 @@ def test_extract_signal_edge_cases():
 
 
 def test_solve_phaselift_shape_checks():
+    # the solver and the feasibility audit share one shape check and message
     _, frame, y = make_instance(4, 3, seed=8)
-    from cdplift.diffraction import MeasurementVector
+    for shape in ((3, 5), (2, 4)):
+        bad = MeasurementVector(y=np.ones(shape), y0=1.0)
+        with pytest.raises(ValueError, match=r"measurement shape .* does not match frame"):
+            solve_phaselift(frame, bad, SolverConfig(mode="feasibility", trace_target=1.0))
+        with pytest.raises(ValueError, match=r"measurement shape .* does not match frame"):
+            verify_feasibility(frame, bad, np.eye(4), y0=1.0)
 
-    bad = MeasurementVector(y=np.ones((3, 5)), y0=1.0)
-    with pytest.raises(ValueError):
-        solve_phaselift(frame, bad, SolverConfig(mode="feasibility", trace_target=1.0))
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, "1.0", 1.0 + 0j, True])
+def test_verify_feasibility_rejects_a_bad_y0(bad):
+    _, frame, y = make_instance(4, 3, seed=8)
+    with pytest.raises(ValueError, match="y0"):
+        verify_feasibility(frame, y, np.eye(4), y0=bad)
 
 
 @pytest.mark.parametrize("d, L", [(5, 3), (5, 8), (6, 4), (6, 9)])
