@@ -93,8 +93,8 @@ __all__ = [
     "verify_feasibility",
 ]
 
-# The experiment harness (yaml, csv, a thread pool) loads on first use, so a
-# process that only solves or certifies does not pay for it (PEP 562).
+# The experiment harness (yaml, csv) loads on first use, so a process that
+# only solves or certifies does not pay for it (PEP 562).
 _LAZY = {"ExperimentConfig", "run_experiment", "run_lower_bound"}
 
 

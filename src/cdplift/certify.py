@@ -67,7 +67,7 @@ from .diffraction import (
     truncation_rate,
 )
 from .hermitian import TangentSpace, _norm, as_hermitian, as_signal, hermitize, norm
-from .policy import POLICY, _check_count, _check_counts, _is_int
+from .policy import POLICY, _check_count, _check_counts, _check_seed, _is_int
 
 __all__ = [
     "InjectivityReport",
@@ -141,14 +141,13 @@ def _enumerate_masks(dist: MaskDistribution, d: int):
         yield eps, prob_view
 
 
-def _check_enumeration(dist: MaskDistribution, d: int, budget: int) -> None:
-    """ValueError unless d and budget are integers >= 1 and |support|^d fits."""
+def _check_enumeration(dist: MaskDistribution, d: int) -> None:
+    """ValueError unless d is an integer >= 1 and |support|^d fits the budget."""
     _check_count("d", d)
-    _check_count("budget", budget)
     total = len(dist.support) ** d
-    if total > budget:
+    if total > _ENUMERATION_BUDGET:
         raise ValueError(
-            f"enumeration of {total} mask realizations exceeds budget {budget}"
+            f"enumeration of {total} mask realizations exceeds budget {_ENUMERATION_BUDGET}"
         )
 
 
@@ -239,9 +238,7 @@ def _two_design_deviation(H: np.ndarray, nu: float) -> float:
     return float(np.max(np.abs(G / nu**2 - _two_design_target(d))))
 
 
-def check_near_isotropy_exact(
-    dist: MaskDistribution, d: int, budget: int = _ENUMERATION_BUDGET
-) -> float:
+def check_near_isotropy_exact(dist: MaskDistribution, d: int) -> float:
     """Max entry deviation of the exact E[R] from Z -> Z + tr(Z)*Id.
 
     Enumerates every mask realization once with its exact probability p and
@@ -255,16 +252,14 @@ def check_near_isotropy_exact(
     H_{-m}[a+m, b+m] = H_m[a, b], and its target I alike, so the half holds
     every deviation.  For odd d the deviation is roundoff-level; even d
     genuinely breaks the identity and the returned deviation records by how
-    much.  ``d`` and ``budget``
-    must be integers >= 1, and |support|^d must fit the budget.
+    much.  ``d`` must be an integer >= 1, and |support|^d must fit the
+    enumeration budget of 10^6 mask realizations.
     """
-    _check_enumeration(dist, d, budget)
+    _check_enumeration(dist, d)
     return _isotropy_deviation(_moment_grams(dist, d), dist.nu)
 
 
-def check_two_design_exact(
-    dist: MaskDistribution, d: int, budget: int = _ENUMERATION_BUDGET
-) -> float:
+def check_two_design_exact(dist: MaskDistribution, d: int) -> float:
     """Max entry deviation of (1/nu^2 d) sum_k E[F_k tensor F_k] from 2 P_sym.
 
     With u = D f_k, entry ((a,c),(b,e)) of the left side is
@@ -277,10 +272,10 @@ def check_two_design_exact(
     the offset Gram entry H_m[a, b] at m = s-a-b, so G is a relabeling of
     the offset Grams, G_s[a, b] = H_{(s-a-b) mod d}[a, b]: the check
     enumerates every mask once for the half Grams (``_moment_grams``) and
-    reads G off them through one flat index (``_relabel_index``).  ``d`` and ``budget`` are checked as in
-    ``check_near_isotropy_exact``.
+    reads G off them through one flat index (``_relabel_index``).  ``d`` is
+    checked as in ``check_near_isotropy_exact``.
     """
-    _check_enumeration(dist, d, budget)
+    _check_enumeration(dist, d)
     return _two_design_deviation(_moment_grams(dist, d), dist.nu)
 
 
@@ -331,6 +326,7 @@ def injectivity_spectrum(
     """
     if not _is_int(probes) or probes < 0:
         raise ValueError(f"probes must be an integer >= 0, got {probes!r}")
+    _check_seed(seed)
     tangent = TangentSpace(x)
     d = frame.d
     if tangent.d != d:
@@ -439,6 +435,7 @@ def variance_bound_check(
     """
     _check_count("budget", budget)
     _check_count("mc_samples", mc_samples)
+    _check_seed(seed)
     x = as_signal(x)
     tangent = TangentSpace(x)
     Z = as_hermitian(Z)
@@ -643,6 +640,7 @@ def golfing_construct(
     P_T is linear, so P_T(Y) is the running sum of the accepted candidates'
     projections.
     """
+    _check_seed(seed)
     x = as_signal(x)
     d = x.size
     if d < 3 or d % 2 == 0:

@@ -134,7 +134,7 @@ def isotropy_audit_cmd(config, **overrides):
 @main.command("recover")
 @click.option("--d", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--L", "L", type=click.IntRange(min=1), default=30, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["feasibility", "trace_min"]),
               default="feasibility", show_default=True)
 @click.option("--max-iterations", type=click.IntRange(min=1), default=800, show_default=True)
@@ -168,7 +168,7 @@ def recover_cmd(d, L, seed, mode, max_iterations):
 
 @main.command("certify")
 @click.option("--d", type=click.IntRange(min=3), default=15, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--log/--no-log", "show_log", default=False,
               help="Print the golfing construction log.")
 def certify_cmd(d, seed, show_log):

@@ -80,7 +80,7 @@ from pathlib import Path
 import numpy as np
 
 from .hermitian import as_hermitian, as_signal
-from .policy import POLICY, _check_count, _check_level, _is_int
+from .policy import POLICY, _check_count, _check_level, _check_seed, _is_int
 
 __all__ = [
     "MomentReport",
@@ -152,8 +152,9 @@ class MaskDistribution:
     The constructor runs ``validate_moments`` (exact rational arithmetic over
     the binary float values: E[eps] = E[eps^3] = 0 and E[eps^4] =
     2 E[eps^2]^2 within 1e-12, probabilities normalized) and raises on any
-    failed condition; it also checks that all support values are bounded by
-    ``b`` and that the declared variance ``nu`` matches E[eps^2] > 0.
+    failed condition; it also checks that ``b`` and ``nu`` are finite real
+    numbers >= 0, that all support values are bounded by ``b`` and that the
+    declared variance ``nu`` matches E[eps^2] > 0.
     """
 
     support: tuple[float, ...]
@@ -163,6 +164,8 @@ class MaskDistribution:
     name: str = "custom"
 
     def __post_init__(self):
+        _check_level("b", self.b)
+        _check_level("nu", self.nu)
         report = validate_moments(self.support, self.probabilities)
         failed = [name for name, ok in report.conditions.items() if not ok]
         if failed:
@@ -316,6 +319,7 @@ def sample_masks(dist: MaskDistribution, d: int, L: int, seed: int) -> MaskSet:
     """Draw an (L, d) i.i.d. mask set; deterministic for a given seed."""
     _check_count("d", d)
     _check_count("L", L)
+    _check_seed(seed)
     eps = _draw_entries(dist, np.random.default_rng(seed), (L, d))
     return MaskSet(epsilon=eps, distribution=dist, seed=seed)
 
@@ -725,8 +729,8 @@ def crt_relabeling(d1: int, d2: int) -> np.ndarray:
     for the unique n in 1..d1*d2 with n = i (mod d1) and n = j (mod d2).
     Requires gcd(d1, d2) = 1; otherwise no such relabeling exists.
     """
-    if d1 < 1 or d2 < 1:
-        raise ValueError("dimensions must be positive")
+    _check_count("d1", d1)
+    _check_count("d2", d2)
     if math.gcd(d1, d2) != 1:
         raise ValueError(f"dimensions must be coprime, gcd({d1}, {d2}) != 1")
     D = d1 * d2
@@ -740,9 +744,12 @@ def crt_relabeling(d1: int, d2: int) -> np.ndarray:
 
 def crt_frequency(d1: int, d2: int, k: int, l: int) -> int:
     """1-D frequency (in 1..d1*d2) matching the 2-D basis vector f_{k,l}."""
+    _check_count("d1", d1)
+    _check_count("d2", d2)
     if math.gcd(d1, d2) != 1:
         raise ValueError(f"dimensions must be coprime, gcd({d1}, {d2}) != 1")
-    if not (1 <= k <= d1 and 1 <= l <= d2):
-        raise ValueError("frequency indices out of range")
+    for key, value, size in (("k", k, d1), ("l", l, d2)):
+        if not (_is_int(value) and 1 <= value <= size):
+            raise ValueError(f"{key} must be an integer in 1..{size}, got {value!r}")
     m = _crt_combine((k * d2) % d1, d1, (l * d1) % d2, d2)
     return m if m != 0 else d1 * d2

@@ -32,8 +32,8 @@ per-trial rows and ``<kind>_aggregate.csv`` one row per cell, in grid order.
 Determinism contract: identical config and base seed produce byte-identical
 CSV files except for the wall-time column (always the last column).  Trial
 seeds are derived by hashing (d, L, trial) into the base seed, so cells are
-uncorrelated and insensitive to execution order; trials run on a bounded
-thread pool but output rows are always sorted by (cell, trial).
+uncorrelated and insensitive to execution order, and output rows are
+always sorted by (cell, trial).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import math
 import os
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -117,7 +116,6 @@ class ExperimentConfig:
     signal: str = "random"  # or "e1" for the worst-case standard basis signal
     solver_mode: str = "feasibility"
     max_iterations: int = 800
-    workers: int = 1
     golfing_L1: int = GolfingParams.L1
     golfing_L2: int = GolfingParams.L2
     golfing_L_later: int = GolfingParams.L_later
@@ -136,7 +134,7 @@ class ExperimentConfig:
             if repeated:
                 raise ValueError(f"{key} must not repeat a value; repeated {repeated}")
             object.__setattr__(self, key, tuple(map(int, values)))
-        _check_counts(self, "trials", "max_iterations", "workers",
+        _check_counts(self, "trials", "max_iterations",
                       "golfing_L1", "golfing_L2", "golfing_L_later")
         if not _is_int(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
@@ -224,25 +222,16 @@ def _format_cell(v):
     return v
 
 
-def _run_pool(cfg: ExperimentConfig, tasks, worker):
-    """Run ``worker`` over ``tasks`` on a bounded pool; results in task order."""
-    if cfg.workers == 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _trial_rows(cfg: ExperimentConfig, cells, trial, Row) -> list:
     """``Row(*cell, t, *trial(cfg, *cell, t), wall_time)`` for every cell and
-    t < cfg.trials, run on the pool and sorted by (cell, t)."""
-
-    def run(job):
-        t0 = time.perf_counter()
-        values = trial(cfg, *job)
-        return Row(*job, *values, time.perf_counter() - t0)
-
-    tasks = [(*cell, t) for cell in cells for t in range(cfg.trials)]
-    return sorted(_run_pool(cfg, tasks, run), key=lambda r: r[: len(tasks[0])])
+    t < cfg.trials, sorted by (cell, t)."""
+    rows = []
+    for cell in cells:
+        for t in range(cfg.trials):
+            t0 = time.perf_counter()
+            values = trial(cfg, *cell, t)
+            rows.append(Row(*cell, t, *values, time.perf_counter() - t0))
+    return sorted(rows, key=lambda r: r[: len(cells[0]) + 1])
 
 
 def _sweep(cfg, kind, cells, trial, Row, summary, Aggregate) -> ExperimentResult:

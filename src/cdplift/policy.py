@@ -3,8 +3,8 @@
 Every module draws its default tolerances from :data:`POLICY` so there is a
 single tuning point.  The individual fields exist because different contracts
 pin different accuracies (moment identities are checked to 1e-12, adjoint
-pairings to 1e-9 relative, etc.).  The option dataclasses share the integer
-and level checks below.
+pairings to 1e-9 relative, etc.).  The option dataclasses and the samplers
+share the integer, seed and level checks below.
 """
 
 import math
@@ -40,6 +40,12 @@ def _check_count(key: str, value) -> None:
     """ValueError naming ``key`` unless ``value`` is an integer >= 1."""
     if not _is_int(value) or value < 1:
         raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """ValueError unless ``seed`` is an integer >= 0; None (fresh entropy) is refused."""
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _check_level(key: str, value) -> None:

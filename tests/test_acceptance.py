@@ -73,7 +73,6 @@ def recovery_sweep(tmp_path_factory):
         trials=20,
         base_seed=2026,
         max_iterations=800,
-        workers=4,
         out_dir=str(tmp_path_factory.mktemp("sweep")),
     )
     return run_phase_transition(cfg)
@@ -330,7 +329,7 @@ def test_c13_determinism(capsys, tmp_path):
         ))
         pt = run_phase_transition(ExperimentConfig(
             experiment="phase_transition", d_grid=(3,), L_grid=(2, 8), trials=3,
-            base_seed=13, max_iterations=600, workers=2, out_dir=str(base / "pt"),
+            base_seed=13, max_iterations=600, out_dir=str(base / "pt"),
         ))
         paths = [lb.trial_path, lb.aggregate_path, iso.trial_path,
                  pt.trial_path, pt.aggregate_path]

@@ -191,23 +191,22 @@ def test_near_isotropy_matches_dense_enumeration(law, d):
 
 def test_enumeration_budget_enforced():
     dist = ternary_mask_distribution()
-    with pytest.raises(ValueError, match="budget"):
-        check_near_isotropy_exact(dist, 31, budget=1000)
-    with pytest.raises(ValueError, match="budget"):
-        check_two_design_exact(dist, 31, budget=1000)
-    for check in (check_near_isotropy_exact, check_two_design_exact, variance_bound_check):
-        assert inspect.signature(check).parameters["budget"].default == _ENUMERATION_BUDGET
+    with pytest.raises(ValueError, match=f"exceeds budget {_ENUMERATION_BUDGET}"):
+        check_near_isotropy_exact(dist, 31)
+    with pytest.raises(ValueError, match=f"exceeds budget {_ENUMERATION_BUDGET}"):
+        check_two_design_exact(dist, 31)
+    assert inspect.signature(variance_bound_check).parameters["budget"].default == (
+        _ENUMERATION_BUDGET
+    )
 
 
 @pytest.mark.parametrize("check", [check_near_isotropy_exact, check_two_design_exact])
 @pytest.mark.parametrize("key, value", [
     ("d", 0), ("d", -1), ("d", 3.0), ("d", True), ("d", "3"),
-    ("budget", 0), ("budget", -5), ("budget", 10.0**6), ("budget", True),
 ])
 def test_exact_checks_reject_bad_d_and_budget(check, key, value):
-    args = {"d": 3, "budget": _ENUMERATION_BUDGET, key: value}
     with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1"):
-        check(ternary_mask_distribution(), **args)
+        check(ternary_mask_distribution(), **{key: value})
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100, _CHUNK])
@@ -586,6 +585,32 @@ def test_variance_rejects_bad_budget_and_mc_samples(key, value):
     args = {"budget": 1, "mc_samples": 100, key: value}
     with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1"):
         variance_bound_check(ternary_mask_distribution(), x, random_tangent(rng, x), **args)
+
+
+def _seeded_calls():
+    dist = ternary_mask_distribution()
+    rng = np.random.default_rng(14)
+    x = unit_signal(rng, 3)
+    frame = MeasurementFrame(sample_masks(dist, 3, 4, 0))
+    Z = random_tangent(rng, x)
+    return {
+        "sample_masks": lambda seed: sample_masks(dist, 3, 4, seed),
+        "golfing_construct": lambda seed: golfing_construct(x, dist, seed=seed),
+        "injectivity_spectrum": lambda seed: injectivity_spectrum(frame, x, seed=seed),
+        "variance_bound_check": lambda seed: variance_bound_check(
+            dist, x, Z, budget=1, mc_samples=10, seed=seed),
+    }
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, -1, True, "0"])
+@pytest.mark.parametrize("name", [
+    "sample_masks", "golfing_construct", "injectivity_spectrum", "variance_bound_check",
+])
+def test_seeded_calls_reject_a_bad_seed(name, seed):
+    call = _seeded_calls()[name]
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+        call(seed)
+    call(np.int64(5))  # numpy's integers are seeds too
 
 
 @pytest.mark.parametrize("law", ["ternary", "five-point"])

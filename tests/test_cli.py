@@ -87,6 +87,8 @@ def test_config_file_unknown_key_is_an_error(runner, tmp_path):
         (["isotropy-audit", "--trials", "3"], "No such option"),
         (["isotropy-audit", "--L", "2"], "No such option"),
         (["isotropy-audit", "--d", "3,3,5"], "d_grid must not repeat a value"),
+        (["recover", "--seed", "-1"], "--seed"),
+        (["certify", "--seed", "-1"], "--seed"),
     ],
 )
 def test_bad_sizes_are_usage_errors(runner, args, message):

@@ -112,6 +112,26 @@ def test_unnormalized_probabilities_rejected():
         )
 
 
+@pytest.mark.parametrize("key, value", [
+    ("b", math.nan), ("b", math.inf), ("b", -math.inf), ("b", True),
+    ("nu", math.nan), ("nu", math.inf), ("nu", True),
+])
+def test_distribution_rejects_non_finite_bounds(key, value):
+    s = math.sqrt(2.0)
+    args = {"support": (s, 0.0, -s), "probabilities": (0.25, 0.5, 0.25), "b": s, "nu": 1.0}
+    with pytest.raises(ValueError, match=rf"^{key} must be a finite real number >= 0"):
+        MaskDistribution(**{**args, key: value})
+
+
+def test_maskset_load_rejects_a_non_finite_bound(tmp_path):
+    path = tmp_path / "masks.txt"
+    sample_masks(ternary_mask_distribution(), 3, 2, seed=0).save(path)
+    text = path.read_text()
+    path.write_text(text.replace(f"b={math.sqrt(2.0)!r}", "b=nan"))
+    with pytest.raises(ValueError, match="^b must be a finite real number >= 0, got nan"):
+        MaskSet.load(path)
+
+
 def test_support_exceeding_bound_rejected():
     with pytest.raises(ValueError):
         MaskDistribution(
@@ -714,6 +734,23 @@ def test_crt_requires_coprime_dimensions():
         crt_relabeling(4, 6)
     with pytest.raises(ValueError):
         crt_frequency(6, 9, 1, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: crt_relabeling(True, 3), "d1 must be an integer >= 1, got True"),
+    (lambda: crt_relabeling(2.5, 3), "d1 must be an integer >= 1, got 2.5"),
+    (lambda: crt_relabeling(3, 0), "d2 must be an integer >= 1, got 0"),
+    (lambda: crt_frequency(0, 5, 1, 1), "d1 must be an integer >= 1, got 0"),
+    (lambda: crt_frequency(3, 5.0, 1, 1), "d2 must be an integer >= 1, got 5.0"),
+    (lambda: crt_frequency(3, 5, 1.5, 1), r"k must be an integer in 1..3, got 1.5"),
+    (lambda: crt_frequency(3, 5, True, 1), r"k must be an integer in 1..3, got True"),
+    (lambda: crt_frequency(3, 5, 4, 1), r"k must be an integer in 1..3, got 4"),
+    (lambda: crt_frequency(3, 5, 1, 0), r"l must be an integer in 1..5, got 0"),
+    (lambda: crt_frequency(3, 5, 1, 2.0), r"l must be an integer in 1..5, got 2.0"),
+])
+def test_crt_checks_its_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @settings(max_examples=20, deadline=None)

@@ -52,6 +52,8 @@ def rows_without_wall_time(path, header):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: tirals"):
         ExperimentConfig.from_mapping({"tirals": 3})
+    with pytest.raises(ValueError, match="unknown config keys: workers"):
+        ExperimentConfig.from_mapping({"workers": 4})  # every sweep is serial
 
 
 def test_config_validation_errors(tmp_path):
@@ -61,8 +63,6 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig(d_grid=())
     with pytest.raises(ValueError, match="trials"):
         ExperimentConfig(trials=0)
-    with pytest.raises(ValueError, match="workers"):
-        ExperimentConfig(workers=0)
     with pytest.raises(ValueError, match="signal"):
         ExperimentConfig(signal="spike")
     with pytest.raises(ValueError, match="unknown config keys: distribution"):
@@ -74,7 +74,7 @@ def test_config_validation_errors(tmp_path):
     # values of the wrong type or out of range, each named by its key
     for key, value in (
         ("trials", 2.5), ("trials", True), ("base_seed", "abc"),
-        ("max_iterations", -5), ("workers", 1.5), ("golfing_L1", 2.5),
+        ("max_iterations", -5), ("golfing_L1", 2.5),
         ("golfing_L_later", 0), ("d_grid", [3.7]), ("d_grid", "15"), ("d_grid", 15),
         ("L_grid", [0]), ("L_grid", [-2]), ("solver_mode", "dykstra"), ("out_dir", 5),
     ):
@@ -241,16 +241,13 @@ def test_lower_bound_sweep_csv_schema(tmp_path):
         assert float(arow[4]) == hits / 50
 
 
-def test_lower_bound_determinism_across_reruns_and_workers(tmp_path):
+def test_lower_bound_determinism_across_reruns(tmp_path):
     r1 = run_lower_bound_experiment(lower_bound_config(tmp_path / "a"))
     r2 = run_lower_bound_experiment(lower_bound_config(tmp_path / "b"))
-    r3 = run_lower_bound_experiment(lower_bound_config(tmp_path / "c", workers=3))
     header = ["d", "L", "trial", "seed", "collision", "wall_time"]
     t1 = rows_without_wall_time(r1.trial_path, header)
     assert t1 == rows_without_wall_time(r2.trial_path, header)
-    assert t1 == rows_without_wall_time(r3.trial_path, header)
     assert r1.aggregate_path.read_bytes() == r2.aggregate_path.read_bytes()
-    assert r1.aggregate_path.read_bytes() == r3.aggregate_path.read_bytes()
 
 
 def phase_config(out, **kw):
@@ -298,7 +295,7 @@ def test_phase_transition_determinism(tmp_path):
         "wall_time",
     ]
     r1 = run_phase_transition(phase_config(tmp_path / "a"))
-    r2 = run_phase_transition(phase_config(tmp_path / "b", workers=2))
+    r2 = run_phase_transition(phase_config(tmp_path / "b"))
     assert rows_without_wall_time(r1.trial_path, header) == rows_without_wall_time(
         r2.trial_path, header
     )
@@ -421,17 +418,14 @@ def golfing_config(out, **kw):
     return ExperimentConfig(**base)
 
 
-def test_golfing_rate_determinism_across_reruns_and_workers(tmp_path):
+def test_golfing_rate_determinism_across_reruns(tmp_path):
     header = ["d", "trial", "seed", "constructed", "verified", "masks_consumed",
               "attempts", "failure_reason", "wall_time"]
     r1 = run_experiment(golfing_config(tmp_path / "a"))
     r2 = run_experiment(golfing_config(tmp_path / "b"))
-    r3 = run_experiment(golfing_config(tmp_path / "c", workers=2))
     t1 = rows_without_wall_time(r1.trial_path, header)
     assert t1 == rows_without_wall_time(r2.trial_path, header)
-    assert t1 == rows_without_wall_time(r3.trial_path, header)
     assert r1.aggregate_path.read_bytes() == r2.aggregate_path.read_bytes()
-    assert r1.aggregate_path.read_bytes() == r3.aggregate_path.read_bytes()
     assert sum(int(r[3]) for r in t1[1]) >= 1  # some certificate was verified
 
 
