@@ -15,7 +15,6 @@ from .diffraction import (
     apply_A,
     apply_A_adjoint,
     apply_R,
-    apply_R_truncated,
     crt_frequency,
     crt_relabeling,
     dft_vector,
@@ -56,7 +55,6 @@ __all__ = [
     "apply_A",
     "apply_A_adjoint",
     "apply_R",
-    "apply_R_truncated",
     "crt_frequency",
     "crt_relabeling",
     "dft_vector",

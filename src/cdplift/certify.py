@@ -14,9 +14,10 @@ numerical check on concrete mask realizations:
   other offsets, H_{-m}[a+m, b+m] = H_m[a, b], are never formed; the
   2-design's sum-pair Grams G_s[a, b] = H_{(s-a-b) mod d}[a, b] read them
   off the half through the shift;
-* the restricted-spectrum injectivity check: 1 + lambda_min(P_T (R - E[R]) P_T)
-  must exceed 1/4 for the measurements to separate tangent directions; R
-  enters through the frame's half offset Grams, one batched product;
+* the restricted-spectrum injectivity check at odd d: 1 + lambda_min(P_T (R -
+  E[R]) P_T) must exceed 1/4 for the measurements to separate tangent
+  directions; R enters through the frame's half offset Grams, one batched
+  product;
 * truncation-event statistics against the 4 d^{-gamma} tail bound;
 * per-mask variance bounds (30 and 60 times b^8/nu^4), every mask's M(Z)
   built at once from the offset contraction E_m z_m on offsets 0..d//2 and
@@ -52,7 +53,6 @@ from .diffraction import (
     _apply_A_adjoint_any,
     _apply_A_any,
     _apply_A_rank2,
-    _check_truncation,
     _contract,
     _draw_entries,
     _half_offsets,
@@ -61,7 +61,6 @@ from .diffraction import (
     _offset_blocks,
     _offset_gram,
     _offset_index,
-    _truncate,
     apply_A,  # noqa: F401  (bound here too; the benchmark's tracer wraps every site)
     apply_A_adjoint,
     truncation_rate,
@@ -141,13 +140,18 @@ def _enumerate_masks(dist: MaskDistribution, d: int):
         yield eps, prob_view
 
 
+def _enumeration_fits(dist: MaskDistribution, d: int) -> bool:
+    """Whether the |support|^d mask realizations fit ``_ENUMERATION_BUDGET``."""
+    return len(dist.support) ** d <= _ENUMERATION_BUDGET
+
+
 def _check_enumeration(dist: MaskDistribution, d: int) -> None:
-    """ValueError unless d is an integer >= 1 and |support|^d fits the budget."""
+    """ValueError unless d is an integer >= 1 and the enumeration fits its budget."""
     _check_count("d", d)
-    total = len(dist.support) ** d
-    if total > _ENUMERATION_BUDGET:
+    if not _enumeration_fits(dist, d):
         raise ValueError(
-            f"enumeration of {total} mask realizations exceeds budget {_ENUMERATION_BUDGET}"
+            f"enumeration of {len(dist.support) ** d} mask realizations "
+            f"exceeds budget {_ENUMERATION_BUDGET}"
         )
 
 
@@ -306,12 +310,16 @@ def injectivity_spectrum(
 ) -> InjectivityReport:
     """Spectrum of the tangent-restricted deviation operator P_T(R - E[R])P_T.
 
+    The frame's dimension d must be odd: E[R] = Z + tr(Z)*Id, the
+    near-isotropy identity this check subtracts, holds only there (at even d
+    offset d/2 adds a shift), so even d raises ValueError, as golfing does.
+
     In an orthonormal basis B_beta = x z_beta* + z_beta x* of T (the z_beta
     of ``TangentSpace.basis``) the operator's matrix is
     M = <B_alpha, R(B_beta)> - <B_alpha, B_beta> - t_alpha t_beta with
-    t = tr(B) = 2 Re(z^* x): E[R] is taken analytically as Z + tr(Z)*Id (the
-    near-isotropy identity), and only R touches the sampled masks.  R acts
-    on offset m as H_m / (nu^2 L) with the offset Grams H_m = E_m^T E_m, so
+    t = tr(B) = 2 Re(z^* x): E[R] is taken analytically, and only R touches
+    the sampled masks.  R acts on offset m as H_m / (nu^2 L) with the offset
+    Grams H_m = E_m^T E_m, so
     the first two terms are one contraction of the offset vectors
     b_m[a] = x_a conj(z_{a+m}) + z_a conj(x_{a+m}) of the basis elements,
     Re sum_m w_m b_alpha,m^* (H_m / (nu^2 L) - I) b_beta,m over the half
@@ -331,6 +339,8 @@ def injectivity_spectrum(
     d = frame.d
     if tangent.d != d:
         raise ValueError(f"anchor dimension {tangent.d} != frame dimension {d}")
+    if d % 2 == 0:
+        raise ValueError(f"frame dimension d must be odd for E[R] = Z + tr(Z)*Id, got {d}")
     x, z = tangent.anchor, tangent.basis().T  # z[a, beta]
     dist = frame.distribution
     index = _offset_index(d)
@@ -340,7 +350,7 @@ def injectivity_spectrum(
     parts = np.stack([b.real, b.imag], axis=2)  # real, so the Grams stay real
     w = _mirror_weights(d)[:, None, None]
     H = w * _offset_gram(frame.blocks)  # each half Gram stands for its mirror too
-    scale = 1.0 / (dist.nu**2 * frame.L) if frame.L else 0.0
+    scale = 1.0 / (dist.nu**2 * frame.L)
     K = H * scale - w * np.eye(d)  # R less the identity, offset by offset
     images = K @ parts.reshape(len(K), d, -1)
     M = parts.reshape(-1, 2 * d - 1).T @ images.reshape(-1, 2 * d - 1)  # Re sum conj(b) K b
@@ -353,7 +363,7 @@ def injectivity_spectrum(
     Z = hermitize(draws[:, 0] + 1j * draws[:, 1])
     pairs = np.ascontiguousarray(Z[(slice(None), *index)].transpose(1, 2, 0)).view(float)
     energy = np.einsum("maj,maj->j", pairs, H @ pairs).reshape(probes, 2).sum(axis=1)
-    energy *= 1.0 / frame.L if frame.L else 0.0
+    energy *= 1.0 / frame.L
     z2 = np.square(np.abs(Z)).sum(axis=(1, 2))
     margin = np.min(dist.b**4 * d * z2 - energy, initial=np.inf)
     return InjectivityReport(
@@ -380,17 +390,23 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     """Empirical tail probability of |tr(F_{k,l} Z)| beyond the truncation
     threshold, against the bound 4 d^{-gamma}.
 
-    The boundary |tr| == threshold counts as inside the good event (not
-    exceeded); in particular Z = 0 never triggers anything.
+    ``gamma`` must be finite and >= 1, and the Hermitian Z must have rank
+    <= 2 up to the policy tolerance (lie in a tangent space).  The boundary
+    |tr| == threshold counts as inside the good event (not exceeded); in
+    particular Z = 0 never triggers anything.
     """
     Z = as_hermitian(Z)
-    _check_truncation("Z", Z, gamma)
+    if not (gamma >= 1 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
+    sigma = np.linalg.svd(Z, compute_uv=False)
+    if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
+        raise ValueError("Z must have rank <= 2 (lie in a tangent space)")
     vals = _apply_A_any(frame.blocks, Z)
     keep = _truncate(vals, float(np.linalg.norm(Z)), frame.distribution.b, gamma)
     total = int(keep.size)
     exceed = total - int(keep.sum())
     return TruncationStats(
-        empirical_prob=exceed / total if total else 0.0,
+        empirical_prob=exceed / total,
         bound=4.0 * frame.d ** (-gamma),
         exceed_count=exceed,
         total_terms=total,
@@ -419,7 +435,6 @@ def variance_bound_check(
     dist: MaskDistribution,
     x,
     Z,
-    budget: int = _ENUMERATION_BUDGET,
     mc_samples: int = 10**4,
     seed: int = 0,
 ) -> VarianceCheck:
@@ -428,12 +443,12 @@ def variance_bound_check(
     With M(Z) = (1/nu^2 d) sum_k tr(F_k Z) F_k for one mask, computes
     ||E[M(Z)^2]||_inf and tr(E[(P_T M(Z))^2]) and compares them against
     30 b^8/nu^4 ||Z||_2^2 and 60 b^8/nu^4 ||Z||_2^2.  Expectation is exact by
-    enumeration while |support|^d fits the budget, otherwise Monte-Carlo with
-    ``mc_samples`` masks; both must be integers >= 1.  Masks are taken in
-    chunks: each chunk's M(Z) comes from one contraction, is squared by one
-    batched product, and its tangent part's norm is read from M x alone.
+    enumeration while |support|^d fits the enumeration budget of 10^6 mask
+    realizations, otherwise Monte-Carlo with ``mc_samples`` masks (an integer
+    >= 1) drawn from ``seed``.  Masks are taken in chunks: each chunk's M(Z)
+    comes from one contraction, is squared by one batched product, and its
+    tangent part's norm is read from M x alone.
     """
-    _check_count("budget", budget)
     _check_count("mc_samples", mc_samples)
     _check_seed(seed)
     x = as_signal(x)
@@ -445,8 +460,7 @@ def variance_bound_check(
     if not tangent.contains(Z):
         raise ValueError("Z must lie in the tangent space of the anchor")
 
-    exact = len(dist.support) ** d <= budget
-    if exact:
+    if _enumeration_fits(dist, d):
         batches = _enumerate_masks(dist, d)
         method = "exact_enumeration"
     else:
@@ -529,6 +543,17 @@ _COMPLEMENT_BOUND = 0.5
 def _tangent_bound(dist: MaskDistribution, d: int) -> float:
     """Bound nu / (4 b^2 sqrt(d)) on ||P_T(Y) - X||_2 for a dual certificate."""
     return dist.nu / (4.0 * dist.b**2 * math.sqrt(d))
+
+
+def _truncate(anchor_vals: np.ndarray, anchor_norm: float, b: float, gamma: float) -> np.ndarray:
+    """Keep mask of |tr(F_{k,l} anchor)| <= 2^{3/2} b^2 gamma log(d) ||anchor||_2
+    (boundary kept), from the anchor's real (L, d) forward values and its
+    Frobenius norm: R_Q's truncation in golfing, and the event that
+    ``truncation_statistics`` counts.
+    """
+    d = anchor_vals.shape[1]
+    threshold = 2.0**1.5 * b**2 * gamma * math.log(d) * anchor_norm
+    return np.abs(anchor_vals) <= threshold
 
 
 _Schedule = namedtuple("_Schedule", "gamma r w t_first c_first t_later c_later")

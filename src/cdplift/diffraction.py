@@ -13,8 +13,9 @@ The inner product is conjugate-linear in the first argument, which makes
 
 On the lifted (matrix) side the same data is ``tr(F_{k,l} X)`` for
 ``X = x x*`` with rank-1 frame elements ``F_{k,l} = D_l f_k f_k* D_l``.  This
-module exposes the forward map ``A``, its adjoint ``A*``, the normalized Gram
-operator ``R = A* A / (nu^2 d L)`` and its truncated variant.
+module exposes the forward map ``A``, its adjoint ``A*`` and the normalized
+Gram operator ``R = A* A / (nu^2 d L)``.  A frame holds L >= 1 masks of
+dimension d >= 1, and a measurement L >= 1 rows of d >= 1 intensities.
 
 Offset-block form: with ``z_m[a] = Z[a, a+m mod d]`` and the real (L, d)
 blocks ``E_m[l, a] = eps_{l,a} eps_{l,a+m}``,
@@ -98,7 +99,6 @@ __all__ = [
     "apply_A",
     "apply_A_adjoint",
     "apply_R",
-    "apply_R_truncated",
     "crt_relabeling",
     "crt_frequency",
 ]
@@ -215,22 +215,26 @@ def truncation_rate(dist: MaskDistribution) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MaskSet:
-    """L sampled diagonal masks, stored as a read-only (L, d) copy of the raw entries."""
+    """L >= 1 sampled diagonal masks of dimension d >= 1, stored as a read-only
+    (L, d) float copy of the raw entries, which must be real."""
 
     epsilon: np.ndarray
     distribution: MaskDistribution
     seed: int | None = None
 
     def __post_init__(self):
-        eps = np.array(self.epsilon, dtype=float)  # a copy: the caller's array stays its own
-        if eps.ndim != 2 or eps.shape[1] < 1:
-            raise ValueError(f"epsilon must be (L, d) with d >= 1, got {eps.shape}")
+        eps = np.array(self.epsilon)  # a copy: the caller's array stays its own
+        if np.iscomplexobj(eps):
+            raise ValueError("epsilon must be real")
+        eps = eps.astype(float, copy=False)
+        if eps.ndim != 2 or min(eps.shape) < 1:
+            raise ValueError(f"epsilon must be (L, d) with L, d >= 1, got {eps.shape}")
         gaps = np.full(eps.shape, np.inf)  # distance to the nearest support value
         diff = np.empty_like(eps)
         for value in self.distribution.support:
             np.abs(np.subtract(eps, value, out=diff), out=diff)
             np.minimum(gaps, diff, out=gaps)
-        if not np.max(gaps, initial=0.0) <= POLICY.moment_tol:  # NaN fails too
+        if not np.max(gaps) <= POLICY.moment_tol:  # NaN fails too
             raise ValueError("mask entries must lie in the distribution's support")
         eps.setflags(write=False)
         object.__setattr__(self, "epsilon", eps)
@@ -287,14 +291,11 @@ class MaskSet:
         rows = [line for line in text[1:] if "=" not in line and line.strip()]
         if len(rows) != L:
             raise ValueError(f"expected {L} mask rows, found {len(rows)}")
-        eps = (
-            np.array([[float(v) for v in row.split()] for row in rows], dtype=float)
-            if L
-            else np.zeros((0, d))
-        )
-        if eps.size and eps.shape != (L, d):
+        eps = np.array([[float(v) for v in row.split()] for row in rows], dtype=float)
+        masks = cls(epsilon=eps, distribution=dist, seed=seed)
+        if masks.d != d:
             raise ValueError("mask row length inconsistent with header")
-        return cls(epsilon=eps, distribution=dist, seed=seed)
+        return masks
 
 
 def _draw_entries(dist: MaskDistribution, rng: np.random.Generator, shape) -> np.ndarray:
@@ -357,19 +358,23 @@ class MeasurementFrame:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementVector:
-    """Observed intensities y_{k,l}, stored read-only as y[l, k-1] (a copy of the
-    caller's array); optionally y0 = ||x||^2, a finite real number >= 0."""
+    """Observed intensities y_{k,l}, stored read-only as y[l, k-1] (a float copy
+    of the caller's real (L, d) array, L, d >= 1); optionally y0 = ||x||^2, a
+    finite real number >= 0."""
 
     y: np.ndarray
     y0: float | None = None
 
     def __post_init__(self):
-        y = np.array(self.y, dtype=float)  # a copy: the caller's array stays its own
-        if y.ndim != 2:
-            raise ValueError(f"y must be (L, d), got shape {y.shape}")
+        y = np.array(self.y)  # a copy: the caller's array stays its own
+        if np.iscomplexobj(y):
+            raise ValueError("y must be real")
+        y = y.astype(float, copy=False)
+        if y.ndim != 2 or min(y.shape) < 1:
+            raise ValueError(f"y must be (L, d) with L, d >= 1, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("intensities must be finite")
-        if y.size and float(y.min()) < -POLICY.hermitian_tol:
+        if float(y.min()) < -POLICY.hermitian_tol:
             raise ValueError("intensities must be nonnegative up to roundoff")
         if self.y0 is not None:
             _check_level("y0", self.y0)
@@ -459,8 +464,8 @@ def measure(x, masks: MaskSet) -> MeasurementVector:
     y = np.roll(np.abs(spectra) ** 2, -1, axis=1)
     sums = y.sum(axis=1)
     targets = masks.d * np.sum(np.abs(modulated) ** 2, axis=1)
-    scale = max(float(targets.max(initial=0.0)), 1.0)
-    if y.size and float(np.max(np.abs(sums - targets))) > POLICY.adjoint_rel_tol * scale:
+    scale = max(float(targets.max()), 1.0)
+    if float(np.max(np.abs(sums - targets))) > POLICY.adjoint_rel_tol * scale:
         raise RuntimeError("per-mask Parseval identity violated beyond tolerance")
     return MeasurementVector(y=y, y0=float(np.linalg.norm(x)) ** 2)
 
@@ -624,26 +629,6 @@ def _apply_A_rank2(epsilon: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndar
     return vals.T
 
 
-def _truncate(anchor_vals: np.ndarray, anchor_norm: float, b: float, gamma: float) -> np.ndarray:
-    """Keep mask of |tr(F_{k,l} anchor)| <= 2^{3/2} b^2 gamma log(d) ||anchor||_2
-    (boundary kept), from the anchor's real (L, d) forward values and its
-    Frobenius norm.
-    """
-    d = anchor_vals.shape[1]
-    threshold = 2.0**1.5 * b**2 * gamma * math.log(d) * anchor_norm
-    return np.abs(anchor_vals) <= threshold
-
-
-def _check_truncation(name: str, anchor: np.ndarray, gamma) -> None:
-    """ValueError unless ``gamma`` is finite and >= 1 and the Hermitian
-    ``anchor`` has rank <= 2 up to the policy tolerance (lies in a tangent space)."""
-    if not (gamma >= 1 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
-    sigma = np.linalg.svd(anchor, compute_uv=False)
-    if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
-        raise ValueError(f"{name} must have rank <= 2 (lie in a tangent space)")
-
-
 def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
     """Forward lifted map: the real vector (tr(F_{k,l} Z))_{k,l}, length dL.
 
@@ -659,12 +644,12 @@ def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
 def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
     """Adjoint lifted map: sum_{k,l} c_{k,l} F_{k,l}, a Hermitian matrix.
 
-    The coefficients must be real and finite: complex ones (whose imaginary
-    part the map would drop) and NaN or inf raise ValueError.
+    The coefficients c must be real and finite: complex ones (whose imaginary
+    part the map would drop), bool ones and NaN or inf raise ValueError.
     """
     c = np.asarray(c)
-    if np.iscomplexobj(c):
-        raise ValueError("coefficients must be real")
+    if np.iscomplexobj(c) or c.dtype == bool:
+        raise ValueError("coefficients c must be real numbers")
     c = c.astype(float, copy=False)
     if c.shape != (frame.L * frame.d,):
         raise ValueError(f"coefficient length {c.shape} != ({frame.L * frame.d},)")
@@ -674,41 +659,10 @@ def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
 
 
 def apply_R(frame: MeasurementFrame, Z) -> np.ndarray:
-    """Normalized Gram operator R(Z) = A*(A(Z)) / (nu^2 d L).
-
-    An empty frame (L = 0) maps everything to zero by convention.
-    """
+    """Normalized Gram operator R(Z) = A*(A(Z)) / (nu^2 d L)."""
     Z = as_hermitian(Z)
-    if frame.L == 0:
-        return np.zeros_like(Z)
     scale = 1.0 / (frame.distribution.nu**2 * frame.d * frame.L)
     return apply_A_adjoint(frame, apply_A(frame, Z)) * scale
-
-
-def apply_R_truncated(
-    frame: MeasurementFrame, Z, anchor_Z, gamma: float
-) -> tuple[np.ndarray, int]:
-    """Truncated Gram operator R_anchor(Z) and the number of dropped terms.
-
-    Each (k, l) term is kept only on the event
-    |tr(F_{k,l} anchor_Z)| <= 2^{3/2} b^2 gamma log(d) ||anchor_Z||_2, with
-    the boundary counting as inside (kept).  The anchor must lie in a tangent
-    space, i.e. have rank <= 2 up to the policy tolerance.
-    """
-    Z = as_hermitian(Z)
-    anchor_Z = as_hermitian(anchor_Z)
-    _check_truncation("anchor matrix", anchor_Z, gamma)
-    if Z.shape[0] != frame.d or anchor_Z.shape[0] != frame.d:
-        raise ValueError("dimension mismatch with frame")
-    if frame.L == 0:
-        return np.zeros_like(Z), 0
-    dist = frame.distribution
-    anchor_vals = _apply_A_any(frame.blocks, anchor_Z)
-    keep = _truncate(anchor_vals, float(np.linalg.norm(anchor_Z)), dist.b, gamma)
-    coeffs = _apply_A_any(frame.blocks, Z) * keep
-    scale = 1.0 / (dist.nu**2 * frame.d * frame.L)
-    out = _apply_A_adjoint_any(frame.blocks, coeffs) * scale
-    return out, int(keep.size - keep.sum())
 
 
 def _crt_combine(r1: int, d1: int, r2: int, d2: int) -> int:

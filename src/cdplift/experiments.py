@@ -55,6 +55,7 @@ from .certify import (
     CertificateIntegrityError,
     DualCertificate,
     GolfingParams,
+    _enumeration_fits,
     _isotropy_deviation,
     _moment_grams,
     _two_design_deviation,
@@ -147,7 +148,7 @@ class ExperimentConfig:
         if self.experiment == "lower_bound" and min(self.d_grid) < 2:
             raise ValueError(f"lower_bound needs d >= 2; d_grid is {list(self.d_grid)}")
         if self.experiment == "isotropy_audit":
-            bad = [d for d in self.d_grid if len(_DIST.support) ** d > _ENUMERATION_BUDGET]
+            bad = [d for d in self.d_grid if not _enumeration_fits(_DIST, d)]
             if bad:
                 raise ValueError(
                     f"isotropy_audit d_grid exceeds the exact enumeration budget of "

@@ -278,8 +278,8 @@ def verify_feasibility(
         _check_level("y0", y0)
     X = as_hermitian(X)
     residual = apply_A(frame, X) - y.ravel()
-    max_violation = float(np.max(np.abs(residual))) if residual.size else 0.0
-    scale = max(float(np.max(np.abs(y.y))) if y.y.size else 0.0, 1e-300)
+    max_violation = float(np.max(np.abs(residual)))
+    scale = max(float(np.max(np.abs(y.y))), 1e-300)
     lam = np.linalg.eigvalsh(X)
     trace_dev = None
     if y0 is not None:

@@ -1,10 +1,11 @@
 """The package surface: the fields of the option dataclasses, the defaulted
-parameters of every exported function, and every export.
+parameters of every exported function, every export, and the inputs the
+boundary refuses.
 
 A knob added to or removed from ``SolverConfig``, ``GolfingParams`` or
-``ExperimentConfig``, or a defaulted parameter added to or removed from an
-exported function, changes a pinned table here, so it shows as a test diff in
-review.
+``ExperimentConfig``, a defaulted parameter added to or removed from an
+exported function, or an export added to or removed from ``cdplift``, changes
+a pinned table here, so it shows as a test diff in review.
 """
 
 import dataclasses
@@ -12,10 +13,19 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import cdplift
-from cdplift.certify import GolfingParams
+from cdplift.certify import GolfingParams, injectivity_spectrum
+from cdplift.diffraction import (
+    MaskSet,
+    MeasurementFrame,
+    MeasurementVector,
+    apply_A_adjoint,
+    sample_masks,
+    ternary_mask_distribution,
+)
 from cdplift.experiments import ExperimentConfig
 from cdplift.solver import SolverConfig
 
@@ -52,9 +62,7 @@ def test_defaulted_parameters_are_pinned():
     assert defaults == {
         "cdplift.certify.golfing_construct": {"params": None, "seed": 0},
         "cdplift.certify.injectivity_spectrum": {"seed": 0, "probes": 100},
-        "cdplift.certify.variance_bound_check": {
-            "budget": 10**6, "mc_samples": 10**4, "seed": 0,
-        },
+        "cdplift.certify.variance_bound_check": {"mc_samples": 10**4, "seed": 0},
         "cdplift.certify.verify_certificate": {"frame": None},
         "cdplift.diffraction.validate_moments": {"probabilities": None},
         "cdplift.hermitian.as_hermitian": {"name": "matrix"},
@@ -69,3 +77,45 @@ def test_every_export_resolves(name):
     exports = module.__all__
     assert len(set(exports)) == len(exports)
     assert [e for e in exports if not hasattr(module, e)] == []
+
+
+def test_top_level_exports_are_pinned():
+    assert sorted(cdplift.__all__) == sorted([
+        "MaskDistribution", "MaskSet", "MeasurementFrame", "MeasurementVector",
+        "apply_A", "apply_A_adjoint", "apply_R", "crt_frequency", "crt_relabeling",
+        "dft_vector", "measure", "sample_masks", "ternary_mask_distribution",
+        "truncation_rate", "validate_moments",
+        "TangentSpace", "norm", "phase_aligned_distance", "psd_project",
+        "DualCertificate", "GolfingFailure", "GolfingParams", "InjectivityReport",
+        "certify_optimality", "check_near_isotropy_exact", "check_two_design_exact",
+        "golfing_construct", "injectivity_spectrum", "truncation_statistics",
+        "variance_bound_check", "verify_certificate",
+        "ExperimentConfig", "run_experiment", "run_lower_bound",
+        "POLICY", "NumericPolicy",
+        "SolverConfig", "SolveResult", "solve_phaselift", "extract_signal",
+        "verify_feasibility",
+    ])
+
+
+_DIST = ternary_mask_distribution()
+_EVEN_FRAME = MeasurementFrame(sample_masks(_DIST, 4, 3, seed=0))
+
+
+# inputs the boundary refuses, each with the argument its error names
+_REJECTED = {
+    "maskset-zero-masks": (lambda: MaskSet(np.zeros((0, 3)), _DIST), "epsilon"),
+    "maskset-complex": (lambda: MaskSet(np.full((1, 3), np.sqrt(2.0)) + 1j, _DIST), "epsilon"),
+    "measurement-zero-rows": (lambda: MeasurementVector(np.zeros((0, 3))), "y"),
+    "measurement-complex": (lambda: MeasurementVector(np.ones((2, 3)) + 5j), "y"),
+    "adjoint-bool": (
+        lambda: apply_A_adjoint(_EVEN_FRAME, np.ones(12, dtype=bool)), "coefficients c"),
+    "injectivity-even-d": (
+        lambda: injectivity_spectrum(_EVEN_FRAME, np.ones(4) / 2.0), "frame dimension d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_rejected_inputs_name_their_argument(case):
+    call, name = _REJECTED[case]
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()

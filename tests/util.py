@@ -238,7 +238,7 @@ def apply_A_probe_margin(frame, d, seed, probes):
     for _ in range(probes):
         Z = hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         z2 = float(np.linalg.norm(Z)) ** 2
-        energy = float(np.sum(apply_A(frame, Z) ** 2)) / (d * frame.L) if frame.L else 0.0
+        energy = float(np.sum(apply_A(frame, Z) ** 2)) / (d * frame.L)
         margin = min(margin, dist.b**4 * d * z2 - energy)
     return float(margin)
 
@@ -255,19 +255,19 @@ def itertools_masks(dist, d):
     return np.array(combos), weights
 
 
-def variance_moments_loop(dist, x, Z, budget=10**6, mc_samples=10**4, seed=0):
+def variance_moments_loop(dist, x, Z, mc_samples=10**4, seed=0):
     """(||E[M(Z)^2]||_inf, tr E[(P_T M(Z))^2], n_terms), one mask at a time.
 
     Each mask's M(Z) = (1/nu^2 d) sum_k tr(F_k Z) F_k comes from its own
     forward values and adjoint, squared with one matrix product and projected
     with TangentSpace.project; the masks and weights are those of
-    variance_bound_check (exact enumeration within ``budget``, else the same
-    Monte-Carlo draw).  The exact masks come from itertools, each with its
+    variance_bound_check (exact enumeration while |support|^d <= 10^6, else
+    the same Monte-Carlo draw).  The exact masks come from itertools, each with its
     probability as a product of floats (``itertools_masks``).
     """
     tangent = TangentSpace(x)
     d = x.size
-    if len(dist.support) ** d <= budget:
+    if len(dist.support) ** d <= 10**6:
         batches = [itertools_masks(dist, d)]
     else:
         rng = np.random.default_rng(seed)
