@@ -315,14 +315,13 @@ def injectivity_spectrum(
     offset d/2 adds a shift), so even d raises ValueError, as golfing does.
 
     In an orthonormal basis B_beta = x z_beta* + z_beta x* of T (the z_beta
-    of ``TangentSpace.basis``) the operator's matrix is
-    M = <B_alpha, R(B_beta)> - <B_alpha, B_beta> - t_alpha t_beta with
-    t = tr(B) = 2 Re(z^* x): E[R] is taken analytically, and only R touches
-    the sampled masks.  R acts on offset m as H_m / (nu^2 L) with the offset
-    Grams H_m = E_m^T E_m, so
-    the first two terms are one contraction of the offset vectors
+    of ``TangentSpace.basis``) the operator's matrix is M = <B_alpha, (R -
+    E[R])(B_beta)>: E[R] is taken analytically, and only R touches the
+    sampled masks.  On offset m, R acts as H_m / (nu^2 L) with the offset
+    Grams H_m = E_m^T E_m and E[R] as ``_isotropy_target``'s I_m, so M is one
+    contraction of the offset vectors
     b_m[a] = x_a conj(z_{a+m}) + z_a conj(x_{a+m}) of the basis elements,
-    Re sum_m w_m b_alpha,m^* (H_m / (nu^2 L) - I) b_beta,m over the half
+    Re sum_m w_m b_alpha,m^* (H_m / (nu^2 L) - I_m) b_beta,m over the half
     offsets with the weights w of ``_mirror_weights``; no basis matrix is
     formed.  The report also carries the worst-case margin of the
     deterministic upper bound b^4 d ||Z||_2^2 - (1/dL)||A(Z)||^2 over
@@ -351,11 +350,9 @@ def injectivity_spectrum(
     w = _mirror_weights(d)[:, None, None]
     H = w * _offset_gram(frame.blocks)  # each half Gram stands for its mirror too
     scale = 1.0 / (dist.nu**2 * frame.L)
-    K = H * scale - w * np.eye(d)  # R less the identity, offset by offset
+    K = H * scale - w * _isotropy_target(d)  # R - E[R], offset by offset
     images = K @ parts.reshape(len(K), d, -1)
     M = parts.reshape(-1, 2 * d - 1).T @ images.reshape(-1, 2 * d - 1)  # Re sum conj(b) K b
-    traces = 2.0 * (x.conj() @ z).real
-    M -= np.outer(traces, traces)
     M = (M + M.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(M)[0])
 
@@ -396,6 +393,8 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     particular Z = 0 never triggers anything.
     """
     Z = as_hermitian(Z)
+    if Z.shape[0] != frame.d:
+        raise ValueError(f"Z must be {frame.d} x {frame.d} like the frame, got {Z.shape}")
     if not (gamma >= 1 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     sigma = np.linalg.svd(Z, compute_uv=False)
@@ -670,12 +669,10 @@ def golfing_construct(
     d = x.size
     if d < 3 or d % 2 == 0:
         raise ValueError("golfing requires odd signal dimension d >= 3")
-    if abs(float(np.linalg.norm(x)) - 1.0) > POLICY.anchor_tol:
-        raise ValueError("anchor must be unit-norm")
+    tangent = TangentSpace(x)
     batch = params or GolfingParams()
     p = _schedule(d, dist)
 
-    tangent = TangentSpace(x)
     X = np.outer(x, x.conj())
     Q = X
     Y = np.zeros((d, d), dtype=complex)
@@ -811,7 +808,7 @@ def verify_certificate(
     x = as_signal(x)
     frame = frame if frame is not None else MeasurementFrame(cert.masks)
     _check_instance(x, frame, "certificate", cert)
-    Y_rec = apply_A_adjoint(frame, np.asarray(cert.in_range_witness, dtype=float))
+    Y_rec = apply_A_adjoint(frame, cert.in_range_witness)
     scale = max(float(np.linalg.norm(cert.Y)), 1.0)
     if float(np.linalg.norm(Y_rec - cert.Y)) > 1e-8 * scale:
         raise CertificateIntegrityError(

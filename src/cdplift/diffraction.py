@@ -27,18 +27,19 @@ lifted side: offset d - m is the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset
 m, and E_{d-m}[l, a+m] = E_m[l, a].  So the one representation of the frame
 is its half-offset stack, the h = floor(d/2) + 1 blocks E_0..E_{d/2}
 (``MeasurementFrame.blocks``, ``_offset_blocks``), and every map works on
-offsets 0..h-1 and fills or sums the rest from the mirror:
+offsets 0..h-1 and fills or sums the rest from the mirror.  Each transform
+between offsets and frequencies is one real product with the half rows
+W[0..h-1] of the DFT matrix ``_dft_matrix``, the one place of the frequency
+convention:
 
-* ``A`` contracts the h offsets, s[m, l] = (E_m z_m)[l]; as s_{d-m} =
-  conj(s_m), the sum over all d offsets is one real inverse FFT of the half
-  spectrum (``_apply_A_any``).
+* ``A`` contracts the h offsets, s[m, l] = (E_m z_m)[l], and sums them with
+  their mirrors s_{d-m} = conj(s_m) (``_apply_A_any``).
 * ``A(Z) = y`` splits into the systems ``E_m z_m = t_m``, t the per-mask
-  inverse DFT of y, whose bins 0..h-1 are one real FFT (``_per_offset``);
-  as ``||Z||_F^2 = sum_m ||z_m||^2``, least squares splits the same way, and
-  offset d - m's system is the mirror of offset m's.
-* ``A*`` takes real coefficients, transforms them once against half the DFT
-  rows, contracts the h offsets and fills the rest by the mirror gather
-  ``_mirror_fill`` (``_apply_A_adjoint_any``).
+  inverse DFT of y (``_per_offset``); as ``||Z||_F^2 = sum_m ||z_m||^2``,
+  least squares splits the same way, and offset d - m's system is the mirror
+  of offset m's.
+* ``A*`` takes real coefficients to t, contracts the h offsets and fills the
+  rest by the mirror gather ``_mirror_fill`` (``_apply_A_adjoint_any``).
 
 The m = 0 block holds the patterns ``eps^2``: two equal columns there are
 exactly a mask collision (``e_a`` and ``e_b`` measure alike), the lower-bound
@@ -81,7 +82,7 @@ from pathlib import Path
 import numpy as np
 
 from .hermitian import as_hermitian, as_signal
-from .policy import POLICY, _check_count, _check_level, _check_seed, _is_int
+from .policy import POLICY, _check_count, _check_level, _check_seed, _is_int, _real_array
 
 __all__ = [
     "MomentReport",
@@ -223,10 +224,7 @@ class MaskSet:
     seed: int | None = None
 
     def __post_init__(self):
-        eps = np.array(self.epsilon)  # a copy: the caller's array stays its own
-        if np.iscomplexobj(eps):
-            raise ValueError("epsilon must be real")
-        eps = eps.astype(float, copy=False)
+        eps = _real_array("epsilon", self.epsilon)  # a copy: the caller's array stays its own
         if eps.ndim != 2 or min(eps.shape) < 1:
             raise ValueError(f"epsilon must be (L, d) with L, d >= 1, got {eps.shape}")
         gaps = np.full(eps.shape, np.inf)  # distance to the nearest support value
@@ -366,10 +364,7 @@ class MeasurementVector:
     y0: float | None = None
 
     def __post_init__(self):
-        y = np.array(self.y)  # a copy: the caller's array stays its own
-        if np.iscomplexobj(y):
-            raise ValueError("y must be real")
-        y = y.astype(float, copy=False)
+        y = _real_array("y", self.y)  # a copy: the caller's array stays its own
         if y.ndim != 2 or min(y.shape) < 1:
             raise ValueError(f"y must be (L, d) with L, d >= 1, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
@@ -450,22 +445,20 @@ def dft2_vector(d1: int, d2: int, k: int, l: int) -> np.ndarray:
 
 
 def measure(x, masks: MaskSet) -> MeasurementVector:
-    """Diffraction intensities |<f_k, D_l x>|^2 via one FFT per mask.
+    """Diffraction intensities |<f_k, D_l x>|^2, the forward values of
+    x x* = x z* + z x* at z = x/2 (``_apply_A_rank2``).
 
     Raises if the per-mask Parseval identity sum_k y_{k,l} = d ||D_l x||^2
-    fails beyond roundoff — that would indicate a broken FFT convention, not
+    fails beyond roundoff — that would indicate a broken DFT convention, not
     bad data.
     """
     x = as_signal(x)
     if x.size != masks.d:
         raise ValueError(f"signal dimension {x.size} != mask dimension {masks.d}")
-    modulated = masks.epsilon * x[None, :]
-    spectra = np.fft.fft(modulated, axis=1)
-    y = np.roll(np.abs(spectra) ** 2, -1, axis=1)
-    sums = y.sum(axis=1)
-    targets = masks.d * np.sum(np.abs(modulated) ** 2, axis=1)
+    y = _apply_A_rank2(masks.epsilon, x, 0.5 * x)
+    targets = masks.d * (np.square(masks.epsilon) @ np.square(np.abs(x)))
     scale = max(float(targets.max()), 1.0)
-    if float(np.max(np.abs(sums - targets))) > POLICY.adjoint_rel_tol * scale:
+    if float(np.max(np.abs(y.sum(axis=1) - targets))) > POLICY.adjoint_rel_tol * scale:
         raise RuntimeError("per-mask Parseval identity violated beyond tolerance")
     return MeasurementVector(y=y, y0=float(np.linalg.norm(x)) ** 2)
 
@@ -516,13 +509,35 @@ def _offset_gram(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1) @ blocks
 
 
-def _per_offset(C: np.ndarray) -> np.ndarray:
-    """t of shape (d//2 + 1, L) for real C, with C[l, k-1] = sum_m omega^{mk}
-    t[m, l] over all d offsets and t[d-m] = conj(t[m]).
+@lru_cache(maxsize=None)
+def _dft_matrix(d: int) -> np.ndarray:
+    """W[j, k-1] = omega^{-jk} (j = 0..d-1, k = 1..d); read-only.
 
-    The inverse of the forward map's FFT step: A(Z) = y reads E_m z_m = t_m.
+    The one place of the frequency convention, bin k mod d at column k - 1:
+    (eps_l * v) @ W is the masked spectrum <f_k, D_l v> of v, and C @ W[m]
+    is d t_m for the coefficients C[l, k-1] of ``_per_offset``.
     """
-    return np.fft.rfft(np.roll(C, 1, axis=1), axis=1, norm="forward").T
+    j = np.arange(d)
+    W = np.exp(-2j * np.pi * ((j[:, None] * (j + 1)) % d) / d)
+    W.setflags(write=False)
+    return W
+
+
+@lru_cache(maxsize=None)
+def _half_dft_rows(d: int) -> np.ndarray:
+    """Rows W[0..d//2] of ``_dft_matrix``, row 2m Re W[m], 2m + 1 Im W[m]; read-only."""
+    rows = _dft_matrix(d)[: d // 2 + 1]
+    stack = np.stack([rows.real, rows.imag], axis=1).reshape(-1, d)
+    stack.setflags(write=False)
+    return stack
+
+
+def _per_offset(C: np.ndarray) -> np.ndarray:
+    """Re and Im of d t_m, (d//2 + 1, 2, L), for real C of shape (L, d) with
+    C[l, k-1] = sum_m omega^{mk} t[m, l] over all d offsets, t[d-m] = conj(t[m]):
+    d t_m = C @ W[m], one real product with ``_half_dft_rows``.  A(Z) = y reads
+    E_m z_m = t_m, and offset m of A*(C) is d E_m^T t_m."""
+    return (_half_dft_rows(C.shape[1]) @ C.T).reshape(-1, 2, len(C))
 
 
 def _contract(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -536,11 +551,12 @@ def _apply_A_any(blocks: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
     ``blocks`` is _offset_blocks of the masks, which may be any raw batch.
     With s[m, l] = (E_m z_m)[l], tr(F_{k,l} Z) = sum_m omega^{mk} s[m, l],
-    and s[d-m] = conj(s[m]), so the h = d//2 + 1 contracted offsets are the
-    half spectrum of one real inverse FFT.
+    and s[d-m] = conj(s[m]), so the sum is the real product of the h = d//2 + 1
+    contracted offsets, weighted by ``_mirror_weights``, with ``_half_dft_rows``.
     """
     s = _contract(blocks, _half_offsets(np.asarray(Z, dtype=complex)))
-    return np.roll(np.fft.irfft(s, n=Z.shape[0], axis=0, norm="forward"), -1, axis=0).T
+    s *= _mirror_weights(len(Z))[:, None]  # each half offset stands for its mirror too
+    return np.ascontiguousarray(s.T).view(float) @ _half_dft_rows(len(Z))
 
 
 @lru_cache(maxsize=None)
@@ -573,37 +589,16 @@ def _mirror_fill(half: np.ndarray) -> np.ndarray:
     return out.reshape(*batch, d, d)
 
 
-@lru_cache(maxsize=None)
-def _dft_matrix(d: int) -> np.ndarray:
-    """W[j, k-1] = omega^{-jk} (j = 0..d-1, k = 1..d); read-only.
-
-    (eps_l * v) @ W is the row FFT of eps_l * v in ``measure``'s column
-    order, bin k mod d at column k - 1, and C @ W[m] is d t_m for the
-    coefficients C[l, k-1] of ``_per_offset``.
-    """
-    j = np.arange(d)
-    W = np.exp(-2j * np.pi * ((j[:, None] * (j + 1)) % d) / d)
-    W.setflags(write=False)
-    return W
-
-
 def _apply_A_adjoint_any(blocks: np.ndarray, C: np.ndarray) -> np.ndarray:
     """sum_{k,l} C[l,k] F_{k,l} for real coefficients C of shape (L, d), a
     Hermitian (d, d) matrix.
 
     Offset m of the result is d E_m^T t_m with t = _per_offset(C).  Real C
     gives t_{d-m} = conj(t_m), and with E_{d-m}[l, a+m] = E_m[l, a] offset
-    d - m is the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset m.  So only
-    offsets m = 0..d//2 are transformed, d t_m = C @ W[m] (``_dft_matrix``)
-    as one real product, and contracted with the half stack ``blocks``; the
-    rest is the gather of ``_mirror_fill``.
+    d - m is the mirror Z[a+m, a] = conj(Z[a, a+m]) of offset m: only offsets
+    0..d//2 are contracted with ``blocks``, the rest is ``_mirror_fill``'s gather.
     """
-    L, d = C.shape
-    h = d // 2 + 1
-    rows = _dft_matrix(d)[:h]
-    # rows 2m and 2m + 1 of t2 are the real and imaginary parts of d t_m
-    t2 = np.concatenate([rows.real, rows.imag], axis=1).reshape(2 * h, d) @ C.T
-    parts = t2.reshape(h, 2, L) @ blocks  # Re and Im of d E_m^T t_m
+    parts = _per_offset(C) @ blocks  # Re and Im of d E_m^T t_m
     return _mirror_fill(parts[:, 0] + 1j * parts[:, 1])
 
 
@@ -644,13 +639,10 @@ def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
 def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
     """Adjoint lifted map: sum_{k,l} c_{k,l} F_{k,l}, a Hermitian matrix.
 
-    The coefficients c must be real and finite: complex ones (whose imaginary
-    part the map would drop), bool ones and NaN or inf raise ValueError.
+    The coefficients c must be finite real numbers: complex ones (whose imaginary
+    part the map would drop), bool, string, NaN or inf ones raise ValueError.
     """
-    c = np.asarray(c)
-    if np.iscomplexobj(c) or c.dtype == bool:
-        raise ValueError("coefficients c must be real numbers")
-    c = c.astype(float, copy=False)
+    c = _real_array("coefficients c", c)
     if c.shape != (frame.L * frame.d,):
         raise ValueError(f"coefficient length {c.shape} != ({frame.L * frame.d},)")
     if not np.all(np.isfinite(c)):

@@ -4,12 +4,14 @@ Every module draws its default tolerances from :data:`POLICY` so there is a
 single tuning point.  The individual fields exist because different contracts
 pin different accuracies (moment identities are checked to 1e-12, adjoint
 pairings to 1e-9 relative, etc.).  The option dataclasses and the samplers
-share the integer, seed and level checks below.
+share the integer, seed, level and real-array checks below.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["NumericPolicy", "POLICY"]
 
@@ -53,6 +55,14 @@ def _check_level(key: str, value) -> None:
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value) and value >= 0):
         raise ValueError(f"{key} must be a finite real number >= 0, got {value!r}")
+
+
+def _real_array(key: str, value) -> np.ndarray:
+    """A float copy of ``value``; ValueError naming ``key`` unless it holds ints or floats."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must be real numbers, got dtype {array.dtype}")
+    return array.astype(float)
 
 
 def _check_counts(options, *keys) -> None:

@@ -159,7 +159,8 @@ class _AffineSet:
 
     def __init__(self, frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None):
         d = frame.d
-        E, t = frame.blocks, _per_offset(y_flat.reshape(frame.L, d))
+        pairs = _per_offset(y_flat.reshape(frame.L, d)) / d  # Re and Im of t_m
+        E, t = frame.blocks, pairs[:, 0] + 1j * pairs[:, 1]
         if y0 is None:
             keep, shift = _lstsq_factors(E, t)
         else:  # the trace row [1 ... 1 | y0] / sqrt(d) joins block 0 only

@@ -34,6 +34,7 @@ from cdplift.diffraction import (
     _mirror_weights,
     _offset_gram,
     _offset_index,
+    _per_offset,
 )
 from cdplift.experiments import run_lower_bound
 from cdplift.hermitian import TangentSpace
@@ -871,7 +872,8 @@ def test_half_adjoint_matches_dense_oracle(d, law):
 @pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 15])
 def test_half_forward_matches_dense_oracle(d, law):
     # offsets 0..d//2 contracted and summed with their mirrors by one real
-    # inverse FFT: real values, the dense tr(F_{k,l} Z) in apply_A's order
+    # product with the half DFT rows: real values, the dense tr(F_{k,l} Z) in
+    # apply_A's order
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
     L = 7
     masks = sample_masks(dist, d, L, seed=45 + d)
@@ -882,6 +884,23 @@ def test_half_forward_matches_dense_oracle(d, law):
     scale = max(1.0, np.abs(expected).max())
     assert np.allclose(vals.reshape(-1), expected, atol=1e-12 * scale)
     assert np.array_equal(apply_A(MeasurementFrame(masks), Z), vals.reshape(-1))
+
+
+@pytest.mark.parametrize("d, L", [(5, 3), (5, 9), (8, 5), (8, 12), (15, 30)])
+def test_per_offset_inverts_the_dense_forward_values(d, L):
+    # the dense tr(F_{k,l} Z) transform back to t_m[l] = sum_a E_m[l, a] Z[a, a+m],
+    # the offset sums of a loop, for offsets m = 0..d//2
+    eps = sample_masks(five_point_distribution(), d, L, seed=60 + d + L).epsilon
+    Z = random_hermitian(np.random.default_rng(d * L), d)
+    pairs = _per_offset(dense_apply_A(eps, Z).reshape(L, d))
+    assert pairs.shape == (d // 2 + 1, 2, L) and np.isrealobj(pairs)
+    t = np.zeros((d // 2 + 1, L), dtype=complex)
+    for m in range(d // 2 + 1):
+        for l in range(L):
+            for a in range(d):
+                t[m, l] += eps[l, a] * eps[l, (a + m) % d] * Z[a, (a + m) % d]
+    got = (pairs[:, 0] + 1j * pairs[:, 1]) / d
+    assert np.allclose(got, t, rtol=0, atol=1e-12 * np.abs(t).max())
 
 
 @pytest.mark.parametrize("law", ["ternary", "five-point"])

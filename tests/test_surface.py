@@ -12,12 +12,14 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cdplift
-from cdplift.certify import GolfingParams, injectivity_spectrum
+from cdplift.certify import GolfingParams, injectivity_spectrum, truncation_statistics
 from cdplift.diffraction import (
     MaskSet,
     MeasurementFrame,
@@ -99,16 +101,25 @@ def test_top_level_exports_are_pinned():
 
 _DIST = ternary_mask_distribution()
 _EVEN_FRAME = MeasurementFrame(sample_masks(_DIST, 4, 3, seed=0))
+_ODD_FRAME = MeasurementFrame(sample_masks(_DIST, 5, 3, seed=0))
 
 
 # inputs the boundary refuses, each with the argument its error names
 _REJECTED = {
     "maskset-zero-masks": (lambda: MaskSet(np.zeros((0, 3)), _DIST), "epsilon"),
     "maskset-complex": (lambda: MaskSet(np.full((1, 3), np.sqrt(2.0)) + 1j, _DIST), "epsilon"),
+    "maskset-str": (lambda: MaskSet(np.array([["0", "0", "0"]]), _DIST), "epsilon"),
+    "maskset-bool": (lambda: MaskSet(np.zeros((1, 3), dtype=bool), _DIST), "epsilon"),
     "measurement-zero-rows": (lambda: MeasurementVector(np.zeros((0, 3))), "y"),
     "measurement-complex": (lambda: MeasurementVector(np.ones((2, 3)) + 5j), "y"),
+    "measurement-bool": (lambda: MeasurementVector(np.ones((2, 3), dtype=bool)), "y"),
+    "measurement-str": (lambda: MeasurementVector(np.array([["1", "2"]])), "y"),
     "adjoint-bool": (
         lambda: apply_A_adjoint(_EVEN_FRAME, np.ones(12, dtype=bool)), "coefficients c"),
+    "adjoint-str": (
+        lambda: apply_A_adjoint(_EVEN_FRAME, np.array(["1"] * 12)), "coefficients c"),
+    "truncation-dimension": (
+        lambda: truncation_statistics(_ODD_FRAME, np.diag([1.0, 0.0, 0.0, 0.0]), 9.0), "Z"),
     "injectivity-even-d": (
         lambda: injectivity_spectrum(_EVEN_FRAME, np.ones(4) / 2.0), "frame dimension d"),
 }
@@ -119,3 +130,15 @@ def test_rejected_inputs_name_their_argument(case):
     call, name = _REJECTED[case]
     with pytest.raises(ValueError, match=f"^{name} must "):
         call()
+
+
+def test_no_fft_outside_the_dft_matrix():
+    # every transform of the lifted operator is a product with _dft_matrix's
+    # rows, which alone fix the frequency/column convention
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(Path(cdplift.__file__).parent.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(np|numpy)\.fft\b|\bnp\.roll\b", line)
+    ]
+    assert hits == []

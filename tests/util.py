@@ -230,7 +230,7 @@ def apply_A_probe_margin(frame, d, seed, probes):
 
     The probes are drawn as injectivity_spectrum draws them (real part, then
     imaginary part, per probe, from default_rng(seed)); each energy sums the
-    dL forward values of ``apply_A``, the FFT path, one probe at a time.
+    dL forward values of ``apply_A``, not the half Grams, one probe at a time.
     """
     dist = frame.distribution
     rng = np.random.default_rng(seed)
