@@ -5,15 +5,12 @@ numerical check on concrete mask realizations:
 
 * exact near-isotropy of the expected Gram operator, E[R](Z) = Z + tr(Z)*Id,
   and the companion 2-design identity
-  (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP, both by full enumeration
-  of the finite mask distribution, both read off one set of offset Grams
-  H_m = sum p E_m^T E_m of the difference pairs (a, a+m), m = 0..d//2,
-  weighted by the exact probabilities and accumulated per chunk of masks
-  and per offset as one 2-D product of a pair block with its weighted copy
-  in (d, n) buffers reused across chunks, never as a stack of blocks.  The
-  other offsets, H_{-m}[a+m, b+m] = H_m[a, b], are never formed; the
-  2-design's sum-pair Grams G_s[a, b] = H_{(s-a-b) mod d}[a, b] read them
-  off the half through the shift;
+  (1/nu^2 d) sum_k E[F_k tensor F_k] = Id + SWAP: one fourth-moment identity
+  read in two index orders, so both checks read one deviation of one full
+  enumeration of the finite mask distribution, the offset Grams
+  H_m = sum p E_m^T E_m of offsets m = 0..d//2 weighted by the exact
+  probabilities (``_moment_grams``); the other offsets,
+  H_{-m}[a+m, b+m] = H_m[a, b], are never formed;
 * the restricted-spectrum injectivity check at odd d: 1 + lambda_min(P_T (R -
   E[R]) P_T) must exceed 1/4 for the measurements to separate tangent
   directions; R enters through the frame's half offset Grams, one batched
@@ -66,7 +63,8 @@ from .diffraction import (
     truncation_rate,
 )
 from .hermitian import TangentSpace, _norm, as_hermitian, as_signal, hermitize, norm
-from .policy import POLICY, _check_count, _check_counts, _check_seed, _is_int
+from .policy import POLICY, _check_count, _check_counts, _check_seed, _check_type
+from .policy import _is_int, _is_real
 
 __all__ = [
     "InjectivityReport",
@@ -146,7 +144,8 @@ def _enumeration_fits(dist: MaskDistribution, d: int) -> bool:
 
 
 def _check_enumeration(dist: MaskDistribution, d: int) -> None:
-    """ValueError unless d is an integer >= 1 and the enumeration fits its budget."""
+    """TypeError unless ``dist`` is a law; ValueError unless d is an integer >= 1 in budget."""
+    _check_type("dist", dist, MaskDistribution)
     _check_count("d", d)
     if not _enumeration_fits(dist, d):
         raise ValueError(
@@ -155,46 +154,36 @@ def _check_enumeration(dist: MaskDistribution, d: int) -> None:
         )
 
 
-def _pair_grams(chunks, partner: np.ndarray) -> np.ndarray:
-    """sum_n p_n P_j^T P_j for every partner row j, a real (J, d, d) array.
+def _moment_grams(dist: MaskDistribution, d: int) -> np.ndarray:
+    """The exact offset Grams H_m = sum_n p_n E_m^T E_m of offsets m = 0..d//2,
+    a real (d//2 + 1, d, d) array, from one enumeration of every mask
+    realization with its exact probability p_n.
 
-    ``chunks`` yields (eps, p) batches as ``_enumerate_masks`` does, none
-    larger than the first.  ``partner`` is (J, d), and ``partner[j, a]``
-    pairs column a with column partner[j, a]: block j is
-    P_j[n, a] = eps_{n,a} eps_{n,partner[j,a]}.  No (J, d, n) stack of
-    blocks is formed.  Per chunk and partner row, P_j^T is built in one
-    (d, n) buffer (a row gather of eps^T, then a product with it in place),
-    its weighted copy P_j^T diag(p) in a second, and their 2-D product is
-    term j, so a chunk costs J products.  The two distinct operands keep
-    that product a BLAS gemm: a symmetric V V^T with V = P_j^T diag(p^{1/2})
-    would go to syrk, which is slower for such wide (d, n) operands.  The
-    buffers are sized by the first chunk and reused for the rest.
+    Per chunk and offset, E_m^T is built in one (d, n) buffer (a row gather of
+    eps^T, then a product with it in place) and E_m^T diag(p) in a second;
+    their 2-D product is term m, and no stack of blocks is formed.  The two
+    distinct operands keep that product a BLAS gemm: a symmetric V V^T with
+    V = E_m^T diag(p^{1/2}) would go to syrk, which is slower for such wide
+    (d, n) operands.  The buffers are sized by the first chunk and reused.
     """
-    d = partner.shape[1]
-    gram = np.zeros((partner.shape[0], d, d))
+    partner = _offset_index(d)[1]
+    gram = np.zeros((len(partner), d, d))
     part = np.empty_like(gram)
     pairs = None
-    for eps, p in chunks:
+    for eps, p in _enumerate_masks(dist, d):
         n = p.size
         if pairs is None:
             pairs, weighted = np.empty(d * n), np.empty(d * n)
         columns = eps.T
         block = pairs[: d * n].reshape(d, n)  # a short last chunk stays contiguous
         left = weighted[: d * n].reshape(d, n)
-        for j, cols in enumerate(partner):
+        for m, cols in enumerate(partner):
             columns.take(cols, axis=0, out=block, mode="clip")
             block *= columns
             np.multiply(block, p, out=left)
-            np.matmul(left, block.T, out=part[j])
+            np.matmul(left, block.T, out=part[m])
         gram += part
     return gram
-
-
-def _moment_grams(dist: MaskDistribution, d: int) -> np.ndarray:
-    """The exact offset Grams H_m = sum_n p_n E_m^T E_m of offsets m = 0..d//2,
-    a real (d//2 + 1, d, d) array, from one enumeration of every mask
-    realization with its exact probability p_n (``_pair_grams``)."""
-    return _pair_grams(_enumerate_masks(dist, d), _offset_index(d)[1])
 
 
 @lru_cache(maxsize=None)
@@ -207,39 +196,10 @@ def _isotropy_target(d: int) -> np.ndarray:
     return target
 
 
-@lru_cache(maxsize=None)
-def _relabel_index(d: int) -> np.ndarray:
-    """Flat index with H.ravel()[idx][s, a, b] = H_{(s-a-b) mod d}[a, b] = G_s[a, b]
-    for the half Grams H, offset m > d/2 read as H_{d-m}[a+m, b+m]; read-only."""
-    a = np.arange(d)
-    m = (a[:, None, None] - a[None, :, None] - a) % d
-    shift = np.where(m > d // 2, m, 0)
-    idx = (np.minimum(m, d - m) * d + (a[:, None] + shift) % d) * d + (a + shift) % d
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=None)
-def _two_design_target(d: int) -> np.ndarray:
-    """I + SWAP on the sum-pair pattern: delta_ab + [a + b = s mod d] at
-    [s, a, b]; read-only."""
-    a = np.arange(d)
-    target = np.eye(d) + ((a[:, None] + a) % d == a[:, None, None])
-    target.setflags(write=False)
-    return target
-
-
 def _isotropy_deviation(H: np.ndarray, nu: float) -> float:
-    """Max entry of |H_m / nu^2 - target_m| over the half (``check_near_isotropy_exact``)."""
+    """Max entry of |H_m / nu^2 - target_m| over the half: the deviation of
+    both exact checks (``check_near_isotropy_exact``, ``check_two_design_exact``)."""
     return float(np.max(np.abs(H / nu**2 - _isotropy_target(H.shape[-1]))))
-
-
-def _two_design_deviation(H: np.ndarray, nu: float) -> float:
-    """Max entry of |G_s / nu^2 - (I + SWAP)_s| over s, with G read off H
-    (``check_two_design_exact``)."""
-    d = H.shape[-1]
-    G = H.ravel()[_relabel_index(d)]
-    return float(np.max(np.abs(G / nu**2 - _two_design_target(d))))
 
 
 def check_near_isotropy_exact(dist: MaskDistribution, d: int) -> float:
@@ -266,21 +226,22 @@ def check_near_isotropy_exact(dist: MaskDistribution, d: int) -> float:
 def check_two_design_exact(dist: MaskDistribution, d: int) -> float:
     """Max entry deviation of (1/nu^2 d) sum_k E[F_k tensor F_k] from 2 P_sym.
 
-    With u = D f_k, entry ((a,c),(b,e)) of the left side is
-    (1/nu^2 d) sum_k E[eps_a eps_c eps_b eps_e] omega^{k(a+c-b-e)}, so the
-    sum over k leaves E[eps_a eps_c eps_b eps_e] / nu^2 on the pattern
-    a + c = b + e (mod d) and exact zeros off it, where 2 P_sym = I + SWAP
-    vanishes too.  On the pattern, with s = a + c, it is the sum-pair Gram
-    G_s[a, b] = sum p eps_a eps_{s-a} eps_b eps_{s-b}, over nu^2, and
-    I + SWAP reads delta_ab + [b = s-a mod d].  The same four entries make
-    the offset Gram entry H_m[a, b] at m = s-a-b, so G is a relabeling of
-    the offset Grams, G_s[a, b] = H_{(s-a-b) mod d}[a, b]: the check
-    enumerates every mask once for the half Grams (``_moment_grams``) and
-    reads G off them through one flat index (``_relabel_index``).  ``d`` is
-    checked as in ``check_near_isotropy_exact``.
+    It is near-isotropy's deviation, of the same enumeration.  With u = D f_k,
+    entry ((a,c),(b,e)) of the left side is
+    (1/nu^2 d) sum_k E[eps_a eps_c eps_b eps_e] omega^{k(a+c-b-e)}: the sum
+    over k leaves E[eps_a eps_c eps_b eps_e] / nu^2 where a + c = b + e and
+    exact zeros elsewhere, as in I + SWAP = 2 P_sym.  There, write s = a + c
+    and m = s - a - b (indices mod d): then s - a = b + m and s - b = a + m,
+    so the entry is H_m[a, b] / nu^2, and the target delta_ab + [a + b = s]
+    is delta_ab + [m = 0], ``_isotropy_target`` at offset m.  For each (a, b),
+    (s, a, b) -> (m, a, b) is a bijection, so the entries and targets are
+    those of all d offsets.  Offset m > d/2 is offset d - m shifted,
+    H_m[a, b] = H_{d-m}[a+m, b+m], and its target with it, so both maxima
+    run over one set of (entry, target) pairs, the half's.  ``d`` is checked
+    as in ``check_near_isotropy_exact``.
     """
     _check_enumeration(dist, d)
-    return _two_design_deviation(_moment_grams(dist, d), dist.nu)
+    return _isotropy_deviation(_moment_grams(dist, d), dist.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +348,16 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     """Empirical tail probability of |tr(F_{k,l} Z)| beyond the truncation
     threshold, against the bound 4 d^{-gamma}.
 
-    ``gamma`` must be finite and >= 1, and the Hermitian Z must have rank
-    <= 2 up to the policy tolerance (lie in a tangent space).  The boundary
-    |tr| == threshold counts as inside the good event (not exceeded); in
-    particular Z = 0 never triggers anything.
+    ``gamma`` must be a finite real number >= 1 (not a bool), and the
+    Hermitian Z must have rank <= 2 up to the policy tolerance (lie in a
+    tangent space).  The boundary |tr| == threshold counts as inside the good
+    event (not exceeded); in particular Z = 0 never triggers anything.
     """
     Z = as_hermitian(Z)
     if Z.shape[0] != frame.d:
         raise ValueError(f"Z must be {frame.d} x {frame.d} like the frame, got {Z.shape}")
-    if not (gamma >= 1 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
+    if not (_is_real(gamma) and math.isfinite(gamma) and gamma >= 1):
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma!r}")
     sigma = np.linalg.svd(Z, compute_uv=False)
     if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
         raise ValueError("Z must have rank <= 2 (lie in a tangent space)")
@@ -448,6 +409,7 @@ def variance_bound_check(
     comes from one contraction, is squared by one batched product, and its
     tangent part's norm is read from M x alone.
     """
+    _check_type("dist", dist, MaskDistribution)
     _check_count("mc_samples", mc_samples)
     _check_seed(seed)
     x = as_signal(x)
@@ -664,6 +626,7 @@ def golfing_construct(
     P_T is linear, so P_T(Y) is the running sum of the accepted candidates'
     projections.
     """
+    _check_type("dist", dist, MaskDistribution)
     _check_seed(seed)
     x = as_signal(x)
     d = x.size
@@ -805,6 +768,7 @@ def verify_certificate(
     certificate carries the rebuilt Y and both norms recomputed from it.  As
     in ``certify_optimality``, another anchor or frame raises ValueError.
     """
+    _check_type("cert", cert, DualCertificate)
     x = as_signal(x)
     frame = frame if frame is not None else MeasurementFrame(cert.masks)
     _check_instance(x, frame, "certificate", cert)

@@ -82,7 +82,8 @@ from pathlib import Path
 import numpy as np
 
 from .hermitian import as_hermitian, as_signal
-from .policy import POLICY, _check_count, _check_level, _check_seed, _is_int, _real_array
+from .policy import POLICY, _check_count, _check_level, _check_seed, _check_type
+from .policy import _is_int, _real_array
 
 __all__ = [
     "MomentReport",
@@ -114,13 +115,19 @@ class MomentReport:
     ok: bool
 
 
+def _exact_moment(support, probabilities, p: int) -> Fraction:
+    """E[eps^p] in exact rational arithmetic over the values' float representations."""
+    return sum(Fraction(w) * Fraction(s) ** p for s, w in zip(support, probabilities))
+
+
 def validate_moments(support, probabilities=None) -> MomentReport:
     """Check the mask moment profile in exact rational arithmetic.
 
     Accepts either a MaskDistribution or raw (support, probabilities)
     sequences — the latter admits deliberately invalid distributions (for
     example plain Rademacher, which fails the fourth-moment condition and can
-    therefore never be constructed as a MaskDistribution).
+    therefore never be constructed as a MaskDistribution).  Non-finite
+    support or probability values raise ValueError naming them.
     """
     if isinstance(support, MaskDistribution):
         dist = support
@@ -129,21 +136,20 @@ def validate_moments(support, probabilities=None) -> MomentReport:
         raise ValueError("probabilities required when support is a raw sequence")
     if len(support) != len(probabilities) or not len(support):
         raise ValueError("support and probabilities must be nonempty and equal-length")
-    probs = [Fraction(p) for p in probabilities]
-    vals = [Fraction(v) for v in support]
-    moments = tuple(
-        float(sum(p * v**k for p, v in zip(probs, vals))) for k in range(1, 5)
-    )
+    for key, values in (("support", support), ("probabilities", probabilities)):
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{key} must be finite, got {tuple(values)!r}")
+    total, *moments = (float(_exact_moment(support, probabilities, k)) for k in range(5))
     tol = POLICY.moment_tol
     conditions = {
-        "probabilities_normalized": abs(float(sum(probs)) - 1.0) <= tol
-        and all(p >= 0 for p in probs),
+        "probabilities_normalized": abs(total - 1.0) <= tol
+        and all(p >= 0 for p in probabilities),
         "mean_zero": abs(moments[0]) <= tol,
         "variance_positive": moments[1] > tol,
         "third_moment_zero": abs(moments[2]) <= tol,
         "fourth_moment_condition": abs(moments[3] - 2.0 * moments[1] ** 2) <= tol,
     }
-    return MomentReport(moments=moments, conditions=conditions, ok=all(conditions.values()))
+    return MomentReport(tuple(moments), conditions, all(conditions.values()))
 
 
 @dataclass(frozen=True)
@@ -182,10 +188,7 @@ class MaskDistribution:
 
     def moment(self, p: int) -> float:
         """E[eps^p], evaluated exactly over the float representations."""
-        acc = Fraction(0)
-        for s, w in zip(self.support, self.probabilities):
-            acc += Fraction(w) * Fraction(s) ** p
-        return float(acc)
+        return float(_exact_moment(self.support, self.probabilities, p))
 
 
 def ternary_mask_distribution() -> MaskDistribution:
@@ -316,6 +319,7 @@ def _draw_entries(dist: MaskDistribution, rng: np.random.Generator, shape) -> np
 
 def sample_masks(dist: MaskDistribution, d: int, L: int, seed: int) -> MaskSet:
     """Draw an (L, d) i.i.d. mask set; deterministic for a given seed."""
+    _check_type("dist", dist, MaskDistribution)
     _check_count("d", d)
     _check_count("L", L)
     _check_seed(seed)
@@ -445,18 +449,23 @@ def dft2_vector(d1: int, d2: int, k: int, l: int) -> np.ndarray:
 
 
 def measure(x, masks: MaskSet) -> MeasurementVector:
-    """Diffraction intensities |<f_k, D_l x>|^2, the forward values of
-    x x* = x z* + z x* at z = x/2 (``_apply_A_rank2``).
+    """Diffraction intensities |<f_k, D_l x>|^2: the masked spectra of x, one
+    real (2d, L) product with x W (``_dft_matrix``), squared and summed in place.
 
     Raises if the per-mask Parseval identity sum_k y_{k,l} = d ||D_l x||^2
     fails beyond roundoff — that would indicate a broken DFT convention, not
     bad data.
     """
     x = as_signal(x)
-    if x.size != masks.d:
-        raise ValueError(f"signal dimension {x.size} != mask dimension {masks.d}")
-    y = _apply_A_rank2(masks.epsilon, x, 0.5 * x)
-    targets = masks.d * (np.square(masks.epsilon) @ np.square(np.abs(x)))
+    _check_type("masks", masks, MaskSet)
+    d = x.size
+    if d != masks.d:
+        raise ValueError(f"signal dimension {d} != mask dimension {masks.d}")
+    xW = x[:, None] * _dft_matrix(d)
+    spectra = np.concatenate([xW.real, xW.imag], axis=1).T @ masks.epsilon.T
+    np.square(spectra, out=spectra)
+    y = np.add(spectra[:d], spectra[d:], out=spectra[:d]).T
+    targets = d * (np.square(masks.epsilon) @ np.square(np.abs(x)))
     scale = max(float(targets.max()), 1.0)
     if float(np.max(np.abs(y.sum(axis=1) - targets))) > POLICY.adjoint_rel_tol * scale:
         raise RuntimeError("per-mask Parseval identity violated beyond tolerance")

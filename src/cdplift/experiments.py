@@ -56,9 +56,7 @@ from .certify import (
     DualCertificate,
     GolfingParams,
     _enumeration_fits,
-    _isotropy_deviation,
-    _moment_grams,
-    _two_design_deviation,
+    check_near_isotropy_exact,
     golfing_construct,
     verify_certificate,
 )
@@ -189,13 +187,17 @@ class ExperimentResult:
 
 
 def derive_seed(base_seed: int, *parts) -> int:
-    """Derive a per-trial seed: base_seed XOR blake2b(parts), in [0, 2^63)."""
+    """Derive a per-trial seed: base_seed XOR blake2b(parts), in [0, 2^63);
+    ``base_seed`` may be any integer, negative ones included."""
+    if not _is_int(base_seed):
+        raise ValueError(f"base_seed must be an integer, got {base_seed!r}")
     digest = hashlib.blake2b(repr(tuple(parts)).encode(), digest_size=8).digest()
     return (int(base_seed) ^ int.from_bytes(digest, "big")) & (2**63 - 1)
 
 
 def random_unit_signal(d: int, rng) -> np.ndarray:
-    """A uniform draw from the complex unit sphere in C^d."""
+    """A uniform draw from the complex unit sphere in C^d, d an integer >= 1."""
+    _check_count("d", d)
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return x / np.linalg.norm(x)
 
@@ -426,24 +428,21 @@ _AuditRow = namedtuple("_AuditRow", "d check deviation passed flag")
 def run_isotropy_audit(cfg: ExperimentConfig) -> ExperimentResult:
     """Exact near-isotropy and 2-design deviations over d_grid.
 
-    Both deviations are read off one enumeration per d, the offset Grams of
-    ``_moment_grams``, as ``check_near_isotropy_exact`` and
-    ``check_two_design_exact`` read them.  Even dimensions are expected to
-    fail the identities; their rows carry a distinct
+    The two identities are one, read in two index orders, so the one
+    deviation of ``check_near_isotropy_exact`` and ``check_two_design_exact``,
+    of one enumeration per d, is written on both rows.  Even dimensions are
+    expected to fail the identities; their rows carry a distinct
     ``even_d_expected_failure`` flag instead of counting as clean passes or
     silent errors.
     """
     cfg = replace(cfg, experiment="isotropy_audit")  # re-runs the enumeration budget check
     rows = []
     for d in cfg.d_grid:
-        H = _moment_grams(_DIST, d)
-        for check, deviation in (
-            ("near_isotropy", _isotropy_deviation(H, _DIST.nu)),
-            ("two_design", _two_design_deviation(H, _DIST.nu)),
-        ):
-            passed = deviation <= 1e-12
-            flag = "even_d_expected_failure" if (d % 2 == 0 and not passed) else ""
-            rows.append(_AuditRow(d, check, deviation, passed, flag))
+        deviation = check_near_isotropy_exact(_DIST, d)
+        passed = deviation <= 1e-12
+        flag = "even_d_expected_failure" if (d % 2 == 0 and not passed) else ""
+        rows += [_AuditRow(d, check, deviation, passed, flag)
+                 for check in ("near_isotropy", "two_design")]
 
     path = _write_csv(
         Path(cfg.out_dir) / "isotropy_audit.csv", "isotropy_audit", _AuditRow._fields, rows

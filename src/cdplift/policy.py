@@ -4,7 +4,7 @@ Every module draws its default tolerances from :data:`POLICY` so there is a
 single tuning point.  The individual fields exist because different contracts
 pin different accuracies (moment identities are checked to 1e-12, adjoint
 pairings to 1e-9 relative, etc.).  The option dataclasses and the samplers
-share the integer, seed, level and real-array checks below.
+share the integer, type, seed, level and real-array checks below.
 """
 
 import math
@@ -38,10 +38,21 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real number, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_count(key: str, value) -> None:
     """ValueError naming ``key`` unless ``value`` is an integer >= 1."""
     if not _is_int(value) or value < 1:
         raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def _check_type(key: str, value, cls) -> None:
+    """TypeError naming ``key`` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{key} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _check_seed(seed) -> None:
@@ -52,8 +63,7 @@ def _check_seed(seed) -> None:
 
 def _check_level(key: str, value) -> None:
     """ValueError naming ``key`` unless ``value`` is a finite real number >= 0."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value >= 0):
+    if not (_is_real(value) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{key} must be a finite real number >= 0, got {value!r}")
 
 

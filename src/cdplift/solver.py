@@ -44,7 +44,7 @@ import numpy as np
 from .diffraction import MeasurementFrame, MeasurementVector, apply_A
 from .diffraction import _contract, _half_offsets, _mirror_fill, _mirror_weights, _per_offset
 from .hermitian import as_hermitian, psd_project
-from .policy import _check_counts, _check_level
+from .policy import _check_counts, _check_level, _check_type
 
 __all__ = [
     "SolverConfig",
@@ -198,7 +198,10 @@ class _AffineSet:
 
 
 def _check_shape(frame: MeasurementFrame, y: MeasurementVector) -> None:
-    """ValueError unless ``y`` holds one intensity per (mask, frequency) of ``frame``."""
+    """TypeError unless ``frame`` and ``y`` are a frame and a measurement;
+    ValueError unless ``y`` holds one intensity per (mask, frequency) of ``frame``."""
+    _check_type("frame", frame, MeasurementFrame)
+    _check_type("y", y, MeasurementVector)
     if y.y.shape != (frame.L, frame.d):
         raise ValueError(
             f"measurement shape {y.y.shape} does not match frame ({frame.L}, {frame.d})"

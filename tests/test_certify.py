@@ -29,8 +29,6 @@ from cdplift.certify import (
     _enumerate_masks,
     _identity_fold,
     _moment_grams,
-    _pair_grams,
-    _relabel_index,
     _schedule,
 )
 from cdplift.diffraction import (
@@ -45,7 +43,7 @@ from cdplift.diffraction import (
 )
 from cdplift.diffraction import _draw_entries
 from cdplift.hermitian import TangentSpace, norm
-from test_diffraction import _sum_partners, five_point_distribution
+from test_diffraction import five_point_distribution
 from util import (
     apply_A_probe_margin,
     dense_frame_element,
@@ -301,20 +299,20 @@ def test_two_design_matches_dense_enumeration(law, d):
     )
 
 
-@pytest.mark.parametrize("law", ["ternary", "five-point"])
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
-def test_two_design_and_near_isotropy_are_one_check_realigned(law, d):
-    # G_s[a, b] = H_{(s-a-b) mod d}[a, b], and the targets agree under the
-    # same relabeling, so both exact checks return the same deviation
+@pytest.mark.parametrize("d, law", [(d, "ternary") for d in range(2, 7)]
+                         + [(d, "five-point") for d in range(2, 6)])
+def test_two_design_and_near_isotropy_are_one_check_realigned(d, law):
+    # the two identities are one fourth-moment tensor read in two index
+    # orders, so their dense deviations agree; the library computes one
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
-    assert check_two_design_exact(dist, d) == pytest.approx(
-        check_near_isotropy_exact(dist, d), abs=1e-12
+    assert dense_two_design_deviation(dist, d) == pytest.approx(
+        dense_isotropy_deviation(dist, d), abs=1e-15
     )
 
 
 def _spy_enumeration(monkeypatch):
-    """Record each enumeration's chunk count and each _pair_grams call's partner."""
-    enumerations, partners = [], []
+    """Record each enumeration's chunk count."""
+    enumerations = []
 
     def enumerate_masks(dist, d):
         enumerations.append(0)
@@ -322,49 +320,44 @@ def _spy_enumeration(monkeypatch):
             enumerations[-1] += 1
             yield chunk
 
-    def pair_grams(chunks, partner):
-        partners.append(partner.copy())
-        return _pair_grams(chunks, partner)
-
     monkeypatch.setattr(certify_module, "_enumerate_masks", enumerate_masks)
-    monkeypatch.setattr(certify_module, "_pair_grams", pair_grams)
-    return enumerations, partners
+    return enumerations
 
 
 @pytest.mark.parametrize("check", [check_near_isotropy_exact, check_two_design_exact])
 @pytest.mark.parametrize("chunk", [7, _CHUNK])
 @pytest.mark.parametrize("d", [1, 4, 7])
 def test_exact_checks_enumerate_once_with_half_the_products(check, chunk, d, monkeypatch):
-    # one pass over the masks per call, nothing kept between calls, and per
-    # chunk one product per difference pair (a, a+m) of offsets 0..d//2
+    # one pass over the masks per call and nothing kept between calls; the
+    # products per chunk are one per offset 0..d//2, the Grams that
+    # test_moment_grams_match_two_array_oracle pins
     monkeypatch.setattr(certify_module, "_CHUNK", chunk)
-    enumerations, partners = _spy_enumeration(monkeypatch)
+    enumerations = _spy_enumeration(monkeypatch)
     dist = ternary_mask_distribution()
     first = check(dist, d)
     assert check(dist, d) == first
     chunks = 3 ** (d - 1) if chunk == 7 else 1  # chunks of 3 masks, or all at once
     assert enumerations == [chunks, chunks]
-    a = np.arange(d)
-    difference = (a + np.arange(d // 2 + 1)[:, None]) % d
-    assert len(partners) == 2
-    for partner in partners:
-        assert partner.shape == (d // 2 + 1, d)
-        assert np.array_equal(partner, difference)
 
 
 @pytest.mark.parametrize("law", ["ternary", "five-point"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_moment_grams_match_two_array_oracle(law, d):
-    # H is the difference-pair Grams of offsets 0..d//2, and G read off H by
-    # the relabeling (offsets past d/2 through the shift identity) is every
-    # sum-pair Gram, each from its own two-array blocks over
-    # itertools-enumerated masks
+    # H is the difference-pair Grams of offsets 0..d//2, and every sum-pair
+    # Gram G_s[a, b] = sum p eps_a eps_{s-a} eps_b eps_{s-b} is H_m[a, b] at
+    # m = s - a - b, past d/2 through the shift H_m[a, b] = H_{d-m}[a+m, b+m]
+    # (check_two_design_exact's relabeling); each is checked against its own
+    # two-array blocks over itertools-enumerated masks
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
     eps, p = itertools_masks(dist, d)
     H = _moment_grams(dist, d)
-    G = H.ravel()[_relabel_index(d)]
-    assert H.shape == (d // 2 + 1, d, d) and G.shape == (d, d, d)
-    for partner, grams in ((None, H), (_sum_partners(d), G)):
+    assert H.shape == (d // 2 + 1, d, d)
+    G = np.empty((d, d, d))
+    for s, i, j in itertools.product(range(d), repeat=3):
+        m = (s - i - j) % d
+        G[s, i, j] = H[m, i, j] if m <= d // 2 else H[d - m, (i + m) % d, (j + m) % d]
+    a = np.arange(d)
+    for partner, grams in ((None, H), ((a[:, None] - a) % d, G)):
         blocks = offset_blocks_two_array(eps, partner)
         expected = np.einsum("jna,n,jnb->jab", blocks, p, blocks)[: len(grams)]
         assert np.allclose(grams, expected, rtol=1e-13, atol=1e-15)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdplift.certify import _pair_grams
 from cdplift.diffraction import (
     MaskDistribution,
     MaskSet,
@@ -575,40 +574,24 @@ def test_maskset_and_frame_blocks_do_not_follow_the_callers_array():
 # offset blocks
 
 
-def _sum_partners(d):
-    a = np.arange(d)
-    return (a[:, None] - a[None, :]) % d  # partner[s, a] = s - a
-
-
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("L", [0, 1, 7])
 @pytest.mark.parametrize("d", [5, 6])
-@pytest.mark.parametrize("pairs", ["difference", "sum"])
+@pytest.mark.parametrize("pairs", ["difference"])
 def test_offset_blocks_match_two_array_form(pairs, d, L, order):
-    # difference pairs through _offset_blocks; sum pairs through the
-    # enumeration kernel's weighted pair Grams, which take any partner rows
+    # offsets 0..d//2 are built; every other offset d - m of the full
+    # two-array stack is the mirror E_{d-m}[l, a+m] = E_m[l, a] of one
     masks = sample_masks(five_point_distribution(), d, max(L, 1), seed=34 + d)
     eps = np.array(masks.epsilon[:L], order=order)  # writable, so a write would show
     before = eps.copy()
-    if pairs == "difference":
-        # offsets 0..d//2 are built; every other offset d - m of the full
-        # two-array stack is the mirror E_{d-m}[l, a+m] = E_m[l, a] of one
-        h = d // 2 + 1
-        blocks = _offset_blocks(eps)
-        full = offset_blocks_two_array(eps)
-        assert blocks.shape == (h, L, d)
-        assert np.array_equal(blocks, full[:h])
-        a = np.arange(d)
-        for m in range(1, d):
-            assert np.array_equal(full[d - m][:, (a + m) % d], full[m])
-    else:
-        partner = _sum_partners(d)
-        weights = np.random.default_rng(d + L).random(L)
-        blocks = offset_blocks_two_array(eps, partner)
-        expected = np.einsum("jna,n,jnb->jab", blocks, weights, blocks)
-        grams = _pair_grams([(eps, weights)], partner)
-        assert grams.shape == (d, d, d)
-        assert np.allclose(grams, expected, rtol=1e-13, atol=1e-13)
+    h = d // 2 + 1
+    blocks = _offset_blocks(eps)
+    full = offset_blocks_two_array(eps)
+    assert blocks.shape == (h, L, d)
+    assert np.array_equal(blocks, full[:h])
+    a = np.arange(d)
+    for m in range(1, d):
+        assert np.array_equal(full[d - m][:, (a + m) % d], full[m])
     assert np.array_equal(eps, before)  # the caller's masks are never written
 
 

@@ -19,17 +19,29 @@ import numpy as np
 import pytest
 
 import cdplift
-from cdplift.certify import GolfingParams, injectivity_spectrum, truncation_statistics
+from cdplift.certify import (
+    GolfingFailure,
+    GolfingParams,
+    check_near_isotropy_exact,
+    check_two_design_exact,
+    golfing_construct,
+    injectivity_spectrum,
+    truncation_statistics,
+    variance_bound_check,
+    verify_certificate,
+)
 from cdplift.diffraction import (
+    MaskDistribution,
     MaskSet,
     MeasurementFrame,
     MeasurementVector,
     apply_A_adjoint,
+    measure,
     sample_masks,
     ternary_mask_distribution,
 )
-from cdplift.experiments import ExperimentConfig
-from cdplift.solver import SolverConfig
+from cdplift.experiments import ExperimentConfig, derive_seed, random_unit_signal
+from cdplift.solver import SolverConfig, solve_phaselift, verify_feasibility
 
 
 def _fields(cls):
@@ -102,6 +114,9 @@ def test_top_level_exports_are_pinned():
 _DIST = ternary_mask_distribution()
 _EVEN_FRAME = MeasurementFrame(sample_masks(_DIST, 4, 3, seed=0))
 _ODD_FRAME = MeasurementFrame(sample_masks(_DIST, 5, 3, seed=0))
+_X = np.ones(5) / np.sqrt(5.0)
+_RANK_ONE = np.outer(_X, _X)
+_TRACE_MIN = SolverConfig(mode="trace_min")
 
 
 # inputs the boundary refuses, each with the argument its error names
@@ -122,6 +137,17 @@ _REJECTED = {
         lambda: truncation_statistics(_ODD_FRAME, np.diag([1.0, 0.0, 0.0, 0.0]), 9.0), "Z"),
     "injectivity-even-d": (
         lambda: injectivity_spectrum(_EVEN_FRAME, np.ones(4) / 2.0), "frame dimension d"),
+    "truncation-gamma-bool": (
+        lambda: truncation_statistics(_ODD_FRAME, _RANK_ONE, True), "gamma"),
+    "truncation-gamma-str": (
+        lambda: truncation_statistics(_ODD_FRAME, _RANK_ONE, "3"), "gamma"),
+    "unit-signal-zero-d": (lambda: random_unit_signal(0, np.random.default_rng(0)), "d"),
+    "derive-seed-float": (lambda: derive_seed(1.5, 1), "base_seed"),
+    "mask-law-inf-support": (
+        lambda: MaskDistribution((np.inf, 0.0, -np.inf), (0.25, 0.5, 0.25), 1.0, 1.0),
+        "support"),
+    "mask-law-nan-probability": (
+        lambda: MaskDistribution((1.0, -1.0), (np.nan, 0.5), 1.0, 1.0), "probabilities"),
 }
 
 
@@ -129,6 +155,30 @@ _REJECTED = {
 def test_rejected_inputs_name_their_argument(case):
     call, name = _REJECTED[case]
     with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
+
+
+# arguments of the wrong type, each with the argument its TypeError names
+_WRONG_TYPE = {
+    "measure-masks": (lambda: measure(_X, _ODD_FRAME.masks.epsilon), "masks"),
+    "solve-frame": (
+        lambda: solve_phaselift(_ODD_FRAME.masks, measure(_X, _ODD_FRAME.masks), _TRACE_MIN),
+        "frame"),
+    "solve-y": (lambda: solve_phaselift(_ODD_FRAME, np.ones((3, 5)), _TRACE_MIN), "y"),
+    "feasibility-y": (lambda: verify_feasibility(_ODD_FRAME, np.ones((3, 5)), _RANK_ONE), "y"),
+    "sample-masks-dist": (lambda: sample_masks(None, 5, 3, 0), "dist"),
+    "near-isotropy-dist": (lambda: check_near_isotropy_exact(None, 3), "dist"),
+    "two-design-dist": (lambda: check_two_design_exact(_DIST.support, 3), "dist"),
+    "golfing-dist": (lambda: golfing_construct(_X, None), "dist"),
+    "variance-dist": (lambda: variance_bound_check(None, _X, _RANK_ONE), "dist"),
+    "verify-cert": (lambda: verify_certificate(GolfingFailure("r", (), 0), _X), "cert"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPE))
+def test_wrong_types_name_their_argument(case):
+    call, name = _WRONG_TYPE[case]
+    with pytest.raises(TypeError, match=f"^{name} must be a "):
         call()
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,6 +182,7 @@ def dense_injectivity_lambda_min(eps, nu, x):
     return float(np.linalg.eigvalsh((M + M.T) / 2)[0])
 
 
+@lru_cache(maxsize=None)  # shared by the tests that compare against it
 def dense_isotropy_deviation(dist, d):
     """Max entry deviation of E[R](E_ij) from E_ij + delta_ij Id by brute force.
 
@@ -207,6 +209,7 @@ def symmetric_projector(d):
     return (np.eye(d * d) + swap) / 2.0
 
 
+@lru_cache(maxsize=None)  # shared by the tests that compare against it
 def dense_two_design_deviation(dist, d):
     """Max entry deviation of (1/nu^2 d) sum_k E[F_k tensor F_k] from 2 P_sym.
 
