@@ -449,8 +449,8 @@ def dft2_vector(d1: int, d2: int, k: int, l: int) -> np.ndarray:
 
 
 def measure(x, masks: MaskSet) -> MeasurementVector:
-    """Diffraction intensities |<f_k, D_l x>|^2: the masked spectra of x, one
-    real (2d, L) product with x W (``_dft_matrix``), squared and summed in place.
+    """Diffraction intensities |<f_k, D_l x>|^2, the forward values of
+    x x* = x z* + z x* at z = x/2 (``_apply_A_rank2``).
 
     Raises if the per-mask Parseval identity sum_k y_{k,l} = d ||D_l x||^2
     fails beyond roundoff — that would indicate a broken DFT convention, not
@@ -458,14 +458,10 @@ def measure(x, masks: MaskSet) -> MeasurementVector:
     """
     x = as_signal(x)
     _check_type("masks", masks, MaskSet)
-    d = x.size
-    if d != masks.d:
-        raise ValueError(f"signal dimension {d} != mask dimension {masks.d}")
-    xW = x[:, None] * _dft_matrix(d)
-    spectra = np.concatenate([xW.real, xW.imag], axis=1).T @ masks.epsilon.T
-    np.square(spectra, out=spectra)
-    y = np.add(spectra[:d], spectra[d:], out=spectra[:d]).T
-    targets = d * (np.square(masks.epsilon) @ np.square(np.abs(x)))
+    if x.size != masks.d:
+        raise ValueError(f"signal dimension {x.size} != mask dimension {masks.d}")
+    y = _apply_A_rank2(masks.epsilon, x, 0.5 * x)
+    targets = masks.d * (np.square(masks.epsilon) @ np.square(np.abs(x)))
     scale = max(float(targets.max()), 1.0)
     if float(np.max(np.abs(y.sum(axis=1) - targets))) > POLICY.adjoint_rel_tol * scale:
         raise RuntimeError("per-mask Parseval identity violated beyond tolerance")

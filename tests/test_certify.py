@@ -311,8 +311,9 @@ def test_two_design_and_near_isotropy_are_one_check_realigned(d, law):
 
 
 def _spy_enumeration(monkeypatch):
-    """Record each enumeration's chunk count."""
-    enumerations = []
+    """Record each enumeration's chunk count and count the Gram products."""
+    enumerations, products = [], []
+    matmul = np.matmul
 
     def enumerate_masks(dist, d):
         enumerations.append(0)
@@ -320,8 +321,13 @@ def _spy_enumeration(monkeypatch):
             enumerations[-1] += 1
             yield chunk
 
+    def counting_matmul(*args, **kwargs):
+        products.append(0)
+        return matmul(*args, **kwargs)
+
     monkeypatch.setattr(certify_module, "_enumerate_masks", enumerate_masks)
-    return enumerations
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    return enumerations, products
 
 
 @pytest.mark.parametrize("check", [check_near_isotropy_exact, check_two_design_exact])
@@ -332,12 +338,13 @@ def test_exact_checks_enumerate_once_with_half_the_products(check, chunk, d, mon
     # products per chunk are one per offset 0..d//2, the Grams that
     # test_moment_grams_match_two_array_oracle pins
     monkeypatch.setattr(certify_module, "_CHUNK", chunk)
-    enumerations = _spy_enumeration(monkeypatch)
+    enumerations, products = _spy_enumeration(monkeypatch)
     dist = ternary_mask_distribution()
     first = check(dist, d)
     assert check(dist, d) == first
     chunks = 3 ** (d - 1) if chunk == 7 else 1  # chunks of 3 masks, or all at once
     assert enumerations == [chunks, chunks]
+    assert len(products) == 2 * chunks * (d // 2 + 1)
 
 
 @pytest.mark.parametrize("law", ["ternary", "five-point"])

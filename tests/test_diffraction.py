@@ -576,9 +576,8 @@ def test_maskset_and_frame_blocks_do_not_follow_the_callers_array():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("L", [0, 1, 7])
-@pytest.mark.parametrize("d", [5, 6])
-@pytest.mark.parametrize("pairs", ["difference"])
-def test_offset_blocks_match_two_array_form(pairs, d, L, order):
+@pytest.mark.parametrize("d", [5, 6], ids=lambda d: f"difference-{d}")
+def test_offset_blocks_match_two_array_form(d, L, order):
     # offsets 0..d//2 are built; every other offset d - m of the full
     # two-array stack is the mirror E_{d-m}[l, a+m] = E_m[l, a] of one
     masks = sample_masks(five_point_distribution(), d, max(L, 1), seed=34 + d)
