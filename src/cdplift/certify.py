@@ -292,6 +292,7 @@ def injectivity_spectrum(
     through H is in the tests: the margin is compared with the one from the
     dL forward values of ``apply_A``.
     """
+    _check_type("frame", frame, MeasurementFrame)
     if not _is_int(probes) or probes < 0:
         raise ValueError(f"probes must be an integer >= 0, got {probes!r}")
     _check_seed(seed)
@@ -353,6 +354,7 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     tangent space).  The boundary |tr| == threshold counts as inside the good
     event (not exceeded); in particular Z = 0 never triggers anything.
     """
+    _check_type("frame", frame, MeasurementFrame)
     Z = as_hermitian(Z)
     if Z.shape[0] != frame.d:
         raise ValueError(f"Z must be {frame.d} x {frame.d} like the frame, got {Z.shape}")
@@ -771,6 +773,7 @@ def verify_certificate(
     _check_type("cert", cert, DualCertificate)
     x = as_signal(x)
     frame = frame if frame is not None else MeasurementFrame(cert.masks)
+    _check_type("frame", frame, MeasurementFrame)
     _check_instance(x, frame, "certificate", cert)
     Y_rec = apply_A_adjoint(frame, cert.in_range_witness)
     scale = max(float(np.linalg.norm(cert.Y)), 1.0)
@@ -809,6 +812,9 @@ def certify_optimality(
     same MaskSet, or equal mask entries); otherwise ValueError.
     """
     x = as_signal(x)
+    _check_type("frame", frame, MeasurementFrame)
+    _check_type("cert", cert, DualCertificate)
+    _check_type("injectivity", injectivity, InjectivityReport)
     _check_instance(x, frame, "certificate", cert)
     _check_instance(x, frame, "injectivity report", injectivity)
     failing = [name for name, ok in (

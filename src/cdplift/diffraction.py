@@ -333,6 +333,9 @@ class MeasurementFrame:
 
     masks: MaskSet
 
+    def __post_init__(self):
+        _check_type("masks", self.masks, MaskSet)
+
     @property
     def distribution(self) -> MaskDistribution:
         return self.masks.distribution
@@ -635,6 +638,7 @@ def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:
     Flattened row-major over (l, k): entry l*d + (k-1).  For Z = x x* this
     reproduces measure(x, masks) entrywise.
     """
+    _check_type("frame", frame, MeasurementFrame)
     Z = as_hermitian(Z)
     if Z.shape[0] != frame.d:
         raise ValueError(f"matrix dimension {Z.shape[0]} != frame dimension {frame.d}")
@@ -647,6 +651,7 @@ def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
     The coefficients c must be finite real numbers: complex ones (whose imaginary
     part the map would drop), bool, string, NaN or inf ones raise ValueError.
     """
+    _check_type("frame", frame, MeasurementFrame)
     c = _real_array("coefficients c", c)
     if c.shape != (frame.L * frame.d,):
         raise ValueError(f"coefficient length {c.shape} != ({frame.L * frame.d},)")
@@ -657,9 +662,8 @@ def apply_A_adjoint(frame: MeasurementFrame, c) -> np.ndarray:
 
 def apply_R(frame: MeasurementFrame, Z) -> np.ndarray:
     """Normalized Gram operator R(Z) = A*(A(Z)) / (nu^2 d L)."""
-    Z = as_hermitian(Z)
-    scale = 1.0 / (frame.distribution.nu**2 * frame.d * frame.L)
-    return apply_A_adjoint(frame, apply_A(frame, Z)) * scale
+    image = apply_A_adjoint(frame, apply_A(frame, Z))  # both check their arguments
+    return image * (1.0 / (frame.distribution.nu**2 * frame.d * frame.L))
 
 
 def _crt_combine(r1: int, d1: int, r2: int, d2: int) -> int:

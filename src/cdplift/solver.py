@@ -20,12 +20,15 @@ least-squares correction per block, factored once per solve.  Every iterate
 is Hermitian and y is real, so offset d - m's system is the conjugate mirror
 of offset m's: only the blocks of offsets 0..d//2 are factored and projected,
 and the other offsets are filled by the mirror, which keeps the projection
-Hermitian entry for entry.  A block with at least d rows whose Gram matrix
+Hermitian entry for entry.  In feasibility mode tr X = y0 is one more row of
+every block: the trace row on offset 0, a zero row on the others, so both
+modes factor one stack.  A block with at least d rows whose Gram matrix
 shows kappa_2 <= 1e3 (almost every block when L >= d) is solved by its normal
-equations, which then lose at most about 1e6 eps, and has no null space; every
-other block keeps a pseudo-inverse from the SVD.  The data residual of each
-PSD iterate comes from the same blocks, so neither step needs ``A`` in dense
-form, nor a call of the public forward map.
+equations, which then lose at most about 1e6 eps; every other block keeps a
+pseudo-inverse from the SVD.  Whichever path it takes, a block has a null
+space when its rank is below d.  The data residual of each PSD iterate
+comes from the same blocks, so neither step needs ``A`` in dense form, nor a
+call of the public forward map.
 
 When no block has a null space, A is injective on Hermitian matrices and the
 affine set is one point X0.  Then V = X0 - rho Id is the fixed point of the
@@ -89,9 +92,6 @@ class SolveResult:
     final_residual: float
     converged: bool
     residual_history: np.ndarray
-    # residual increases beyond 1% slack, counted: Douglas-Rachford is not
-    # monotone in the data residual, so this may be positive on any solve
-    monotonicity_violations: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,9 @@ def _lstsq_factors(E: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     G_m^{-1} E_m^T t_m.  Every other block takes the SVD, whose lstsq cutoff
     drops exactly dependent columns: wide blocks (r < d), zero columns, the
     equal columns a, a + d/2 of offset d/2 at even d, and any block the gate
-    rejects.  The eigenvalue gate gives a true bound and, unlike a batched
-    Cholesky or solve, does not fail the whole stack on one singular block.
+    rejects, whose keep_m is roundoff when it has full rank.  The eigenvalue
+    gate gives a true bound and, unlike a batched Cholesky or solve, does not
+    fail the whole stack on one singular block.
     """
     n, r, d = E.shape
     keep, shift = np.zeros((n, d, d)), np.empty((n, d), dtype=complex)
@@ -147,31 +148,32 @@ class _AffineSet:
     nearest point is z_m + E_m^+ (t_m - E_m z_m) for every m; for Hermitian X
     it is Hermitian, offset d - m the mirror of offset m, so the h = d//2 + 1
     blocks of ``frame.blocks`` are projected and the rest is the gather of
-    ``_mirror_fill``.  Only a block with a null space reads z_m; every other
-    one sets z_m to its shift.  The trace row [1 ... 1 | y0] joins the m = 0
-    block scaled by 1/sqrt(d), since ||A(X) - y||^2 = d sum_m ||E_m z_m -
-    t_m||^2 over all d offsets: on inconsistent data this gives the
-    least-squares projection.  The residual reads that sum off the half,
-    weighted by ``_mirror_weights``.  The other blocks
-    keep their L rows, so each stack goes to _lstsq_factors with its true
-    row count, and with L >= d almost every block takes the Gram path.
+    ``_mirror_fill``.  With y0 every block gains one last row: the trace row
+    [1 ... 1 | y0] scaled by 1/sqrt(d) on offset 0 (tr X = sum_a z_0[a]) and
+    a zero row elsewhere, which changes no block's least squares.  The scale
+    is that of ||A(X) - y||^2 = d sum_m ||E_m z_m - t_m||^2 over all d
+    offsets, so on inconsistent data the projection is the least-squares one,
+    and the residual, that sum read off the half weighted by
+    ``_mirror_weights``, takes (tr X - y0)^2 from the same row.  One
+    _lstsq_factors call factors the stack.  A block has a null space when
+    tr keep_m = d - rank E_m is at least 1; only such a block reads z_m, every
+    other one sets z_m to its shift.
     """
 
     def __init__(self, frame: MeasurementFrame, y_flat: np.ndarray, y0: float | None):
         d = frame.d
         pairs = _per_offset(y_flat.reshape(frame.L, d)) / d  # Re and Im of t_m
         E, t = frame.blocks, pairs[:, 0] + 1j * pairs[:, 1]
-        if y0 is None:
-            keep, shift = _lstsq_factors(E, t)
-        else:  # the trace row [1 ... 1 | y0] / sqrt(d) joins block 0 only
-            E0 = np.concatenate([E[:1], np.full((1, 1, d), 1.0 / np.sqrt(d))], axis=1)
-            t0 = np.append(t[0], y0 / np.sqrt(d))[None]
-            parts = _lstsq_factors(E0, t0), _lstsq_factors(E[1:], t[1:])
-            keep, shift = (np.concatenate(p) for p in zip(*parts))
-        self._null = np.flatnonzero(keep.any(axis=(1, 2)))  # blocks with a null space
+        if y0 is not None:  # the trace row [1 ... 1 | y0] / sqrt(d), a zero row off offset 0
+            E = np.concatenate([E, np.zeros((len(E), 1, d))], axis=1)
+            t = np.concatenate([t, np.zeros((len(t), 1))], axis=1)
+            E[0, -1], t[0, -1] = 1.0 / np.sqrt(d), y0 / np.sqrt(d)
+        keep, shift = _lstsq_factors(E, t)
+        # tr keep_m = d - rank E_m: roundoff-level on a full-rank block the gate sent to the SVD
+        self._null = np.flatnonzero(np.trace(keep, axis1=1, axis2=2) > 0.5)
         self._keep, self._shift = keep[self._null], shift
         self._weights = d * _mirror_weights(d)
-        self._E, self._t, self._y0 = E, t, y0
+        self._E, self._t = E, t
 
     @property
     def is_point(self) -> bool:
@@ -183,18 +185,14 @@ class _AffineSet:
     def project(self, X: np.ndarray) -> np.ndarray:
         half = self._shift
         if self._null.size:
-            z = _half_offsets(X)[self._null]
             half = half.copy()
-            half[self._null] += (self._keep @ z[..., None])[..., 0]
+            half[self._null] += _contract(self._keep, _half_offsets(X)[self._null])
         return _mirror_fill(half)
 
     def residual(self, X: np.ndarray) -> float:
         """||A(X) - y|| (with the trace row: ||(A(X), tr X) - (y, y0)||)."""
         r = _contract(self._E, _half_offsets(X)) - self._t
-        res2 = self._weights @ (r.real**2 + r.imag**2).sum(axis=1)
-        if self._y0 is not None:
-            res2 += abs(np.trace(X) - self._y0) ** 2
-        return float(np.sqrt(res2))
+        return float(np.sqrt(self._weights @ (r.real**2 + r.imag**2).sum(axis=1)))
 
 
 def _check_shape(frame: MeasurementFrame, y: MeasurementVector) -> None:
@@ -249,7 +247,6 @@ def solve_phaselift(
         final_residual=float(history[-1]),
         converged=converged,
         residual_history=history,
-        monotonicity_violations=int(np.sum(history[1:] > history[:-1] * 1.01)),
     )
 
 

@@ -20,8 +20,10 @@ import pytest
 
 import cdplift
 from cdplift.certify import (
+    DualCertificate,
     GolfingFailure,
     GolfingParams,
+    certify_optimality,
     check_near_isotropy_exact,
     check_two_design_exact,
     golfing_construct,
@@ -35,7 +37,9 @@ from cdplift.diffraction import (
     MaskSet,
     MeasurementFrame,
     MeasurementVector,
+    apply_A,
     apply_A_adjoint,
+    apply_R,
     measure,
     sample_masks,
     ternary_mask_distribution,
@@ -117,6 +121,7 @@ _ODD_FRAME = MeasurementFrame(sample_masks(_DIST, 5, 3, seed=0))
 _X = np.ones(5) / np.sqrt(5.0)
 _RANK_ONE = np.outer(_X, _X)
 _TRACE_MIN = SolverConfig(mode="trace_min")
+_CERT = DualCertificate(_RANK_ONE, 0.0, 0.0, (), np.zeros(15), _ODD_FRAME.masks, _X, 1.0)
 
 
 # inputs the boundary refuses, each with the argument its error names
@@ -172,6 +177,17 @@ _WRONG_TYPE = {
     "golfing-dist": (lambda: golfing_construct(_X, None), "dist"),
     "variance-dist": (lambda: variance_bound_check(None, _X, _RANK_ONE), "dist"),
     "verify-cert": (lambda: verify_certificate(GolfingFailure("r", (), 0), _X), "cert"),
+    "verify-frame": (lambda: verify_certificate(_CERT, _X, _ODD_FRAME.masks), "frame"),
+    "frame-masks": (lambda: MeasurementFrame(_ODD_FRAME.masks.epsilon), "masks"),
+    "forward-frame": (lambda: apply_A(_ODD_FRAME.masks.epsilon, _RANK_ONE), "frame"),
+    "adjoint-frame": (lambda: apply_A_adjoint(None, np.ones(15)), "frame"),
+    "gram-frame": (lambda: apply_R(_ODD_FRAME.masks, _RANK_ONE), "frame"),
+    "injectivity-frame": (lambda: injectivity_spectrum(_ODD_FRAME.masks.epsilon, _X), "frame"),
+    "truncation-frame": (lambda: truncation_statistics(None, _RANK_ONE, 9.0), "frame"),
+    "optimality-frame": (lambda: certify_optimality(_X, _ODD_FRAME.masks, _CERT, None), "frame"),
+    "optimality-cert": (lambda: certify_optimality(_X, _ODD_FRAME, None, None), "cert"),
+    "optimality-injectivity": (
+        lambda: certify_optimality(_X, _ODD_FRAME, _CERT, None), "injectivity"),
 }
 
 
