@@ -629,13 +629,15 @@ def golfing_construct(
     projections.
     """
     _check_type("dist", dist, MaskDistribution)
+    if params is None:
+        params = GolfingParams()
+    _check_type("params", params, GolfingParams)
     _check_seed(seed)
     x = as_signal(x)
     d = x.size
     if d < 3 or d % 2 == 0:
         raise ValueError("golfing requires odd signal dimension d >= 3")
     tangent = TangentSpace(x)
-    batch = params or GolfingParams()
     p = _schedule(d, dist)
 
     X = np.outer(x, x.conj())
@@ -679,15 +681,15 @@ def golfing_construct(
                                    float(np.linalg.norm(Q)), complement_now))
         return xi
 
-    if not attempt(1, "fine", batch.L1, p.t_first, p.c_first):
+    if not attempt(1, "fine", params.L1, p.t_first, p.c_first):
         return GolfingFailure("first fine iteration failed", tuple(log), masks_sampled)
-    if not attempt(2, "fine", batch.L2, p.t_first, p.c_first):
+    if not attempt(2, "fine", params.L2, p.t_first, p.c_first):
         return GolfingFailure("second fine iteration failed", tuple(log), masks_sampled)
     successes = 0
     attempts = 0
     while successes < p.r and attempts < p.w:
         attempts += 1
-        if attempt(2 + attempts, "coarse", batch.L_later, p.t_later, p.c_later):
+        if attempt(2 + attempts, "coarse", params.L_later, p.t_later, p.c_later):
             successes += 1
     if successes < p.r:
         return GolfingFailure(

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from cdplift.hermitian import (
     TangentSpace,
+    _psd_project,
     as_hermitian,
+    hermitize,
     norm,
     phase_aligned_distance,
     psd_project,
@@ -208,6 +210,18 @@ def test_psd_project_fixes_psd():
 
 def test_psd_project_clips_diagonal():
     assert np.allclose(psd_project(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
+
+
+def test_psd_project_validates_then_projects_the_hermitian_part():
+    # the solver's loop calls _psd_project on matrices Hermitian entry for entry
+    rng = np.random.default_rng(30)
+    Z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    assert np.array_equal(psd_project(Z), _psd_project(hermitize(Z)))
+    Z[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_project(Z)
+    with pytest.raises(ValueError, match="square"):
+        psd_project(np.ones((2, 3)))
 
 
 def test_psd_project_min_eigenvalue():

@@ -365,3 +365,56 @@ def test_solver_follows_the_dense_douglas_rachford_loop(d, L, mode, point):
         assert res.iterations_used == 1
     scale = np.linalg.norm(ref.X_hat)
     assert np.linalg.norm(res.X_hat - ref.X_hat) <= 1e-10 * scale
+
+
+def test_condition_gate_is_a_true_bound():
+    # blocks of known kappa_2 from their SVD, and one singular block (two
+    # equal columns), which makes the batched Cholesky of the stack fail
+    rng = np.random.default_rng(22)
+    kappas = (10, 100, 900, 1.1e3, 1e4)
+    E = rng.standard_normal((len(kappas) + 1, 10, 6))
+    for m, kappa in enumerate(kappas):
+        U, _, Vt = np.linalg.svd(E[m], full_matrices=False)
+        E[m] = U @ np.diag(np.geomspace(1, 1 / kappa, 6)) @ Vt
+    E[-1, :, 5] = E[-1, :, 0]
+    t = rng.standard_normal((len(E), 10)) + 1j * rng.standard_normal((len(E), 10))
+    keep, shift = _lstsq_factors(E, t)
+    gram = np.array([not k.any() for k in keep])  # keep_m = 0 exactly on the Gram path
+    assert np.all(np.linalg.cond(E[gram]) <= _KAPPA_MAX)
+    assert gram[:2].all() and not gram[3:].any()
+    # the batched failure leaves every block where a gate of its own puts it
+    alone = [not _lstsq_factors(E[m:m + 1], t[m:m + 1])[0].any() for m in range(len(E))]
+    assert gram.tolist() == alone
+    pinv = np.linalg.pinv(E, rcond=10 * np.finfo(float).eps)
+    expected = (pinv @ t[..., None])[..., 0]
+    assert np.linalg.norm(shift - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_blocks_short_of_d_nonzero_rows_skip_the_gate(monkeypatch):
+    # at L = d - 1 the zero trace row makes every m != 0 block square, of rank
+    # d - 1 at most: only block 0, which the trace row fills, is factored
+    stacks = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda S: stacks.append(S.shape) or cholesky(S))
+    masks = sample_masks(ternary_mask_distribution(), 15, 14, seed=14)
+    aff = _AffineSet(MeasurementFrame(masks), np.ones(15 * 14), 1.0)
+    assert stacks[0] == (1, 15, 15)
+    assert set(range(1, 8)) <= set(aff._null.tolist())
+
+
+@pytest.mark.parametrize("mode", ["feasibility", "trace_min"])
+def test_a_point_solve_takes_one_eigendecomposition_per_sweep(mode, monkeypatch):
+    # (15, 30) is a point case: the set-up factors every block by its normal
+    # equations behind one batched Cholesky gate, and each sweep's PSD step
+    # is the only eigendecomposition
+    x, frame, y = make_instance(15, 30, seed=11)
+    cfg = SolverConfig(mode=mode, trace_target=y.y0 if mode == "feasibility" else None)
+    calls = {}
+    for name in ("eigh", "eigvalsh", "pinv", "svd", "cholesky", "solve"):
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = solve_phaselift(frame, y, cfg)
+    assert res.converged and res.iterations_used == 1
+    assert calls == {"cholesky": 1, "solve": 1, "eigh": res.iterations_used}

@@ -170,11 +170,15 @@ _WRONG_TYPE = {
         lambda: solve_phaselift(_ODD_FRAME.masks, measure(_X, _ODD_FRAME.masks), _TRACE_MIN),
         "frame"),
     "solve-y": (lambda: solve_phaselift(_ODD_FRAME, np.ones((3, 5)), _TRACE_MIN), "y"),
+    "solve-cfg": (
+        lambda: solve_phaselift(_ODD_FRAME, measure(_X, _ODD_FRAME.masks), None), "cfg"),
     "feasibility-y": (lambda: verify_feasibility(_ODD_FRAME, np.ones((3, 5)), _RANK_ONE), "y"),
     "sample-masks-dist": (lambda: sample_masks(None, 5, 3, 0), "dist"),
     "near-isotropy-dist": (lambda: check_near_isotropy_exact(None, 3), "dist"),
     "two-design-dist": (lambda: check_two_design_exact(_DIST.support, 3), "dist"),
     "golfing-dist": (lambda: golfing_construct(_X, None), "dist"),
+    "golfing-params": (lambda: golfing_construct(_X, _DIST, params=5), "params"),
+    "golfing-params-zero": (lambda: golfing_construct(_X, _DIST, params=0), "params"),
     "variance-dist": (lambda: variance_bound_check(None, _X, _RANK_ONE), "dist"),
     "verify-cert": (lambda: verify_certificate(GolfingFailure("r", (), 0), _X), "cert"),
     "verify-frame": (lambda: verify_certificate(_CERT, _X, _ODD_FRAME.masks), "frame"),
