@@ -101,11 +101,7 @@ def psd_project(Z) -> np.ndarray:
     Eigendecomposes the Hermitian part of ``Z`` and clips negative eigenvalues
     to zero, which realizes the metric projection onto the PSD cone.
     """
-    return _psd_project(as_hermitian(Z))
-
-
-def _psd_project(Z: np.ndarray) -> np.ndarray:
-    """``psd_project`` of an already validated Hermitian ``Z``."""
+    Z = as_hermitian(Z)
     lam, V = np.linalg.eigh(Z)
     lam = np.maximum(lam, 0.0)
     return hermitize((V * lam) @ V.conj().T)

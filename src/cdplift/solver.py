@@ -22,18 +22,16 @@ of offset m's: only the blocks of offsets 0..d//2 are factored and projected,
 and the other offsets are filled by the mirror, which keeps the projection
 Hermitian entry for entry.  In feasibility mode tr X = y0 is one more row of
 every block: the trace row on offset 0, a zero row on the others, so both
-modes factor one stack.  A block with at least d nonzero rows whose Gram
-matrix G passes a shifted Cholesky test (G - ||G||_F / 1e6 Id is positive
-definite, so kappa_2 < 1e3; almost every block when L >= d) is solved by its
-normal equations, which then lose at most about 1e6 eps; every other block
-keeps a pseudo-inverse from the SVD, so setting up the affine set takes no
-eigendecomposition.  Whichever path it takes, a block has a null space when
-its rank is below d.  The data residual of each PSD iterate comes from the
-same blocks, so neither step needs ``A`` in dense form, nor a call of the
-public forward map.  Every argument of the PSD step is Hermitian entry for
-entry (the mirror fill, the symmetrized PSD iterate, a real shift), so the
-loop projects it without the validation of the public ``psd_project``: the
-inputs are checked once, at the entry of the solve.
+modes factor one stack.  A block that can have full column rank (at least d
+nonzero rows, and not offset d/2 at even d, whose columns a and a + d/2 are
+equal) and whose Gram matrix G passes a shifted Cholesky test (G - ||G||_F /
+1e6 Id is positive definite, so kappa_2 < 1e3; almost every block when L >=
+d) is solved by its normal equations, which then lose at most about 1e6 eps;
+every other block keeps a pseudo-inverse from the SVD, so setting up the
+affine set takes no eigendecomposition.  Whichever path it takes, a block
+has a null space when its rank is below d.  The data residual of each PSD
+iterate comes from the same blocks, so neither step needs ``A`` in dense
+form, nor a call of the public forward map.
 
 When no block has a null space, A is injective on Hermitian matrices and the
 affine set is one point X0.  Then V = X0 - rho Id is the fixed point of the
@@ -51,7 +49,7 @@ import numpy as np
 
 from .diffraction import MeasurementFrame, MeasurementVector, apply_A
 from .diffraction import _contract, _half_offsets, _mirror_fill, _mirror_weights, _per_offset
-from .hermitian import _psd_project, as_hermitian
+from .hermitian import as_hermitian, psd_project
 from .policy import _check_counts, _check_level, _check_type
 
 __all__ = [
@@ -125,31 +123,30 @@ def _has_cholesky(S: np.ndarray) -> bool:
     return True
 
 
-def _lstsq_factors(E: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lstsq_factors(
+    E: np.ndarray, t: np.ndarray, full_rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """keep_m = I - E_m^+ E_m and shift_m = E_m^+ t_m for a stack E of (r, d) blocks.
 
-    A block with at least d nonzero rows whose Gram matrix G_m = E_m^T E_m
-    passes the gate below has full column rank, so keep_m = 0 exactly and
-    shift_m = G_m^{-1} E_m^T t_m.  The gate: with tau_m = ||G_m||_F /
-    _KAPPA_MAX^2, G_m - tau_m I has a Cholesky factor, so lambda_min(G_m) >
-    tau_m >= lambda_max(G_m) / _KAPPA_MAX^2 and kappa_2(E_m) < _KAPPA_MAX; it
-    is stricter than the eigenvalues by at most d^(1/4) in kappa_2.  One
-    batched factorisation tests the stack, and only when it fails is each
-    block factored alone, so one singular block sends no other to the SVD.
-    Every other block takes the SVD, whose lstsq cutoff drops exactly
-    dependent columns: blocks with fewer than d nonzero rows (wide blocks,
-    and the m != 0 blocks that the zero trace row makes square at L = d - 1),
-    zero columns, the equal columns a, a + d/2 of offset d/2 at even d, and
-    any block the gate rejects, whose keep_m is roundoff when it has full rank.
+    ``full_rank`` marks the blocks that can have full column rank.  Such a
+    block whose Gram matrix G_m = E_m^T E_m passes the gate below has it, so
+    keep_m = 0 exactly and shift_m = G_m^{-1} E_m^T t_m.  The gate: with
+    tau_m = ||G_m||_F / _KAPPA_MAX^2, G_m - tau_m I has a Cholesky factor, so
+    lambda_min(G_m) > tau_m >= lambda_max(G_m) / _KAPPA_MAX^2 and kappa_2(E_m)
+    < _KAPPA_MAX; it is stricter than the eigenvalues by at most d^(1/4) in
+    kappa_2.  One batched factorisation tests the marked blocks, and only when
+    it fails is each one factored alone, so one singular block sends no other
+    to the SVD.  Every other block takes the SVD, whose lstsq cutoff drops
+    exactly dependent columns: the unmarked blocks, zero columns, and any
+    block the gate rejects, whose keep_m is roundoff when it has full rank.
     """
     n, r, d = E.shape
     keep, shift = np.zeros((n, d, d)), np.empty((n, d), dtype=complex)
-    # fewer than d nonzero rows cannot give full column rank
-    gram = E.any(axis=2).sum(axis=1) >= d
+    gram = full_rank.copy()
     if gram.any():
         G = E.transpose(0, 2, 1) @ E
-        tau = np.linalg.norm(G, axis=(1, 2)) / _KAPPA_MAX**2
-        shifted = (G - tau[:, None, None] * np.eye(d))[gram]
+        tau = np.linalg.norm(G[gram], axis=(1, 2)) / _KAPPA_MAX**2
+        shifted = G[gram] - tau[:, None, None] * np.eye(d)
         if not _has_cholesky(shifted):
             gram[gram] = [_has_cholesky(S) for S in shifted]
         rhs = _contract(E[gram].transpose(0, 2, 1), t[gram])
@@ -191,7 +188,11 @@ class _AffineSet:
             E = np.concatenate([E, np.zeros((len(E), 1, d))], axis=1)
             t = np.concatenate([t, np.zeros((len(t), 1))], axis=1)
             E[0, -1], t[0, -1] = 1.0 / np.sqrt(d), y0 / np.sqrt(d)
-        keep, shift = _lstsq_factors(E, t)
+        # full column rank needs d nonzero rows, which the m != 0 blocks lack at
+        # L = d - 1 with the zero trace row, and offset d/2 at even d has the
+        # equal columns a, a + d/2
+        full_rank = (E.any(axis=2).sum(axis=1) >= d) & (np.arange(len(E)) != d / 2)
+        keep, shift = _lstsq_factors(E, t, full_rank)
         # tr keep_m = d - rank E_m: roundoff-level on a full-rank block the gate sent to the SVD
         self._null = np.flatnonzero(np.trace(keep, axis1=1, axis2=2) > 0.5)
         self._keep, self._shift = keep[self._null], shift
@@ -256,7 +257,7 @@ def solve_phaselift(
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         X = aff.project(V)
-        W = _psd_project(2 * X - V - shift)  # Hermitian entry for entry
+        W = psd_project(2 * X - V - shift)
         step = W - X
         V += step
         res = aff.residual(W) / bnorm

@@ -306,7 +306,7 @@ def test_block_beyond_the_condition_gate_takes_the_svd():
     U, _, Vt = np.linalg.svd(E[1], full_matrices=False)
     E[1] = U @ np.diag(np.logspace(0, -6, 6)) @ Vt
     t = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
-    keep, shift = _lstsq_factors(E, t)
+    keep, shift = _lstsq_factors(E, t, np.ones(len(E), dtype=bool))
     pinv = np.linalg.pinv(E, rcond=10 * np.finfo(float).eps)
     expected = (pinv @ t[..., None])[..., 0]
     assert np.linalg.norm(shift - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -378,28 +378,36 @@ def test_condition_gate_is_a_true_bound():
         E[m] = U @ np.diag(np.geomspace(1, 1 / kappa, 6)) @ Vt
     E[-1, :, 5] = E[-1, :, 0]
     t = rng.standard_normal((len(E), 10)) + 1j * rng.standard_normal((len(E), 10))
-    keep, shift = _lstsq_factors(E, t)
+    keep, shift = _lstsq_factors(E, t, np.ones(len(E), dtype=bool))
     gram = np.array([not k.any() for k in keep])  # keep_m = 0 exactly on the Gram path
     assert np.all(np.linalg.cond(E[gram]) <= _KAPPA_MAX)
     assert gram[:2].all() and not gram[3:].any()
     # the batched failure leaves every block where a gate of its own puts it
-    alone = [not _lstsq_factors(E[m:m + 1], t[m:m + 1])[0].any() for m in range(len(E))]
+    alone = [not _lstsq_factors(E[m:m + 1], t[m:m + 1], np.ones(1, dtype=bool))[0].any()
+             for m in range(len(E))]
     assert gram.tolist() == alone
     pinv = np.linalg.pinv(E, rcond=10 * np.finfo(float).eps)
     expected = (pinv @ t[..., None])[..., 0]
     assert np.linalg.norm(shift - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
-def test_blocks_short_of_d_nonzero_rows_skip_the_gate(monkeypatch):
-    # at L = d - 1 the zero trace row makes every m != 0 block square, of rank
-    # d - 1 at most: only block 0, which the trace row fills, is factored
+# Blocks that cannot have full column rank skip the gate: at L = d - 1 the
+# zero trace row makes every m != 0 block square with d - 1 nonzero rows, and
+# at even d offset d/2 has the equal columns a, a + d/2.  The other blocks pass
+# one batched Cholesky, with no per-block fallback.
+@pytest.mark.parametrize(
+    "d, L, y0, gated, null",
+    [(15, 14, 1.0, (1, 15, 15), range(1, 8)), (16, 32, None, (8, 16, 16), (8,))],
+    ids=["square-with-zero-row", "even-d"],
+)
+def test_blocks_that_cannot_have_full_rank_skip_the_gate(d, L, y0, gated, null, monkeypatch):
     stacks = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda S: stacks.append(S.shape) or cholesky(S))
-    masks = sample_masks(ternary_mask_distribution(), 15, 14, seed=14)
-    aff = _AffineSet(MeasurementFrame(masks), np.ones(15 * 14), 1.0)
-    assert stacks[0] == (1, 15, 15)
-    assert set(range(1, 8)) <= set(aff._null.tolist())
+    masks = sample_masks(ternary_mask_distribution(), d, L, seed=L)
+    aff = _AffineSet(MeasurementFrame(masks), np.ones(d * L), y0)
+    assert stacks == [gated]
+    assert aff._null.tolist() == list(null)
 
 
 @pytest.mark.parametrize("mode", ["feasibility", "trace_min"])
