@@ -2,7 +2,9 @@
 
 Every experiment subcommand accepts an optional YAML config file plus flag
 overrides; flags win over the file, the file wins over defaults.  ``recover``
-and ``certify`` run one fully-reported instance each, for quick inspection.
+and ``certify`` run one fully-reported instance each through the sweeps'
+pipelines (``experiments._recover`` and ``_golf``), so their failure rules
+hold here too: the failure's reason is printed and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -16,18 +18,18 @@ import yaml
 from .certify import (
     _COMPLEMENT_BOUND,
     _QUARTER_BOUND,
-    DualCertificate,
     GolfingParams,
     certify_optimality,
     format_construction_log,
-    golfing_construct,
     injectivity_spectrum,
-    verify_certificate,
 )
-from .diffraction import MeasurementFrame, measure, sample_masks, ternary_mask_distribution
+from .diffraction import sample_masks
 from .experiments import (
+    _DIST,
     _SUCCESS_THRESHOLD,
     ExperimentConfig,
+    _golf,
+    _recover,
     derive_seed,
     random_unit_signal,
     run_golfing_rate,
@@ -35,8 +37,7 @@ from .experiments import (
     run_lower_bound_experiment,
     run_phase_transition,
 )
-from .hermitian import phase_aligned_distance
-from .solver import SolverConfig, extract_signal, solve_phaselift, verify_feasibility
+from .solver import _MODES, verify_feasibility
 
 __all__ = ["main"]
 
@@ -135,27 +136,18 @@ def isotropy_audit_cmd(config, **overrides):
 @click.option("--d", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--L", "L", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--mode", type=click.Choice(["feasibility", "trace_min"]),
-              default="feasibility", show_default=True)
+@click.option("--mode", type=click.Choice(_MODES), default="feasibility", show_default=True)
 @click.option("--max-iterations", type=click.IntRange(min=1), default=800, show_default=True)
 def recover_cmd(d, L, seed, mode, max_iterations):
     """Recover one random signal from one sampled mask realization."""
-    dist = ternary_mask_distribution()
-    rng = np.random.default_rng(seed)
-    x = random_unit_signal(d, rng)
-    masks = sample_masks(dist, d, L, derive_seed(seed, d, L, "recover"))
-    frame = MeasurementFrame(masks)
-    y = measure(x, masks)
-    cfg = SolverConfig(
-        mode=mode,
-        max_iterations=max_iterations,
-        trace_target=y.y0 if mode == "feasibility" else None,
-    )
-    result = solve_phaselift(frame, y, cfg)
-    x_hat, gap = extract_signal(result.X_hat)
-    err = phase_aligned_distance(x, x_hat)
-    report = verify_feasibility(frame, y, result.X_hat, y0=y.y0)
+    x = random_unit_signal(d, np.random.default_rng(seed))
+    masks = sample_masks(_DIST, d, L, derive_seed(seed, d, L, "recover"))
+    frame, y, result, gap, err, failure = _recover(x, masks, mode, max_iterations)
     click.echo(f"d={d} L={L} seed={seed} mode={mode}")
+    if failure:
+        click.echo(f"solve failed: {failure}")
+        raise SystemExit(1)
+    report = verify_feasibility(frame, y, result.X_hat, y0=y.y0)
     click.echo(f"converged={result.converged} iterations={result.iterations_used}")
     click.echo(f"phase-aligned error = {err:.3e}   rank-1 gap = {gap:.3e}")
     click.echo(
@@ -175,19 +167,15 @@ def certify_cmd(d, seed, show_log):
     """Construct and verify a dual certificate for one random signal."""
     if d % 2 == 0:
         raise click.BadParameter(f"golfing needs odd d, got {d}", param_hint="'--d'")
-    dist = ternary_mask_distribution()
-    rng = np.random.default_rng(seed)
-    x = random_unit_signal(d, rng)
-    cert = golfing_construct(x, dist, GolfingParams(), seed=derive_seed(seed, d, 0, "golf"))
-    if not isinstance(cert, DualCertificate):
-        click.echo(f"construction failed: {cert.reason}")
+    x = random_unit_signal(d, np.random.default_rng(seed))
+    out, frame, cert, reason = _golf(x, GolfingParams(), derive_seed(seed, d, 0, "golf"))
+    if cert is None:
+        click.echo(f"{'construction' if frame is None else 'verification'} failed: {reason}")
         if show_log:
-            click.echo(format_construction_log(cert.construction_log))
+            click.echo(format_construction_log(out.construction_log))
         raise SystemExit(1)
-    frame = MeasurementFrame(cert.masks)
-    cert = verify_certificate(cert, x, frame)  # the verdict reads the rebuilt norms
     inj = injectivity_spectrum(frame, x, seed=seed)
-    verdict = certify_optimality(x, frame, cert, inj)
+    verdict = certify_optimality(x, frame, cert, inj)  # reads the rebuilt norms
     click.echo(f"d={d} seed={seed} masks used={cert.masks.L}")
     click.echo(f"tangent residual = {cert.tangent_residual:.3e} (bound {cert.tangent_bound:.3e})")
     click.echo(f"complement norm  = {cert.complement_norm:.3e} (bound {_COMPLEMENT_BOUND})")

@@ -214,6 +214,7 @@ def truncation_rate(dist: MaskDistribution) -> float:
     ternary distribution's 9) come out exact despite b being stored as a
     float square root.
     """
+    _check_type("dist", dist, MaskDistribution)
     return round(8.0 + math.log2(dist.b**2 / dist.nu), 12)
 
 

@@ -3,16 +3,17 @@
 Four experiment kinds are supported:
 
 ``phase_transition``
-    Recovery success rate over a (d, L) grid: sample signal and masks,
-    measure, solve the lifted program, extract, and compare up to global
-    phase against the 1e-3 success threshold.  A solve that fails with
-    ``numpy.linalg.LinAlgError`` is a non-success whose class name fills the
-    ``failure`` column; any other exception propagates.
+    Recovery success rate over a (d, L) grid, any d >= 1: sample signal and
+    masks, then ``_recover`` (measure, solve the lifted program, extract),
+    and compare up to global phase against the 1e-3 success threshold.  A
+    solve that fails with ``numpy.linalg.LinAlgError`` is a non-success
+    whose class name fills the ``failure`` column; any other exception
+    propagates.
 ``golfing_rate``
-    Certificate construction success rate over d: golfing_construct followed
-    by a from-scratch verify_certificate on every reported success.  A
-    ``CertificateIntegrityError`` fills ``failure_reason``; any other
-    exception propagates.
+    Certificate construction success rate over odd d >= 3: ``_golf``, that
+    is golfing_construct followed by a from-scratch verify_certificate on
+    every reported success.  A ``CertificateIntegrityError`` fills
+    ``failure_reason``; any other exception propagates.
 ``lower_bound``
     The mask-collision simulation behind the coupon-collector argument:
     fraction of trials where some other standard-basis signal produces
@@ -22,12 +23,14 @@ Four experiment kinds are supported:
     2-design identity over a grid of dimensions, with even-d failures
     flagged distinctly.
 
-Every experiment draws its masks from the ternary law.  The first three
-share one sweep (``_sweep``): a trial function runs for every grid cell and
-trial index, and returns the columns after (cell, trial); a per-cell summary
-returns the aggregate columns after (cell, trials).  Each CSV row is a
-namedtuple whose fields are the CSV header.  ``<kind>_trials.csv`` holds the
-per-trial rows and ``<kind>_aggregate.csv`` one row per cell, in grid order.
+``cdplift recover`` and ``cdplift certify`` run ``_recover`` and ``_golf``
+too, with seeds of their own.  Every experiment draws its masks from the
+ternary law.  The first three share one sweep (``_sweep``): a trial function
+runs for every grid cell and trial index, and returns the columns after
+(cell, trial); a per-cell summary returns the aggregate columns after
+(cell, trials).  Each CSV row is a namedtuple whose fields are the CSV
+header.  ``<kind>_trials.csv`` holds the per-trial rows and
+``<kind>_aggregate.csv`` one row per cell, in grid order.
 
 Determinism contract: identical config and base seed produce byte-identical
 CSV files except for the wall-time column (always the last column).  Trial
@@ -68,7 +71,7 @@ from .diffraction import (
     ternary_mask_distribution,
 )
 from .hermitian import phase_aligned_distance
-from .policy import _check_count, _check_counts, _is_int
+from .policy import _check_count, _check_counts, _check_type, _is_int
 from .solver import _MODES, SolverConfig, extract_signal, solve_phaselift
 
 __all__ = [
@@ -88,8 +91,6 @@ __all__ = [
 EXPERIMENT_KINDS = ("phase_transition", "golfing_rate", "lower_bound", "isotropy_audit")
 
 _CSV_SCHEMA_VERSION = 1
-
-_RECOVERY_KINDS = ("phase_transition", "golfing_rate")
 
 _DIST = ternary_mask_distribution()
 
@@ -152,12 +153,10 @@ class ExperimentConfig:
                     f"isotropy_audit d_grid exceeds the exact enumeration budget of "
                     f"{_ENUMERATION_BUDGET} mask realizations; offending values {bad}"
                 )
-        if self.experiment in _RECOVERY_KINDS:
+        if self.experiment == "golfing_rate":
             bad = [d for d in self.d_grid if d < 3 or d % 2 == 0]
             if bad:
-                raise ValueError(
-                    f"recovery experiments need odd d >= 3; offending values {bad}"
-                )
+                raise ValueError(f"golfing_rate needs odd d >= 3; offending values {bad}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -272,13 +271,28 @@ _PhaseCell = namedtuple(
 )
 
 
-def _recovery_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
-    """(seed, success, recovery_error, iterations, failure) of one recovery.
-
-    ``success`` iff the error is at most ``_SUCCESS_THRESHOLD``.
-    ``failure`` names the exception class of a solve that failed numerically
-    (its error is then inf); it is empty on every trial that ran to the end.
+def _recover(x, masks, mode: str, max_iterations: int):
+    """Measure ``x`` through ``masks``, solve and extract: (frame, y, result,
+    gap, error, failure), ``error`` phase-aligned against ``x``.  ``failure``
+    names the class of a ``numpy.linalg.LinAlgError`` (``result`` is then
+    None, ``gap`` and ``error`` inf) or is empty; other exceptions propagate.
     """
+    frame = MeasurementFrame(masks)
+    y = measure(x, masks)
+    cfg = SolverConfig(mode=mode, max_iterations=max_iterations,
+                       trace_target=y.y0 if mode == "feasibility" else None)
+    try:
+        result = solve_phaselift(frame, y, cfg)
+        x_hat, gap = extract_signal(result.X_hat)
+        return frame, y, result, gap, phase_aligned_distance(x, x_hat), ""
+    except np.linalg.LinAlgError as exc:
+        return frame, y, None, math.inf, math.inf, type(exc).__name__
+
+
+def _recovery_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
+    """(seed, success, recovery_error, iterations, failure) of one ``_recover``;
+    ``success`` iff the error is at most ``_SUCCESS_THRESHOLD``, and a failed
+    solve ran 0 iterations."""
     seed = derive_seed(cfg.base_seed, d, L, trial)
     rng = np.random.default_rng(seed)
     if cfg.signal == "e1":
@@ -287,25 +301,8 @@ def _recovery_trial(cfg: ExperimentConfig, d: int, L: int, trial: int):
     else:
         x = random_unit_signal(d, rng)
     masks = sample_masks(_DIST, d, L, int(rng.integers(2**63)))
-    frame = MeasurementFrame(masks)
-    y = measure(x, masks)
-    solver_cfg = SolverConfig(
-        mode=cfg.solver_mode,
-        max_iterations=cfg.max_iterations,
-        trace_target=y.y0 if cfg.solver_mode == "feasibility" else None,
-    )
-    failure = ""
-    try:
-        result = solve_phaselift(frame, y, solver_cfg)
-        x_hat, _ = extract_signal(result.X_hat)
-        error = phase_aligned_distance(x, x_hat)
-        iterations = result.iterations_used
-    except np.linalg.LinAlgError as exc:
-        # a numerical failure is a recorded non-success, never a sweep abort;
-        # anything else is a fault in the program and propagates
-        failure = type(exc).__name__
-        error = math.inf
-        iterations = 0
+    _, _, result, _, error, failure = _recover(x, masks, cfg.solver_mode, cfg.max_iterations)
+    iterations = result.iterations_used if result is not None else 0
     return seed, bool(error <= _SUCCESS_THRESHOLD), float(error), iterations, failure
 
 
@@ -339,21 +336,31 @@ _GolfingCell = namedtuple(
 )
 
 
+def _golf(x, params: GolfingParams, seed: int):
+    """Golfing for ``x`` with masks from ``seed``, then ``verify_certificate``
+    on the union frame: (golfing's output, frame, rebuilt certificate, reason).
+    ``reason`` is a failed construction's (frame and certificate None), a
+    ``CertificateIntegrityError``'s message (certificate None) or empty.
+    """
+    out = golfing_construct(x, _DIST, params, seed=seed)
+    if not isinstance(out, DualCertificate):
+        return out, None, None, out.reason
+    frame = MeasurementFrame(out.masks)
+    try:
+        return out, frame, verify_certificate(out, x, frame), ""
+    except CertificateIntegrityError as exc:
+        return out, frame, None, str(exc)
+
+
 def _golfing_trial(cfg: ExperimentConfig, d: int, trial: int):
     seed = derive_seed(cfg.base_seed, d, 0, trial)
     rng = np.random.default_rng(seed)
     x = random_unit_signal(d, rng)
     params = GolfingParams(cfg.golfing_L1, cfg.golfing_L2, cfg.golfing_L_later)
-    out = golfing_construct(x, _DIST, params, seed=int(rng.integers(2**63)))
-    constructed = isinstance(out, DualCertificate)
-    verified = False
+    out, frame, cert, reason = _golf(x, params, int(rng.integers(2**63)))
+    constructed = frame is not None
     masks_consumed = out.masks.L if constructed else out.masks_sampled
-    reason = "" if constructed else out.reason
-    if constructed:
-        try:
-            verified = verify_certificate(out, x).passed
-        except CertificateIntegrityError as exc:  # recorded; any other fault propagates
-            reason = str(exc)
+    verified = cert is not None and cert.passed
     return seed, constructed, verified, masks_consumed, len(out.construction_log), reason
 
 
@@ -460,4 +467,5 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Dispatch on cfg.experiment."""
+    _check_type("cfg", cfg, ExperimentConfig)
     return _RUNNERS[cfg.experiment](cfg)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policy import POLICY
+from .policy import POLICY, _complex_array
 
 __all__ = [
     "hermitize",
@@ -39,7 +39,7 @@ def hermitize(Z: np.ndarray) -> np.ndarray:
 
 def as_signal(x, name: str = "signal") -> np.ndarray:
     """Validate and return a finite 1-D complex vector."""
-    x = np.asarray(x, dtype=complex)
+    x = _complex_array(name, x)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -54,7 +54,7 @@ def as_hermitian(Z, name: str = "matrix") -> np.ndarray:
     the result of floating-point arithmetic whose anti-Hermitian part is pure
     rounding noise.
     """
-    Z = np.asarray(Z, dtype=complex)
+    Z = _complex_array(name, Z)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.shape[0] == 0:
         raise ValueError(f"{name} must be square, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):

@@ -4,12 +4,13 @@ Every module draws its default tolerances from :data:`POLICY` so there is a
 single tuning point.  The individual fields exist because different contracts
 pin different accuracies (moment identities are checked to 1e-12, adjoint
 pairings to 1e-9 relative, etc.).  The option dataclasses and the samplers
-share the integer, type, seed, level and real-array checks below.
+share the integer, type, seed, level and real- and complex-array checks
+below; every field of the policy is a level.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,8 +30,9 @@ class NumericPolicy:
     #: tangent membership: third singular value <= rank_rel_tol * first
     rank_rel_tol: float = 1e-8
 
-
-POLICY = NumericPolicy()
+    def __post_init__(self):
+        for f in fields(self):
+            _check_level(f.name, getattr(self, f.name))
 
 
 def _is_int(value) -> bool:
@@ -75,7 +77,19 @@ def _real_array(key: str, value) -> np.ndarray:
     return array.astype(float)
 
 
+def _complex_array(key: str, value) -> np.ndarray:
+    """``value`` as a complex array, a copy only if it is not one already;
+    ValueError naming ``key`` unless it holds ints, floats or complex numbers."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iufc":
+        raise ValueError(f"{key} must be numbers, got dtype {array.dtype}")
+    return array.astype(complex, copy=False)
+
+
 def _check_counts(options, *keys) -> None:
     """``_check_count`` on each of ``keys`` of ``options``, in order."""
     for key in keys:
         _check_count(key, getattr(options, key))
+
+
+POLICY = NumericPolicy()

@@ -1,8 +1,10 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cdplift.experiments as exp
 from cdplift.cli import main
 
 
@@ -127,6 +129,27 @@ def test_recover_reports_failure_in_exit_code(runner):
     assert result.exit_code == 1
 
 
+def test_recover_reports_a_numerical_failure(runner, monkeypatch):
+    # the pipeline's LinAlgError rule: the class name is printed, exit 1
+    def singular(frame, y, cfg):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(exp, "solve_phaselift", singular)
+    result = runner.invoke(main, ["recover", "--d", "5", "--L", "15", "--seed", "1"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == "solve failed: LinAlgError"
+
+
+@pytest.mark.parametrize("d", ["1", "2", "4", "6"])
+def test_recover_takes_any_d(runner, d):
+    # at d = 2, i(e_1 e_2* - e_2 e_1*) spans offset d/2 and A maps it to 0, so
+    # x and its conjugate measure alike: no frame recovers, the exit code is 1
+    result = runner.invoke(main, ["recover", "--d", d, "--L", "30"])
+    assert f"d={d} L=30" in result.output
+    assert result.exit_code == (1 if d == "2" else 0), result.output
+
+
 def test_certify_success(runner):
     result = runner.invoke(main, ["certify", "--d", "15", "--seed", "3"])
     assert result.exit_code == 0, result.output
@@ -142,12 +165,10 @@ def test_certify_log_flag(runner):
 
 def test_certify_fails_when_the_rebuilt_certificate_fails(runner, monkeypatch):
     # golfing's stored norms pass; the verdict must read the rebuilt ones
-    import cdplift.cli as cli
-
     def failing_rebuild(cert, x, frame=None):
         return dataclasses.replace(cert, tangent_residual=1.0)
 
-    monkeypatch.setattr(cli, "verify_certificate", failing_rebuild)
+    monkeypatch.setattr(exp, "verify_certificate", failing_rebuild)
     result = runner.invoke(main, ["certify", "--d", "15", "--seed", "3"])
     assert result.exit_code == 1, result.output
     assert "tangent residual = 1.000e+00" in result.output
@@ -155,6 +176,23 @@ def test_certify_fails_when_the_rebuilt_certificate_fails(runner, monkeypatch):
     failing = result.output.split("certified optimal: False", 1)[1]
     assert "failing: dual certificate tangent bound" in failing
     assert "complement bound" not in failing
+
+
+def test_certify_reports_a_tampered_witness(runner, monkeypatch):
+    original = exp.golfing_construct
+
+    def tampered(*args, **kwargs):
+        cert = original(*args, **kwargs)
+        return dataclasses.replace(cert, in_range_witness=2 * cert.in_range_witness)
+
+    monkeypatch.setattr(exp, "golfing_construct", tampered)
+    result = runner.invoke(main, ["certify", "--d", "5", "--seed", "3", "--log"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert lines[0] == ("verification failed: witness-reconstructed Y deviates "
+                        "from the stored certificate")
+    assert lines[1] == "i phase L t c xi q_norm complement_norm"
 
 
 def test_certify_checks_injectivity_on_the_certificate_masks(runner, monkeypatch):

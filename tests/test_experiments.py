@@ -67,10 +67,10 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig(signal="spike")
     with pytest.raises(ValueError, match="unknown config keys: distribution"):
         ExperimentConfig.from_mapping({"distribution": "ternary"})
-    with pytest.raises(ValueError, match="odd d"):
-        ExperimentConfig(experiment="phase_transition", d_grid=(4,))
-    with pytest.raises(ValueError, match="odd d"):
+    with pytest.raises(ValueError, match="golfing_rate needs odd d >= 3; offending values"):
         ExperimentConfig(experiment="golfing_rate", d_grid=(15, 1))
+    with pytest.raises(ValueError, match=r"odd d >= 3; offending values \[4\]"):
+        ExperimentConfig(experiment="golfing_rate", d_grid=(4,))
     # values of the wrong type or out of range, each named by its key
     for key, value in (
         ("trials", 2.5), ("trials", True), ("base_seed", "abc"),
@@ -95,7 +95,8 @@ def test_config_validation_errors(tmp_path):
     p.write_text("experiment: lower_bound\nd_grid: '15'\n")
     with pytest.raises(ValueError, match="d_grid must be a non-empty list of integers"):
         ExperimentConfig.from_yaml(p)
-    # even d is fine outside the recovery experiments
+    # even d is fine outside golfing; phase transition takes any d >= 1
+    ExperimentConfig(experiment="phase_transition", d_grid=(1, 2, 4, 6))
     ExperimentConfig(experiment="isotropy_audit", d_grid=(4,))
     ExperimentConfig(experiment="lower_bound", d_grid=(64,))
     assert ExperimentConfig(d_grid=[np.int64(3)], base_seed=-1).d_grid == (3,)
@@ -348,10 +349,18 @@ def test_linalg_failure_is_named_in_the_failure_column(tmp_path, monkeypatch):
 @pytest.mark.parametrize("run", [run_phase_transition, run_golfing_rate])
 @pytest.mark.parametrize("kind", ["lower_bound", "isotropy_audit"])
 def test_recovery_runners_revalidate_a_config_of_another_kind(tmp_path, run, kind):
-    cfg = ExperimentConfig(experiment=kind, d_grid=(4,), trials=1, out_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="odd d"):
-        run(cfg)
-    assert not any(tmp_path.iterdir())
+    # each runner re-runs its own kind's checks: golfing refuses even d, the
+    # phase transition takes it
+    cfg = ExperimentConfig(experiment=kind, d_grid=(4,), L_grid=(8,), trials=1,
+                           out_dir=str(tmp_path))
+    if run is run_golfing_rate:
+        with pytest.raises(ValueError, match="odd d"):
+            run(cfg)
+        assert not any(tmp_path.iterdir())
+    else:
+        res = run(cfg)
+        assert [(r.d, r.L, r.success) for r in res.trial_rows] == [(4, 8, True)]
+        assert res.trial_path.read_text().startswith("# cdplift-csv v1 experiment=phase_transition")
 
 
 def test_other_solver_exceptions_propagate(tmp_path, monkeypatch):
@@ -430,7 +439,7 @@ def test_golfing_rate_determinism_across_reruns(tmp_path):
 
 
 def test_golfing_verification_faults_propagate(tmp_path, monkeypatch):
-    def broken(cert, x):
+    def broken(cert, x, frame=None):
         raise RuntimeError("a fault in the program, not a bad certificate")
 
     monkeypatch.setattr(exp, "verify_certificate", broken)
@@ -439,7 +448,7 @@ def test_golfing_verification_faults_propagate(tmp_path, monkeypatch):
 
 
 def test_golfing_integrity_failure_is_recorded(tmp_path, monkeypatch):
-    def tampered(cert, x):
+    def tampered(cert, x, frame=None):
         raise CertificateIntegrityError("witness-reconstructed Y deviates")
 
     monkeypatch.setattr(exp, "verify_certificate", tampered)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import cdplift
+from cdplift.cli import main
 from cdplift.certify import (
     DualCertificate,
     GolfingFailure,
@@ -43,9 +44,17 @@ from cdplift.diffraction import (
     measure,
     sample_masks,
     ternary_mask_distribution,
+    truncation_rate,
 )
-from cdplift.experiments import ExperimentConfig, derive_seed, random_unit_signal
-from cdplift.solver import SolverConfig, solve_phaselift, verify_feasibility
+from cdplift.experiments import (
+    ExperimentConfig,
+    derive_seed,
+    random_unit_signal,
+    run_experiment,
+)
+from cdplift.hermitian import TangentSpace, norm, phase_aligned_distance, psd_project
+from cdplift.policy import NumericPolicy
+from cdplift.solver import _MODES, SolverConfig, solve_phaselift, verify_feasibility
 
 
 def _fields(cls):
@@ -153,6 +162,14 @@ _REJECTED = {
         "support"),
     "mask-law-nan-probability": (
         lambda: MaskDistribution((1.0, -1.0), (np.nan, 0.5), 1.0, 1.0), "probabilities"),
+    "norm-bool": (lambda: norm(np.eye(3, dtype=bool), "trace"), "matrix"),
+    "psd-project-bool": (lambda: psd_project(np.eye(3, dtype=bool)), "matrix"),
+    "tangent-str": (lambda: TangentSpace("abc"), "anchor"),
+    "measure-str": (lambda: measure(["a"] * 5, _ODD_FRAME.masks), "signal"),
+    "distance-str": (lambda: phase_aligned_distance("a", _X), "a"),
+    "distance-bool": (lambda: phase_aligned_distance(_X, np.ones(5, dtype=bool)), "b"),
+    "policy-negative-level": (lambda: NumericPolicy(rank_rel_tol=-1), "rank_rel_tol"),
+    "policy-nan-level": (lambda: NumericPolicy(hermitian_tol=np.nan), "hermitian_tol"),
 }
 
 
@@ -192,6 +209,8 @@ _WRONG_TYPE = {
     "optimality-cert": (lambda: certify_optimality(_X, _ODD_FRAME, None, None), "cert"),
     "optimality-injectivity": (
         lambda: certify_optimality(_X, _ODD_FRAME, _CERT, None), "injectivity"),
+    "truncation-rate-dist": (lambda: truncation_rate(None), "dist"),
+    "run-experiment-cfg": (lambda: run_experiment(None), "cfg"),
 }
 
 
@@ -212,3 +231,20 @@ def test_no_fft_outside_the_dft_matrix():
         if re.search(r"\b(np|numpy)\.fft\b|\bnp\.roll\b", line)
     ]
     assert hits == []
+
+
+def test_one_pipeline_per_verb():
+    # the CLI and the sweeps share experiments._recover and experiments._golf,
+    # the one caller of each of these outside its defining module
+    package = Path(cdplift.__file__).parent
+    for name, home in (("solve_phaselift", "solver.py"), ("SolverConfig", "solver.py"),
+                       ("golfing_construct", "certify.py")):
+        callers = [
+            path.name
+            for path in sorted(package.glob("*.py")) if path.name != home
+            for line in path.read_text().splitlines()
+            if re.search(rf"\b{name}\(", line)
+        ]
+        assert callers == ["experiments.py"], name
+    (mode,) = [p for p in main.commands["recover"].params if p.name == "mode"]
+    assert tuple(mode.type.choices) == _MODES
