@@ -16,9 +16,9 @@ numerical check on concrete mask realizations:
   directions; R enters through the frame's half offset Grams, one batched
   product;
 * truncation-event statistics against the 4 d^{-gamma} tail bound;
-* per-mask variance bounds (30 and 60 times b^8/nu^4), every mask's M(Z)
-  built at once from the offset contraction E_m z_m on offsets 0..d//2 and
-  filled by the Hermitian mirror;
+* per-mask variance bounds (30 and 60 times b^8/nu^4), exact over the same
+  enumeration within the same budget; each chunk's M(Z) is built at once from
+  the offset contraction E_m z_m on offsets 0..d//2 and the Hermitian mirror;
 * the golfing scheme: an iterative, resampled construction of an approximate
   dual certificate Y in range(A*), with the full construction log and an
   explicit witness vector.  Each attempt draws its mask entries straight
@@ -92,7 +92,7 @@ __all__ = [
 # exact enumeration checks
 
 
-# most masks per batch of the enumeration and the Monte-Carlo sums
+# most masks per chunk of an enumeration
 _CHUNK = 4096
 
 #: most mask realizations an exact enumeration runs through
@@ -385,53 +385,33 @@ class VarianceCheck:
     rhs_operator: float
     lhs_trace: float
     rhs_trace: float
-    method: str
-    n_terms: int
 
     @property
     def satisfied(self) -> bool:
         return self.lhs_operator <= self.rhs_operator and self.lhs_trace <= self.rhs_trace
 
 
-def variance_bound_check(
-    dist: MaskDistribution,
-    x,
-    Z,
-    mc_samples: int = 10**4,
-    seed: int = 0,
-) -> VarianceCheck:
+def variance_bound_check(dist: MaskDistribution, x, Z) -> VarianceCheck:
     """Second-moment bounds on the single-mask operator M(Z).
 
     With M(Z) = (1/nu^2 d) sum_k tr(F_k Z) F_k for one mask, computes
     ||E[M(Z)^2]||_inf and tr(E[(P_T M(Z))^2]) and compares them against
-    30 b^8/nu^4 ||Z||_2^2 and 60 b^8/nu^4 ||Z||_2^2.  Expectation is exact by
-    enumeration while |support|^d fits the enumeration budget of 10^6 mask
-    realizations, otherwise Monte-Carlo with ``mc_samples`` masks (an integer
-    >= 1) drawn from ``seed``.  Masks are taken in chunks: each chunk's M(Z)
-    comes from one contraction, is squared by one batched product, and its
-    tangent part's norm is read from M x alone.
+    30 b^8/nu^4 ||Z||_2^2 and 60 b^8/nu^4 ||Z||_2^2.  Both expectations are
+    exact: every mask realization is enumerated once with its exact
+    probability, so, as in ``check_near_isotropy_exact``, |support|^d must fit
+    the enumeration budget of 10^6 mask realizations.  Masks are taken in
+    chunks: each chunk's M(Z) comes from one contraction, is squared by one
+    batched product, and its tangent part's norm is read from M x alone.
     """
-    _check_type("dist", dist, MaskDistribution)
-    _check_count("mc_samples", mc_samples)
-    _check_seed(seed)
     x = as_signal(x)
+    d = x.size
+    _check_enumeration(dist, d)
     tangent = TangentSpace(x)
     Z = as_hermitian(Z)
-    d = x.size
     if Z.shape[0] != d:
         raise ValueError("Z dimension does not match anchor")
     if not tangent.contains(Z):
         raise ValueError("Z must lie in the tangent space of the anchor")
-
-    if _enumeration_fits(dist, d):
-        batches = _enumerate_masks(dist, d)
-        method = "exact_enumeration"
-    else:
-        samples = _draw_entries(dist, np.random.default_rng(seed), (mc_samples, d))
-        weights = np.full(mc_samples, 1.0 / mc_samples)
-        batches = [(samples[i : i + _CHUNK], weights[i : i + _CHUNK])
-                   for i in range(0, mc_samples, _CHUNK)]
-        method = "monte_carlo"
 
     # offset m of mask n's M(Z) is E_m[n, a] s[m, n] / nu^2 with s[m] = E_m z_m,
     # built on offsets 0..d//2 and filled by the mirror, Hermitian entry for
@@ -439,8 +419,7 @@ def variance_bound_check(
     z = _half_offsets(Z)
     second_moment = np.zeros((d, d), dtype=complex)
     trace_acc = 0.0
-    n_terms = 0
-    for eps, p in batches:
+    for eps, p in _enumerate_masks(dist, d):
         blocks = _offset_blocks(eps)
         s = _contract(blocks, z)
         M = _mirror_fill((blocks * s[:, :, None]).transpose(1, 0, 2) / dist.nu**2)
@@ -448,7 +427,6 @@ def variance_bound_check(
         Mx = M @ x
         tangent_sq = 2.0 * np.sum(np.abs(Mx) ** 2, axis=1) - (Mx @ x.conj()).real ** 2
         trace_acc += float(p @ tangent_sq)
-        n_terms += eps.shape[0]
 
     z2 = float(np.linalg.norm(Z)) ** 2
     rhs_base = dist.b**8 / dist.nu**4 * z2
@@ -457,8 +435,6 @@ def variance_bound_check(
         rhs_operator=30.0 * rhs_base,
         lhs_trace=trace_acc,
         rhs_trace=60.0 * rhs_base,
-        method=method,
-        n_terms=n_terms,
     )
 
 
@@ -699,7 +675,7 @@ def golfing_construct(
         )
 
     eps_union = np.vstack([eps for eps, _ in accepted])
-    union = MaskSet(epsilon=eps_union, distribution=dist, seed=None)
+    union = MaskSet(epsilon=eps_union, distribution=dist)
     witness = np.concatenate([c for _, c in accepted])
     # fold the accumulated -beta * Id into frame coefficients: since
     # sum_k F_{k,l} = d * D_l^2, adding alpha_l to all d coordinates of mask l

@@ -77,7 +77,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -95,7 +94,6 @@ __all__ = [
     "ternary_mask_distribution",
     "truncation_rate",
     "dft_vector",
-    "dft2_vector",
     "sample_masks",
     "measure",
     "apply_A",
@@ -225,7 +223,6 @@ class MaskSet:
 
     epsilon: np.ndarray
     distribution: MaskDistribution
-    seed: int | None = None
 
     def __post_init__(self):
         eps = _real_array("epsilon", self.epsilon)  # a copy: the caller's array stays its own
@@ -248,56 +245,6 @@ class MaskSet:
     @property
     def d(self) -> int:
         return self.epsilon.shape[1]
-
-    def save(self, path) -> None:
-        """Write a text serialization; floats via repr so round-trips are exact."""
-        dist = self.distribution
-        lines = [
-            "# cdplift maskset v1",
-            f"d={self.d}",
-            f"L={self.L}",
-            f"seed={self.seed if self.seed is not None else 'none'}",
-            f"name={dist.name}",
-            "support=" + ",".join(repr(float(v)) for v in dist.support),
-            "probabilities=" + ",".join(repr(float(v)) for v in dist.probabilities),
-            f"b={float(dist.b)!r}",
-            f"nu={float(dist.nu)!r}",
-        ]
-        for row in self.epsilon:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MaskSet":
-        text = Path(path).read_text().splitlines()
-        if not text or text[0].strip() != "# cdplift maskset v1":
-            raise ValueError("not a cdplift maskset file")
-        header: dict[str, str] = {}
-        for line in text[1:]:
-            if "=" in line:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-        required = {"d", "L", "seed", "name", "support", "probabilities", "b", "nu"}
-        missing = required - header.keys()
-        if missing:
-            raise ValueError(f"maskset header missing keys: {sorted(missing)}")
-        d, L = int(header["d"]), int(header["L"])
-        dist = MaskDistribution(
-            support=tuple(float(v) for v in header["support"].split(",")),
-            probabilities=tuple(float(v) for v in header["probabilities"].split(",")),
-            b=float(header["b"]),
-            nu=float(header["nu"]),
-            name=header["name"],
-        )
-        seed = None if header["seed"] == "none" else int(header["seed"])
-        rows = [line for line in text[1:] if "=" not in line and line.strip()]
-        if len(rows) != L:
-            raise ValueError(f"expected {L} mask rows, found {len(rows)}")
-        eps = np.array([[float(v) for v in row.split()] for row in rows], dtype=float)
-        masks = cls(epsilon=eps, distribution=dist, seed=seed)
-        if masks.d != d:
-            raise ValueError("mask row length inconsistent with header")
-        return masks
 
 
 def _draw_entries(dist: MaskDistribution, rng: np.random.Generator, shape) -> np.ndarray:
@@ -325,7 +272,7 @@ def sample_masks(dist: MaskDistribution, d: int, L: int, seed: int) -> MaskSet:
     _check_count("L", L)
     _check_seed(seed)
     eps = _draw_entries(dist, np.random.default_rng(seed), (L, d))
-    return MaskSet(epsilon=eps, distribution=dist, seed=seed)
+    return MaskSet(epsilon=eps, distribution=dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,42 +343,6 @@ class MeasurementVector:
         """Flat copy in row-major (l, k) order, matching apply_A."""
         return self.y.reshape(-1).copy()
 
-    def to_csv(self, path) -> None:
-        lines = []
-        if self.y0 is not None:
-            lines.append(f"# y0={float(self.y0)!r}")
-        lines.append("l,k,y")
-        for l in range(self.L):
-            for k in range(self.d):
-                lines.append(f"{l + 1},{k + 1},{float(self.y[l, k])!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "MeasurementVector":
-        """Read ``to_csv`` output; every (l, k) row must appear exactly once."""
-        lines = Path(path).read_text().splitlines()
-        y0 = None
-        rows = []
-        for line in lines:
-            if line.startswith("# y0="):
-                y0 = float(line[len("# y0=") :])
-            elif line and not line.startswith("#") and line != "l,k,y":
-                l, k, v = line.split(",")
-                rows.append((int(l), int(k), float(v)))
-        if not rows:
-            raise ValueError("empty measurement CSV")
-        L = max(r[0] for r in rows)
-        d = max(r[1] for r in rows)
-        cells = {(l, k) for l, k, _ in rows}
-        if len(cells) != len(rows):
-            raise ValueError("measurement CSV repeats an (l, k) row")
-        if cells != {(l, k) for l in range(1, L + 1) for k in range(1, d + 1)}:
-            raise ValueError(f"measurement CSV must hold every row l = 1..{L}, k = 1..{d}")
-        y = np.zeros((L, d))
-        for l, k, v in rows:
-            y[l - 1, k - 1] = v
-        return cls(y=y, y0=y0)
-
 
 def dft_vector(d: int, k: int) -> np.ndarray:
     """The k-th (unnormalized) DFT vector, entries omega^{jk} for j = 1..d.
@@ -445,11 +356,6 @@ def dft_vector(d: int, k: int) -> np.ndarray:
         raise ValueError(f"k must be an integer in 1..{d}, got {k!r}")
     exponents = (k * np.arange(1, d + 1)) % d
     return np.exp(2j * np.pi * exponents / d)
-
-
-def dft2_vector(d1: int, d2: int, k: int, l: int) -> np.ndarray:
-    """2-D DFT basis vector f_{k,l}, flattened row-major over positions (i, j)."""
-    return np.kron(dft_vector(d1, k), dft_vector(d2, l))
 
 
 def measure(x, masks: MaskSet) -> MeasurementVector:
@@ -677,9 +583,10 @@ def crt_relabeling(d1: int, d2: int) -> np.ndarray:
     """Position permutation aligning the 2-D DFT basis with the 1-D one.
 
     Returns a 0-based permutation p of length d1*d2 such that for every
-    frequency pair (k, l),
+    frequency pair (k, l) the 2-D DFT basis vector f_{k,l} = kron(f_k, f_l),
+    flattened row-major over positions (i, j), satisfies
 
-        dft2_vector(d1, d2, k, l) == dft_vector(d1*d2, m)[p]
+        kron(dft_vector(d1, k), dft_vector(d2, l)) == dft_vector(d1*d2, m)[p]
 
     with m = crt_frequency(d1, d2, k, l).  Entry p[(i-1)*d2 + (j-1)] is n-1
     for the unique n in 1..d1*d2 with n = i (mod d1) and n = j (mod d2).

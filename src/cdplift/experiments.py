@@ -236,11 +236,20 @@ def _trial_rows(cfg: ExperimentConfig, cells, trial, Row) -> list:
     return sorted(rows, key=lambda r: r[: len(cells[0]) + 1])
 
 
-def _sweep(cfg, kind, cells, trial, Row, summary, Aggregate) -> ExperimentResult:
-    """Run ``trial`` over ``cells``; write ``<kind>_trials.csv`` and
-    ``<kind>_aggregate.csv``, whose rows per cell are
+def _as_kind(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
+    """``cfg`` for experiment ``kind``, checked before any field is read:
+    TypeError naming cfg unless it is an ExperimentConfig, and the replace
+    re-runs the kind's checks, e.g. odd d or the enumeration budget."""
+    _check_type("cfg", cfg, ExperimentConfig)
+    return replace(cfg, experiment=kind)
+
+
+def _sweep(cfg, kind, grid, trial, Row, summary, Aggregate) -> ExperimentResult:
+    """Run ``trial`` over the cells ``grid(cfg)``; write ``<kind>_trials.csv``
+    and ``<kind>_aggregate.csv``, whose rows per cell are
     ``Aggregate(*cell, trials, *summary(cell_rows))``."""
-    cfg = replace(cfg, experiment=kind)  # re-runs the kind's checks, e.g. odd d
+    cfg = _as_kind(cfg, kind)
+    cells = grid(cfg)
     rows = _trial_rows(cfg, cells, trial, Row)
     by_cell = {}
     for r in rows:
@@ -257,6 +266,10 @@ def _sweep(cfg, kind, cells, trial, Row, summary, Aggregate) -> ExperimentResult
 
 def _grid(cfg: ExperimentConfig) -> list:
     return [(d, L) for d in cfg.d_grid for L in cfg.L_grid]
+
+
+def _dims(cfg: ExperimentConfig) -> list:
+    return [(d,) for d in cfg.d_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +333,7 @@ def _recovery_summary(rows):
 
 def run_phase_transition(cfg: ExperimentConfig) -> ExperimentResult:
     """Recovery success rates over the (d, L) grid; per-trial and aggregate CSVs."""
-    return _sweep(cfg, "phase_transition", _grid(cfg), _recovery_trial, _PhaseTrial,
+    return _sweep(cfg, "phase_transition", _grid, _recovery_trial, _PhaseTrial,
                   _recovery_summary, _PhaseCell)
 
 
@@ -376,8 +389,8 @@ def _golfing_summary(rows):
 
 def run_golfing_rate(cfg: ExperimentConfig) -> ExperimentResult:
     """Certificate success rate vs dimension; every success is re-verified."""
-    return _sweep(cfg, "golfing_rate", [(d,) for d in cfg.d_grid], _golfing_trial,
-                  _GolfingTrial, _golfing_summary, _GolfingCell)
+    return _sweep(cfg, "golfing_rate", _dims, _golfing_trial, _GolfingTrial,
+                  _golfing_summary, _GolfingCell)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +435,7 @@ def run_lower_bound(d: int, L: int, trials: int, seed: int) -> float:
 
 def run_lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """CSV-emitting sweep of the collision probability over the (d, L) grid."""
-    return _sweep(cfg, "lower_bound", _grid(cfg), _collision_trial, _CollisionTrial,
+    return _sweep(cfg, "lower_bound", _grid, _collision_trial, _CollisionTrial,
                   _collision_summary, _CollisionCell)
 
 
@@ -442,7 +455,7 @@ def run_isotropy_audit(cfg: ExperimentConfig) -> ExperimentResult:
     ``even_d_expected_failure`` flag instead of counting as clean passes or
     silent errors.
     """
-    cfg = replace(cfg, experiment="isotropy_audit")  # re-runs the enumeration budget check
+    cfg = _as_kind(cfg, "isotropy_audit")
     rows = []
     for d in cfg.d_grid:
         deviation = check_near_isotropy_exact(_DIST, d)

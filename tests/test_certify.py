@@ -41,7 +41,6 @@ from cdplift.diffraction import (
     ternary_mask_distribution,
     validate_moments,
 )
-from cdplift.diffraction import _draw_entries
 from cdplift.hermitian import TangentSpace, norm
 from test_diffraction import five_point_distribution
 from util import (
@@ -194,6 +193,16 @@ def test_enumeration_budget_enforced():
         check_two_design_exact(dist, 31)
 
 
+@pytest.mark.parametrize("law, d", [("ternary", 13), ("five-point", 9)])
+def test_variance_enumeration_budget_enforced(law, d):
+    # the smallest d past 10^6 masks: refused like the two exact checks
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    rng = np.random.default_rng(16)
+    x = unit_signal(rng, d)
+    with pytest.raises(ValueError, match="exceeds budget 1000000"):
+        variance_bound_check(dist, x, random_tangent(rng, x))
+
+
 @pytest.mark.parametrize("check", [check_near_isotropy_exact, check_two_design_exact])
 @pytest.mark.parametrize("key, value", [
     ("d", 0), ("d", -1), ("d", 3.0), ("d", True), ("d", "3"),
@@ -236,7 +245,6 @@ def test_exact_checks_agree_across_chunk_sizes(law, monkeypatch):
 
     def run():
         chk = variance_bound_check(dist, x, Z)
-        assert chk.method == "exact_enumeration"
         return (check_near_isotropy_exact(dist, 5), check_two_design_exact(dist, 5),
                 chk.lhs_operator, chk.lhs_trace)
 
@@ -544,8 +552,6 @@ def test_variance_bounds_exact_ternary():
         x = unit_signal(rng, 3)
         Z = random_tangent(rng, x)
         chk = variance_bound_check(dist, x, Z)
-        assert chk.method == "exact_enumeration"
-        assert chk.n_terms == 27
         assert chk.satisfied
         assert chk.lhs_operator <= chk.rhs_operator
         assert chk.lhs_trace <= chk.rhs_trace
@@ -557,32 +563,7 @@ def test_variance_bounds_exact_five_point():
     rng = np.random.default_rng(12)
     x = unit_signal(rng, 3)
     chk = variance_bound_check(dist, x, random_tangent(rng, x))
-    assert chk.method == "exact_enumeration"
-    assert chk.n_terms == 125
     assert chk.satisfied
-
-
-def test_variance_bounds_monte_carlo_fallback():
-    # 3^13 > 10^6 ternary masks: too many to enumerate
-    dist = ternary_mask_distribution()
-    rng = np.random.default_rng(13)
-    x = unit_signal(rng, 13)
-    Z = random_tangent(rng, x)
-    chk = variance_bound_check(dist, x, Z, mc_samples=2000, seed=0)
-    assert chk.method == "monte_carlo"
-    assert chk.n_terms == 2000
-    assert chk.satisfied  # constants have ~30x slack; MC noise cannot break them
-
-
-@pytest.mark.parametrize("key, value", [
-    ("mc_samples", 0), ("mc_samples", -3), ("mc_samples", 2.5), ("mc_samples", True),
-])
-def test_variance_rejects_bad_budget_and_mc_samples(key, value):
-    rng = np.random.default_rng(12)
-    x = unit_signal(rng, 3)
-    with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1"):
-        variance_bound_check(ternary_mask_distribution(), x, random_tangent(rng, x),
-                             **{key: value})
 
 
 def _seeded_calls():
@@ -590,20 +571,16 @@ def _seeded_calls():
     rng = np.random.default_rng(14)
     x = unit_signal(rng, 3)
     frame = MeasurementFrame(sample_masks(dist, 3, 4, 0))
-    x13 = unit_signal(rng, 13)  # 3^13 masks: the Monte-Carlo path draws from the seed
-    Z = random_tangent(rng, x13)
     return {
         "sample_masks": lambda seed: sample_masks(dist, 3, 4, seed),
         "golfing_construct": lambda seed: golfing_construct(x, dist, seed=seed),
         "injectivity_spectrum": lambda seed: injectivity_spectrum(frame, x, seed=seed),
-        "variance_bound_check": lambda seed: variance_bound_check(
-            dist, x13, Z, mc_samples=10, seed=seed),
     }
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, -1, True, "0"])
 @pytest.mark.parametrize("name", [
-    "sample_masks", "golfing_construct", "injectivity_spectrum", "variance_bound_check",
+    "sample_masks", "golfing_construct", "injectivity_spectrum",
 ])
 def test_seeded_calls_reject_a_bad_seed(name, seed):
     call = _seeded_calls()[name]
@@ -620,46 +597,9 @@ def test_variance_matches_per_mask_loop(d, law):
     x = unit_signal(rng, d)
     Z = random_tangent(rng, x)
     chk = variance_bound_check(dist, x, Z)
-    operator, trace, n_terms = variance_moments_loop(dist, x, Z)
+    operator, trace = variance_moments_loop(dist, x, Z)
     assert chk.lhs_operator == pytest.approx(operator, rel=1e-12)
     assert chk.lhs_trace == pytest.approx(trace, rel=1e-12)
-    assert chk.n_terms == n_terms == len(dist.support) ** d
-
-
-def test_variance_monte_carlo_matches_per_mask_loop():
-    # 5^9 > 10^6 five-point masks go to Monte-Carlo; 5000 samples span two
-    # chunks of the batched path
-    dist = five_point_distribution()
-    rng = np.random.default_rng(15)
-    x = unit_signal(rng, 9)
-    Z = random_tangent(rng, x)
-    chk = variance_bound_check(dist, x, Z, mc_samples=5000, seed=2)
-    operator, trace, n_terms = variance_moments_loop(dist, x, Z, mc_samples=5000, seed=2)
-    assert chk.method == "monte_carlo"
-    assert chk.lhs_operator == pytest.approx(operator, rel=1e-12)
-    assert chk.lhs_trace == pytest.approx(trace, rel=1e-12)
-    assert chk.n_terms == n_terms == 5000
-
-
-@pytest.mark.parametrize("law", ["ternary", "five-point"])
-def test_variance_monte_carlo_draws_the_choice_stream(law, monkeypatch):
-    # the Monte-Carlo masks are those rng.choice(support, size, p) draws
-    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
-    drawn = []
-
-    def recording(*args):
-        drawn.append(_draw_entries(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(certify_module, "_draw_entries", recording)
-    d = 13 if law == "ternary" else 9  # the smallest d past 10^6 masks
-    rng = np.random.default_rng(16)
-    x = unit_signal(rng, d)
-    variance_bound_check(dist, x, random_tangent(rng, x), mc_samples=5000, seed=7)
-    expected = np.random.default_rng(7).choice(
-        np.asarray(dist.support), size=(5000, d), p=np.asarray(dist.probabilities))
-    assert len(drawn) == 1
-    assert np.array_equal(drawn[0], expected)
 
 
 def test_variance_requires_tangent_argument():

@@ -51,6 +51,10 @@ from cdplift.experiments import (
     derive_seed,
     random_unit_signal,
     run_experiment,
+    run_golfing_rate,
+    run_isotropy_audit,
+    run_lower_bound_experiment,
+    run_phase_transition,
 )
 from cdplift.hermitian import TangentSpace, norm, phase_aligned_distance, psd_project
 from cdplift.policy import NumericPolicy
@@ -89,7 +93,6 @@ def test_defaulted_parameters_are_pinned():
     assert defaults == {
         "cdplift.certify.golfing_construct": {"params": None, "seed": 0},
         "cdplift.certify.injectivity_spectrum": {"seed": 0, "probes": 100},
-        "cdplift.certify.variance_bound_check": {"mc_samples": 10**4, "seed": 0},
         "cdplift.certify.verify_certificate": {"frame": None},
         "cdplift.diffraction.validate_moments": {"probabilities": None},
         "cdplift.hermitian.as_hermitian": {"name": "matrix"},
@@ -211,6 +214,10 @@ _WRONG_TYPE = {
         lambda: certify_optimality(_X, _ODD_FRAME, _CERT, None), "injectivity"),
     "truncation-rate-dist": (lambda: truncation_rate(None), "dist"),
     "run-experiment-cfg": (lambda: run_experiment(None), "cfg"),
+    "phase-transition-cfg": (lambda: run_phase_transition(None), "cfg"),
+    "golfing-rate-cfg": (lambda: run_golfing_rate(None), "cfg"),
+    "lower-bound-cfg": (lambda: run_lower_bound_experiment(None), "cfg"),
+    "isotropy-audit-cfg": (lambda: run_isotropy_audit(None), "cfg"),
 }
 
 
@@ -248,3 +255,15 @@ def test_one_pipeline_per_verb():
         assert callers == ["experiments.py"], name
     (mode,) = [p for p in main.commands["recover"].params if p.name == "mode"]
     assert tuple(mode.type.choices) == _MODES
+
+
+def test_only_the_experiments_touch_files():
+    # an instance is redrawn from its seed, never read from a file: the CSV
+    # writers and the config reader of the experiments are the one file access
+    touching = {
+        path.name
+        for path in Path(cdplift.__file__).parent.glob("*.py")
+        for line in path.read_text().splitlines()
+        if re.search(r"(?<![\w.])(open|Path)\(|\.(read_text|write_text)\(", line)
+    }
+    assert touching == {"experiments.py"}

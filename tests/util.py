@@ -32,6 +32,12 @@ def random_tangent(rng, x):
     return np.outer(x, z.conj()) + np.outer(z, x.conj())
 
 
+def dft2_vector(d1, d2, k, l):
+    """2-D DFT basis vector f_{k,l} = kron(f_k, f_l), flattened row-major over
+    positions (i, j): the reference of ``crt_relabeling``."""
+    return np.kron(dft_vector(d1, k), dft_vector(d2, l))
+
+
 def dense_frame_element(eps_row, k):
     """F_{k,l} = D_l f_k f_k* D_l built with no FFT shortcuts."""
     u = eps_row * dft_vector(len(eps_row), k)
@@ -258,40 +264,30 @@ def itertools_masks(dist, d):
     return np.array(combos), weights
 
 
-def variance_moments_loop(dist, x, Z, mc_samples=10**4, seed=0):
-    """(||E[M(Z)^2]||_inf, tr E[(P_T M(Z))^2], n_terms), one mask at a time.
+def variance_moments_loop(dist, x, Z):
+    """(||E[M(Z)^2]||_inf, tr E[(P_T M(Z))^2]), one mask at a time.
 
     Each mask's M(Z) = (1/nu^2 d) sum_k tr(F_k Z) F_k comes from its own
     forward values and adjoint, squared with one matrix product and projected
-    with TangentSpace.project; the masks and weights are those of
-    variance_bound_check (exact enumeration while |support|^d <= 10^6, else
-    the same Monte-Carlo draw).  The exact masks come from itertools, each with its
-    probability as a product of floats (``itertools_masks``).
+    with TangentSpace.project.  Every mask realization is visited, from
+    itertools, each with its probability as a product of floats
+    (``itertools_masks``).
     """
     tangent = TangentSpace(x)
     d = x.size
-    if len(dist.support) ** d <= 10**6:
-        batches = [itertools_masks(dist, d)]
-    else:
-        rng = np.random.default_rng(seed)
-        eps = rng.choice(np.asarray(dist.support), size=(mc_samples, d),
-                         p=np.asarray(dist.probabilities))
-        batches = [(eps, np.full(mc_samples, 1.0 / mc_samples))]
+    eps, p = itertools_masks(dist, d)
     scale = 1.0 / (dist.nu**2 * d)
     second_moment = np.zeros((d, d), dtype=complex)
     trace_acc = 0.0
-    n_terms = 0
-    for eps, p in batches:
-        blocks = _offset_blocks(eps)
-        coeffs = _apply_A_any(blocks, Z)
-        for row in range(eps.shape[0]):
-            M = hermitize(
-                _apply_A_adjoint_any(blocks[:, row : row + 1], coeffs[row : row + 1]) * scale
-            )
-            second_moment += p[row] * (M @ M)
-            trace_acc += p[row] * float(np.linalg.norm(tangent.project(M))) ** 2
-            n_terms += 1
-    return norm(second_moment, "operator"), trace_acc, n_terms
+    blocks = _offset_blocks(eps)
+    coeffs = _apply_A_any(blocks, Z)
+    for row in range(eps.shape[0]):
+        M = hermitize(
+            _apply_A_adjoint_any(blocks[:, row : row + 1], coeffs[row : row + 1]) * scale
+        )
+        second_moment += p[row] * (M @ M)
+        trace_acc += p[row] * float(np.linalg.norm(tangent.project(M))) ** 2
+    return norm(second_moment, "operator"), trace_acc
 
 
 def support_gaps_3d(eps, support):
