@@ -44,7 +44,6 @@ from .certify import (
     variance_bound_check,
     verify_certificate,
 )
-from .policy import POLICY, NumericPolicy
 from .solver import SolveResult, SolverConfig, extract_signal, solve_phaselift, verify_feasibility
 
 __all__ = [
@@ -82,8 +81,6 @@ __all__ = [
     "ExperimentConfig",
     "run_experiment",
     "run_lower_bound",
-    "POLICY",
-    "NumericPolicy",
     "SolverConfig",
     "SolveResult",
     "solve_phaselift",

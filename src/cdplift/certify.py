@@ -23,10 +23,9 @@ numerical check on concrete mask realizations:
   dual certificate Y in range(A*), with the full construction log and an
   explicit witness vector.  Each attempt draws its mask entries straight
   from the seed stream, unvalidated (the union mask set is validated once),
-  takes the anchor's forward values from its rank-2 form Q = x z* + z x*
-  and applies A* over half the offsets; and the deterministic
-  re-verification of such a certificate, which returns it rebuilt from the
-  witness;
+  and builds its batch's offset blocks once for both A and A*; and the
+  deterministic re-verification of such a certificate, which returns it
+  rebuilt from the witness;
 * the final optimality verdict, which is the conjunction of a passing
   certificate (give it the rebuilt one) and a passing injectivity report —
   nothing more is computed, matching the logic of the guarantee — and which
@@ -49,7 +48,6 @@ from .diffraction import (
     MeasurementFrame,
     _apply_A_adjoint_any,
     _apply_A_any,
-    _apply_A_rank2,
     _contract,
     _draw_entries,
     _half_offsets,
@@ -63,8 +61,8 @@ from .diffraction import (
     truncation_rate,
 )
 from .hermitian import TangentSpace, _norm, as_hermitian, as_signal, hermitize, norm
-from .policy import POLICY, _check_count, _check_counts, _check_seed, _check_type
-from .policy import _is_int, _is_real
+from .policy import ANCHOR_TOL, RANK_REL_TOL, _check_count, _check_counts, _check_seed
+from .policy import _check_type, _is_int, _is_real
 
 __all__ = [
     "InjectivityReport",
@@ -350,7 +348,7 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     threshold, against the bound 4 d^{-gamma}.
 
     ``gamma`` must be a finite real number >= 1 (not a bool), and the
-    Hermitian Z must have rank <= 2 up to the policy tolerance (lie in a
+    Hermitian Z must have rank <= 2 up to ``RANK_REL_TOL`` (lie in a
     tangent space).  The boundary |tr| == threshold counts as inside the good
     event (not exceeded); in particular Z = 0 never triggers anything.
     """
@@ -361,7 +359,7 @@ def truncation_statistics(frame: MeasurementFrame, Z, gamma: float) -> Truncatio
     if not (_is_real(gamma) and math.isfinite(gamma) and gamma >= 1):
         raise ValueError(f"gamma must be finite and >= 1, got {gamma!r}")
     sigma = np.linalg.svd(Z, compute_uv=False)
-    if sigma.size > 2 and sigma[2] > POLICY.rank_rel_tol * max(sigma[0], 1e-300):
+    if sigma.size > 2 and sigma[2] > RANK_REL_TOL * max(sigma[0], 1e-300):
         raise ValueError("Z must have rank <= 2 (lie in a tangent space)")
     vals = _apply_A_any(frame.blocks, Z)
     keep = _truncate(vals, float(np.linalg.norm(Z)), frame.distribution.b, gamma)
@@ -409,7 +407,7 @@ def variance_bound_check(dist: MaskDistribution, x, Z) -> VarianceCheck:
     tangent = TangentSpace(x)
     Z = as_hermitian(Z)
     if Z.shape[0] != d:
-        raise ValueError("Z dimension does not match anchor")
+        raise ValueError(f"Z must be {d} x {d} like the anchor, got {Z.shape}")
     if not tangent.contains(Z):
         raise ValueError("Z must lie in the tangent space of the anchor")
 
@@ -593,14 +591,13 @@ def golfing_construct(
     come from ``_schedule``.  Returns a DualCertificate on success, otherwise
     a GolfingFailure carrying the full construction log.
 
-    An attempt works on the structure of T.  Its batch holds the entries
-    ``sample_masks(dist, d, L_i, s_i)`` would hold, s_i the next
-    ``integers(2**63)`` of ``default_rng(seed)``, drawn without the per-batch
-    support validation; the union MaskSet of the accepted batches validates
-    them.  Q lies in T, so Q = x z* + z x* with z = Qx - (x*Qx) x / 2, and
-    its forward values come from the masked spectra of x and z
-    (``_apply_A_rank2``), which also set the truncation.  A* runs on the
-    batch's offsets 0..d//2 only, its output Hermitian by construction.
+    Each attempt's batch holds the entries ``sample_masks(dist, d, L_i, s_i)``
+    would hold, s_i the next ``integers(2**63)`` of ``default_rng(seed)``,
+    drawn without the per-batch support validation; the union MaskSet of the
+    accepted batches validates them.  The batch's offset blocks are built
+    once: they give Q's forward values, which also set the truncation, and
+    A* of the kept ones, which runs on offsets 0..d//2 only, its output
+    Hermitian by construction.
     P_T is linear, so P_T(Y) is the running sum of the accepted candidates'
     projections.
     """
@@ -633,13 +630,12 @@ def golfing_construct(
         q_prev_norm = float(np.linalg.norm(Q))
         eps = _draw_entries(dist, np.random.default_rng(int(rng.integers(2**63))), (L_i, d))
         masks_sampled += L_i
-        # Q lies in T, so Q = x z* + z x* with z = Qx - (x*Qx) x / 2
-        Qx = Q @ x
-        vals = _apply_A_rank2(eps, x, Qx - 0.5 * float(np.vdot(x, Qx).real) * x)
+        blocks = _offset_blocks(eps)
+        vals = _apply_A_any(blocks, Q)
         keep = _truncate(vals, q_prev_norm, dist.b, p.gamma)
         ntrunc = keep.size - np.count_nonzero(keep)
         coeffs = vals * keep / (dist.nu**2 * d * L_i)
-        candidate = _apply_A_adjoint_any(_offset_blocks(eps), coeffs)
+        candidate = _apply_A_adjoint_any(blocks, coeffs)
         trace_q = float(np.trace(Q).real)
         candidate[diagonal] -= trace_q  # R_Q(Q) - tr(Q) Id
         candidate_T = tangent._project(candidate)  # P_Tperp = I - P_T
@@ -730,9 +726,9 @@ class CertificateIntegrityError(Exception):
 
 
 def _check_instance(x, frame: MeasurementFrame, name: str, built) -> None:
-    """ValueError unless x is ``built.anchor`` (to anchor_tol) and ``frame`` holds its masks."""
+    """ValueError unless x is ``built.anchor`` (to ``ANCHOR_TOL``) and ``frame`` holds its masks."""
     anchor, masks = built.anchor, built.masks
-    if x.shape != anchor.shape or float(np.linalg.norm(x - anchor)) > POLICY.anchor_tol:
+    if x.shape != anchor.shape or float(np.linalg.norm(x - anchor)) > ANCHOR_TOL:
         raise ValueError(f"x is not the anchor the {name} was built for")
     if frame.masks is not masks and not np.array_equal(frame.masks.epsilon, masks.epsilon):
         raise ValueError(f"frame does not hold the masks the {name} was built on")
@@ -786,7 +782,7 @@ def certify_optimality(
     from the witness rather than the ones golfing stored.  The verdict is only
     meaningful when the certificate and the injectivity report were both
     computed for ``x`` and for ``frame``'s masks: each one's anchor must match
-    ``x`` within ``POLICY.anchor_tol`` and its masks must be ``frame``'s (the
+    ``x`` within ``ANCHOR_TOL`` and its masks must be ``frame``'s (the
     same MaskSet, or equal mask entries); otherwise ValueError.
     """
     x = as_signal(x)

@@ -44,10 +44,9 @@ convention:
 The m = 0 block holds the patterns ``eps^2``: two equal columns there are
 exactly a mask collision (``e_a`` and ``e_b`` measure alike), the lower-bound
 argument.  At even d, offset d/2 pairs a with a + d/2 and back, so its block
-has equal columns a and a + d/2 and is its own mirror.  A rank-2 tangent
-element Q = x z* + z x* needs no blocks at all: tr(F_{k,l} Q) = 2 Re(u_lk
-conj(v_lk)) with u and v the masked spectra of x and z, one real product with
-the DFT matrix (``_apply_A_rank2``).
+has equal columns a and a + d/2 and is its own mirror.  The intensities of a
+signal need no blocks at all: y_{k,l} = |u_lk|^2 with u the masked spectrum
+of x, one real product with the DFT matrix (``measure``).
 
 The composition ``A* A`` acts on each offset alone: offset m of
 ``A*(A(Z))`` is ``d E_m^T E_m z_m``, so with the real d x d offset Grams
@@ -81,8 +80,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .hermitian import as_hermitian, as_signal
-from .policy import POLICY, _check_count, _check_level, _check_seed, _check_type
-from .policy import _is_int, _real_array
+from .policy import INTENSITY_TOL, MOMENT_TOL, PARSEVAL_REL_TOL, _check_count, _check_level
+from .policy import _check_seed, _check_type, _is_int, _real_array
 
 __all__ = [
     "MomentReport",
@@ -138,7 +137,7 @@ def validate_moments(support, probabilities=None) -> MomentReport:
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"{key} must be finite, got {tuple(values)!r}")
     total, *moments = (float(_exact_moment(support, probabilities, k)) for k in range(5))
-    tol = POLICY.moment_tol
+    tol = MOMENT_TOL
     conditions = {
         "probabilities_normalized": abs(total - 1.0) <= tol
         and all(p >= 0 for p in probabilities),
@@ -175,7 +174,7 @@ class MaskDistribution:
         failed = [name for name, ok in report.conditions.items() if not ok]
         if failed:
             raise ValueError("mask moment conditions violated: " + ", ".join(failed))
-        tol = POLICY.moment_tol
+        tol = MOMENT_TOL
         if any(abs(s) > self.b + tol for s in self.support):
             raise ValueError(f"support value exceeds bound b = {self.b}")
         nu = report.moments[1]
@@ -233,7 +232,7 @@ class MaskSet:
         for value in self.distribution.support:
             np.abs(np.subtract(eps, value, out=diff), out=diff)
             np.minimum(gaps, diff, out=gaps)
-        if not np.max(gaps) <= POLICY.moment_tol:  # NaN fails too
+        if not np.max(gaps) <= MOMENT_TOL:  # NaN fails too
             raise ValueError("mask entries must lie in the distribution's support")
         eps.setflags(write=False)
         object.__setattr__(self, "epsilon", eps)
@@ -324,7 +323,7 @@ class MeasurementVector:
             raise ValueError(f"y must be (L, d) with L, d >= 1, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("intensities must be finite")
-        if float(y.min()) < -POLICY.hermitian_tol:
+        if float(y.min()) < -INTENSITY_TOL:
             raise ValueError("intensities must be nonnegative up to roundoff")
         if self.y0 is not None:
             _check_level("y0", self.y0)
@@ -359,21 +358,26 @@ def dft_vector(d: int, k: int) -> np.ndarray:
 
 
 def measure(x, masks: MaskSet) -> MeasurementVector:
-    """Diffraction intensities |<f_k, D_l x>|^2, the forward values of
-    x x* = x z* + z x* at z = x/2 (``_apply_A_rank2``).
+    """Diffraction intensities |<f_k, D_l x>|^2.
 
-    Raises if the per-mask Parseval identity sum_k y_{k,l} = d ||D_l x||^2
-    fails beyond roundoff — that would indicate a broken DFT convention, not
-    bad data.
+    The masked spectra come from one real product of the masks with the real
+    and imaginary parts of x W (``_dft_matrix``), taken as (2d, L) so that the
+    squares that follow run over contiguous rows.  Raises if the per-mask
+    Parseval identity sum_k y_{k,l} = d ||D_l x||^2 fails beyond roundoff —
+    that would indicate a broken DFT convention, not bad data.
     """
     x = as_signal(x)
     _check_type("masks", masks, MaskSet)
-    if x.size != masks.d:
-        raise ValueError(f"signal dimension {x.size} != mask dimension {masks.d}")
-    y = _apply_A_rank2(masks.epsilon, x, 0.5 * x)
-    targets = masks.d * (np.square(masks.epsilon) @ np.square(np.abs(x)))
+    d = masks.d
+    if x.size != d:
+        raise ValueError(f"signal dimension {x.size} != mask dimension {d}")
+    xW = x[:, None] * _dft_matrix(d)
+    spectra = np.concatenate([xW.real, xW.imag], axis=1).T @ masks.epsilon.T
+    np.square(spectra, out=spectra)
+    y = np.add(spectra[:d], spectra[d:], out=spectra[:d]).T
+    targets = d * (np.square(masks.epsilon) @ np.square(np.abs(x)))
     scale = max(float(targets.max()), 1.0)
-    if float(np.max(np.abs(y.sum(axis=1) - targets))) > POLICY.adjoint_rel_tol * scale:
+    if float(np.max(np.abs(y.sum(axis=1) - targets))) > PARSEVAL_REL_TOL * scale:
         raise RuntimeError("per-mask Parseval identity violated beyond tolerance")
     return MeasurementVector(y=y, y0=float(np.linalg.norm(x)) ** 2)
 
@@ -515,28 +519,6 @@ def _apply_A_adjoint_any(blocks: np.ndarray, C: np.ndarray) -> np.ndarray:
     """
     parts = _per_offset(C) @ blocks  # Re and Im of d E_m^T t_m
     return _mirror_fill(parts[:, 0] + 1j * parts[:, 1])
-
-
-def _apply_A_rank2(epsilon: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """tr(F_{k,l} Q) for Q = x z* + z x*, a real (L, d) array.
-
-    With u = D_l f_k, tr(F_{k,l} Q) = u*Q u = 2 Re((u*x) conj(u*z)), and u*x,
-    u*z are the masked spectra of x and z up to one common phase.  Both come
-    from one real product of the masks with the real and imaginary parts of
-    x W and z W (``_dft_matrix``), taken as (4d, L) so that the products that
-    follow run over contiguous rows; the result is the transposed view of a
-    (d, L) array.  Every tangent element at x x* has this form
-    (``golfing_construct`` reads z off Q), so its dL forward values take
-    O(d^2 L) work and no offset blocks.
-    """
-    d = x.size
-    W = _dft_matrix(d)
-    xW, zW = x[:, None] * W, z[:, None] * W
-    spectra = np.concatenate([xW.real, xW.imag, zW.real, zW.imag], axis=1).T @ epsilon.T
-    products = np.multiply(spectra[: 2 * d], spectra[2 * d :], out=spectra[: 2 * d])
-    vals = np.add(products[:d], products[d:], out=spectra[:d])
-    vals *= 2.0
-    return vals.T
 
 
 def apply_A(frame: MeasurementFrame, Z) -> np.ndarray:

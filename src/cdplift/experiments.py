@@ -197,6 +197,7 @@ def derive_seed(base_seed: int, *parts) -> int:
 def random_unit_signal(d: int, rng) -> np.ndarray:
     """A uniform draw from the complex unit sphere in C^d, d an integer >= 1."""
     _check_count("d", d)
+    _check_type("rng", rng, np.random.Generator)
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return x / np.linalg.norm(x)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policy import POLICY, _complex_array
+from .policy import ANCHOR_TOL, RANK_REL_TOL, _complex_array
 
 __all__ = [
     "hermitize",
@@ -143,7 +143,7 @@ class TangentSpace:
     def __init__(self, x):
         x = as_signal(x, "anchor").copy()  # frozen below, so never the caller's array
         nrm = float(np.linalg.norm(x))
-        if abs(nrm - 1.0) > POLICY.anchor_tol:
+        if abs(nrm - 1.0) > ANCHOR_TOL:
             raise ValueError(f"anchor must be unit-norm, got ||x|| = {nrm!r}")
         self._x = x
         self._x.setflags(write=False)
@@ -162,8 +162,11 @@ class TangentSpace:
         return 2 * self.d - 1
 
     def project(self, Z) -> np.ndarray:
-        """Orthogonal projection of a Hermitian matrix onto T."""
-        return self._project(as_hermitian(Z))
+        """Orthogonal projection of a d x d Hermitian matrix onto T."""
+        Z = as_hermitian(Z)
+        if Z.shape[0] != self.d:
+            raise ValueError(f"matrix must be d x d like the anchor, d = {self.d}, got {Z.shape}")
+        return self._project(Z)
 
     def _project(self, Z: np.ndarray) -> np.ndarray:
         """``project`` of an already validated Hermitian ``Z``.
@@ -183,12 +186,12 @@ class TangentSpace:
         return hermitize(Z - self.project(Z))
 
     def contains(self, Z) -> bool:
-        """Whether ``Z`` lies in T up to the policy's rank/projection slack."""
+        """Whether ``Z`` lies in T up to ``RANK_REL_TOL`` of its norm."""
         Z = as_hermitian(Z)
         scale = float(np.linalg.norm(Z))
         if scale == 0.0:
             return True
-        return float(np.linalg.norm(Z - self.project(Z))) <= POLICY.rank_rel_tol * scale
+        return float(np.linalg.norm(Z - self.project(Z))) <= RANK_REL_TOL * scale
 
     def basis(self) -> np.ndarray:
         """Orthonormal basis of T in the rank-2 form, shape ``(2d - 1, d)``.

@@ -1,38 +1,33 @@
-"""Centralized numeric tolerances.
+"""Centralized numeric tolerances and the boundary checks.
 
-Every module draws its default tolerances from :data:`POLICY` so there is a
-single tuning point.  The individual fields exist because different contracts
-pin different accuracies (moment identities are checked to 1e-12, adjoint
-pairings to 1e-9 relative, etc.).  The option dataclasses and the samplers
-share the integer, type, seed, level and real- and complex-array checks
-below; every field of the policy is a level.
+The tolerances are module constants, one per contract, since different
+contracts pin different accuracies (moment identities are checked to 1e-12,
+the per-mask Parseval identity to 1e-9 relative, etc.).  The option
+dataclasses and the samplers share the integer, type, seed, level and real-
+and complex-array checks below.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["NumericPolicy", "POLICY"]
+__all__ = []
 
-
-@dataclass(frozen=True)
-class NumericPolicy:
-    #: allowed Hermitian-symmetry / real-trace drift after construction
-    hermitian_tol: float = 1e-12
-    #: distribution moment identities (exact-arithmetic comparisons)
-    moment_tol: float = 1e-12
-    #: relative tolerance for <A(Z), c> == <Z, A*(c)> style pairings
-    adjoint_rel_tol: float = 1e-9
-    #: unit-norm requirement on tangent-space anchors
-    anchor_tol: float = 1e-10
-    #: tangent membership: third singular value <= rank_rel_tol * first
-    rank_rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        for f in fields(self):
-            _check_level(f.name, getattr(self, f.name))
+#: how far below zero an intensity may sit and still count as nonnegative
+#: roundoff (``MeasurementVector``)
+INTENSITY_TOL = 1e-12
+#: distribution moment identities and the distance of a mask entry to the
+#: support (``validate_moments``, ``MaskDistribution``, ``MaskSet``)
+MOMENT_TOL = 1e-12
+#: relative tolerance of the per-mask Parseval identity in ``measure``
+PARSEVAL_REL_TOL = 1e-9
+#: unit-norm requirement on tangent-space anchors, and how far an anchor may
+#: sit from the one a certificate or injectivity report was built for
+ANCHOR_TOL = 1e-10
+#: tangent membership (``TangentSpace.contains``) and the rank <= 2 test of
+#: ``truncation_statistics``, relative to the norm
+RANK_REL_TOL = 1e-8
 
 
 def _is_int(value) -> bool:
@@ -90,6 +85,3 @@ def _check_counts(options, *keys) -> None:
     """``_check_count`` on each of ``keys`` of ``options``, in order."""
     for key in keys:
         _check_count(key, getattr(options, key))
-
-
-POLICY = NumericPolicy()

@@ -45,6 +45,8 @@ from cdplift.hermitian import TangentSpace, norm
 from test_diffraction import five_point_distribution
 from util import (
     apply_A_probe_margin,
+    dense_apply_A,
+    dense_apply_A_adjoint,
     dense_frame_element,
     dense_injectivity_lambda_min,
     dense_isotropy_deviation,
@@ -713,6 +715,43 @@ def test_golfing_draws_the_sample_masks_stream(certificate):
         if rec.xi:
             accepted.append(sample_masks(dist, x.size, rec.L, batch_seed).epsilon)
     assert np.array_equal(cert.masks.epsilon, np.vstack(accepted))
+
+
+@pytest.mark.parametrize("law, d, L1, seed, accepted", [
+    ("ternary", 5, 200, 0, True),
+    ("ternary", 5, 200, 1, False),
+    ("five-point", 5, 200, 2, True),
+    ("ternary", 15, 30, 0, False),
+    ("five-point", 15, 30, 1, False),
+])
+def test_golfing_first_attempt_matches_dense_oracle(law, d, L1, seed, accepted):
+    # attempt 1 rebuilt from the dense A and A*: its batch is sample_masks
+    # with the first integers(2**63) of default_rng(seed), R_Q(X) keeps the
+    # values within 2^{3/2} b^2 gamma log(d) ||X||_2, and the candidate is the
+    # truncated R_Q(X) minus tr(X) Id
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    x = unit_signal(np.random.default_rng(300 + seed), d)
+    out = golfing_construct(x, dist, GolfingParams(L1=L1, L2=1, L_later=1), seed=seed)
+    rec = out.construction_log[0]
+    p = _schedule(d, dist)
+    batch_seed = int(np.random.default_rng(seed).integers(2**63))
+    eps = sample_masks(dist, d, L1, batch_seed).epsilon
+    X = np.outer(x, x.conj())
+    vals = dense_apply_A(eps, X)
+    keep = np.abs(vals) <= 2.0**1.5 * dist.b**2 * p.gamma * math.log(d) * np.linalg.norm(X)
+    candidate = dense_apply_A_adjoint(eps, vals * keep / (dist.nu**2 * d * L1))
+    candidate -= np.trace(X).real * np.eye(d)
+    candidate_T = TangentSpace(x).project(candidate)
+    xi = (norm(candidate - candidate_T, "operator") <= p.t_first
+          and np.linalg.norm(candidate_T - X) <= p.c_first)
+    assert (rec.L, rec.xi, xi) == (L1, accepted, accepted)
+    assert rec.truncated_terms == keep.size - np.count_nonzero(keep)
+    if accepted:
+        assert rec.q_norm == pytest.approx(np.linalg.norm(X - candidate_T), abs=1e-12)
+        assert rec.complement_norm == pytest.approx(
+            norm(candidate - candidate_T, "operator"), abs=1e-12)
+    else:
+        assert (rec.q_norm, rec.complement_norm) == (pytest.approx(1.0, abs=1e-12), 0.0)
 
 
 def test_golfing_leaves_the_callers_anchor_writable():

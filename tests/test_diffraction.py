@@ -26,7 +26,6 @@ from cdplift.diffraction import (
 from cdplift.diffraction import (
     _apply_A_adjoint_any,
     _apply_A_any,
-    _apply_A_rank2,
     _draw_entries,
     _offset_blocks,
     _mirror_weights,
@@ -36,7 +35,7 @@ from cdplift.diffraction import (
 )
 from cdplift.experiments import run_lower_bound
 from cdplift.hermitian import TangentSpace
-from cdplift.policy import POLICY
+from cdplift.policy import MOMENT_TOL
 from util import (
     dense_apply_A,
     dense_apply_A_adjoint,
@@ -239,7 +238,7 @@ def test_maskset_rejects_non_finite_entries(bad):
 @pytest.mark.parametrize("law", ["ternary", "five-point"])
 def test_maskset_accepts_entries_within_tolerance(law):
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
-    tol = POLICY.moment_tol
+    tol = MOMENT_TOL
     support = np.asarray(dist.support)
     near = np.vstack([support + tol / 2, support - tol / 2])
     assert MaskSet(epsilon=near, distribution=dist).L == 2
@@ -254,7 +253,7 @@ def test_maskset_support_check_matches_3d_gaps(law, L, d, data):
     # entries at, within and just beyond moment_tol of a support value, plus
     # some far from every one; accepted exactly when every 3-D gap is in tol
     dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
-    tol = POLICY.moment_tol
+    tol = MOMENT_TOL
     offset = st.one_of(
         st.just(0.0),
         st.sampled_from([tol, -tol, tol / 2, 2 * tol, -2 * tol]),
@@ -816,38 +815,6 @@ def test_per_offset_inverts_the_dense_forward_values(d, L):
                 t[m, l] += eps[l, a] * eps[l, (a + m) % d] * Z[a, (a + m) % d]
     got = (pairs[:, 0] + 1j * pairs[:, 1]) / d
     assert np.allclose(got, t, rtol=0, atol=1e-12 * np.abs(t).max())
-
-
-@pytest.mark.parametrize("law", ["ternary", "five-point"])
-@pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 15])
-def test_rank2_forward_matches_dense_oracle(d, law):
-    # tr(F_{k,l} (x z* + z x*)) from the two masked spectra, for any x and z
-    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
-    L = 6
-    eps = sample_masks(dist, d, L, seed=50 + d).epsilon
-    rng = np.random.default_rng(d)
-    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    Q = np.outer(x, z.conj()) + np.outer(z, x.conj())
-    expected = dense_apply_A(eps, Q)
-    vals = _apply_A_rank2(eps, x, z)
-    assert vals.shape == (L, d)
-    assert np.allclose(vals.reshape(-1), expected, atol=1e-12 * max(1.0, np.abs(expected).max()))
-
-
-@pytest.mark.parametrize("d", [3, 8, 15])
-def test_rank2_forward_of_a_tangent_element_read_off_Q(d):
-    # every Q in the tangent space at x x* is x z* + z x* with
-    # z = Qx - (x*Qx) x / 2 (golfing's reading), so the rank-2 values are
-    # the block forward values of Q
-    rng = np.random.default_rng(60 + d)
-    eps = sample_masks(ternary_mask_distribution(), d, 9, seed=d).epsilon
-    x = unit_signal(rng, d)
-    Q = TangentSpace(x).project(random_hermitian(rng, d))
-    z = Q @ x - 0.5 * np.vdot(x, Q @ x).real * x
-    assert np.allclose(np.outer(x, z.conj()) + np.outer(z, x.conj()), Q, atol=1e-14)
-    expected = _apply_A_any(_offset_blocks(eps), Q)
-    assert np.allclose(_apply_A_rank2(eps, x, z), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad, match", [

@@ -57,7 +57,6 @@ from cdplift.experiments import (
     run_phase_transition,
 )
 from cdplift.hermitian import TangentSpace, norm, phase_aligned_distance, psd_project
-from cdplift.policy import NumericPolicy
 from cdplift.solver import _MODES, SolverConfig, solve_phaselift, verify_feasibility
 
 
@@ -121,7 +120,6 @@ def test_top_level_exports_are_pinned():
         "golfing_construct", "injectivity_spectrum", "truncation_statistics",
         "variance_bound_check", "verify_certificate",
         "ExperimentConfig", "run_experiment", "run_lower_bound",
-        "POLICY", "NumericPolicy",
         "SolverConfig", "SolveResult", "solve_phaselift", "extract_signal",
         "verify_feasibility",
     ])
@@ -171,8 +169,12 @@ _REJECTED = {
     "measure-str": (lambda: measure(["a"] * 5, _ODD_FRAME.masks), "signal"),
     "distance-str": (lambda: phase_aligned_distance("a", _X), "a"),
     "distance-bool": (lambda: phase_aligned_distance(_X, np.ones(5, dtype=bool)), "b"),
-    "policy-negative-level": (lambda: NumericPolicy(rank_rel_tol=-1), "rank_rel_tol"),
-    "policy-nan-level": (lambda: NumericPolicy(hermitian_tol=np.nan), "hermitian_tol"),
+    "tangent-project-dimension": (lambda: TangentSpace(_X).project(np.eye(4)), "matrix"),
+    "tangent-contains-dimension": (lambda: TangentSpace(_X).contains(np.eye(6)), "matrix"),
+    "tangent-complement-dimension": (
+        lambda: TangentSpace(_X).project_complement(np.eye(3)), "matrix"),
+    "variance-dimension": (
+        lambda: variance_bound_check(_DIST, np.ones(3) / np.sqrt(3.0), _RANK_ONE), "Z"),
 }
 
 
@@ -218,6 +220,8 @@ _WRONG_TYPE = {
     "golfing-rate-cfg": (lambda: run_golfing_rate(None), "cfg"),
     "lower-bound-cfg": (lambda: run_lower_bound_experiment(None), "cfg"),
     "isotropy-audit-cfg": (lambda: run_isotropy_audit(None), "cfg"),
+    "unit-signal-rng-int": (lambda: random_unit_signal(5, 0), "rng"),
+    "unit-signal-rng-none": (lambda: random_unit_signal(5, None), "rng"),
 }
 
 
