@@ -160,9 +160,9 @@ def _moment_grams(dist: MaskDistribution, d: int) -> np.ndarray:
     Per chunk and offset, E_m^T is built in one (d, n) buffer (a row gather of
     eps^T, then a product with it in place) and E_m^T diag(p) in a second;
     their 2-D product is term m, and no stack of blocks is formed.  The two
-    distinct operands keep that product a BLAS gemm: a symmetric V V^T with
-    V = E_m^T diag(p^{1/2}) would go to syrk, which is slower for such wide
-    (d, n) operands.  The buffers are sized by the first chunk and reused.
+    distinct operands keep that product a BLAS gemm, as in
+    ``diffraction._offset_gram``: a symmetric V V^T with V = E_m^T diag(p^{1/2})
+    would go to syrk.  The buffers are sized by the first chunk and reused.
     """
     partner = _offset_index(d)[1]
     gram = np.zeros((len(partner), d, d))
@@ -562,12 +562,16 @@ class GolfingFailure:
 
 
 def format_construction_log(log) -> str:
-    """One line per attempt: i, phase, L, t, c, xi, ||Q||_2, ||Y_Tperp||_inf."""
+    """One line per attempt: i, phase, L, t, c, xi, ||Q||_2, ||Y_Tperp||_inf.
+
+    The four reals are printed to 12 significant digits, so a log does not
+    change with roundoff-level changes of the arithmetic behind it.
+    """
     lines = ["i phase L t c xi q_norm complement_norm"]
     for rec in log:
         lines.append(
-            f"{rec.index} {rec.phase} {rec.L} {rec.t!r} {rec.c!r} "
-            f"{int(rec.xi)} {rec.q_norm!r} {rec.complement_norm!r}"
+            f"{rec.index} {rec.phase} {rec.L} {rec.t:.12g} {rec.c:.12g} "
+            f"{int(rec.xi)} {rec.q_norm:.12g} {rec.complement_norm:.12g}"
         )
     return "\n".join(lines)
 
@@ -600,6 +604,16 @@ def golfing_construct(
     Hermitian by construction.
     P_T is linear, so P_T(Y) is the running sum of the accepted candidates'
     projections.
+
+    An attempt is decided in this order: the c test, a Frobenius norm; then
+    the t test by its bound ||.||_inf <= ||.||_F, which accepts when the
+    Frobenius norm of the complement part is within t ||Q||_2 less a relative
+    1e-12 (the eigenvalue solver's roundoff, so the bound never accepts what
+    the spectrum would reject); and only when the bound cannot decide, the
+    complement part's eigenvalues.  The logged ``complement_norm``s,
+    ||Y - P_T(Y)||_inf after each acceptance, come from one batched
+    eigendecomposition of those matrices when the construction ends, on
+    success and failure alike.
     """
     _check_type("dist", dist, MaskDistribution)
     if params is None:
@@ -619,14 +633,15 @@ def golfing_construct(
     Y_T = Y  # P_T(Y), accumulated: P_T is linear
     beta = 0.0
     rng = np.random.default_rng(seed)
-    log: list[IterationRecord] = []
+    # each record's fields but complement_norm, then the acceptances so far
+    rows: list[tuple] = []
+    complements: list[np.ndarray] = []  # Y - P_T(Y) after each acceptance
     accepted: list[tuple[np.ndarray, np.ndarray]] = []  # (epsilon, flat witness coeffs)
     masks_sampled = 0
-    complement_now = 0.0
     diagonal = np.diag_indices(d)
 
     def attempt(index: int, phase: str, L_i: int, t_i: float, c_i: float) -> bool:
-        nonlocal Q, Y, Y_T, beta, masks_sampled, complement_now
+        nonlocal Q, Y, Y_T, beta, masks_sampled
         q_prev_norm = float(np.linalg.norm(Q))
         eps = _draw_entries(dist, np.random.default_rng(int(rng.integers(2**63))), (L_i, d))
         masks_sampled += L_i
@@ -638,25 +653,35 @@ def golfing_construct(
         candidate = _apply_A_adjoint_any(blocks, coeffs)
         trace_q = float(np.trace(Q).real)
         candidate[diagonal] -= trace_q  # R_Q(Q) - tr(Q) Id
-        candidate_T = tangent._project(candidate)  # P_Tperp = I - P_T
-        dev_inf = _norm(candidate - candidate_T, "operator")
-        dev_two = float(np.linalg.norm(candidate_T - Q))
-        xi = dev_inf <= t_i * q_prev_norm and dev_two <= c_i * q_prev_norm
+        candidate_T = tangent._project(candidate)
+        complement = candidate - candidate_T  # P_Tperp = I - P_T
+        t_bound = t_i * q_prev_norm
+        xi = float(np.linalg.norm(candidate_T - Q)) <= c_i * q_prev_norm and (
+            float(np.linalg.norm(complement)) <= t_bound * (1.0 - 1e-12)
+            or _norm(complement, "operator") <= t_bound
+        )
         if xi:
             beta += trace_q
             Y = Y + candidate
             Y_T = Y_T + candidate_T
             Q = X - Y_T
             accepted.append((eps, coeffs.reshape(-1)))
-            complement_now = _norm(Y - Y_T, "operator")
-        log.append(IterationRecord(index, phase, L_i, t_i, c_i, xi, ntrunc,
-                                   float(np.linalg.norm(Q)), complement_now))
+            complements.append(Y - Y_T)
+        rows.append((index, phase, L_i, t_i, c_i, xi, ntrunc, float(np.linalg.norm(Q)),
+                     len(complements)))
         return xi
 
+    def construction_log() -> tuple[IterationRecord, ...]:
+        norms = [0.0]  # before the first acceptance
+        if complements:
+            lam = np.linalg.eigvalsh(np.stack(complements))
+            norms += [float(v) for v in np.max(np.abs(lam), axis=1)]
+        return tuple(IterationRecord(*fields, norms[n]) for *fields, n in rows)
+
     if not attempt(1, "fine", params.L1, p.t_first, p.c_first):
-        return GolfingFailure("first fine iteration failed", tuple(log), masks_sampled)
+        return GolfingFailure("first fine iteration failed", construction_log(), masks_sampled)
     if not attempt(2, "fine", params.L2, p.t_first, p.c_first):
-        return GolfingFailure("second fine iteration failed", tuple(log), masks_sampled)
+        return GolfingFailure("second fine iteration failed", construction_log(), masks_sampled)
     successes = 0
     attempts = 0
     while successes < p.r and attempts < p.w:
@@ -666,7 +691,7 @@ def golfing_construct(
     if successes < p.r:
         return GolfingFailure(
             f"only {successes}/{p.r} coarse successes within w = {p.w} attempts",
-            tuple(log),
+            construction_log(),
             masks_sampled,
         )
 
@@ -678,12 +703,13 @@ def golfing_construct(
     # contributes diag(d * sum_l alpha_l eps_{l,i}^2); alpha comes from the
     # d x d pattern Gram, which is the union's offset-0 Gram H_0
     witness += np.repeat(_identity_fold(eps_union, beta), d)
+    log = construction_log()
 
     return DualCertificate(
         Y=Y,
         tangent_residual=float(np.linalg.norm(Y_T - X)),
-        complement_norm=complement_now,
-        construction_log=tuple(log),
+        complement_norm=log[-1].complement_norm,
+        construction_log=log,
         in_range_witness=witness,
         masks=union,
         anchor=tangent.anchor,
@@ -697,14 +723,14 @@ def _identity_fold(eps: np.ndarray, beta: float) -> np.ndarray:
     With the patterns P[l, a] = eps_{l,a}^2, the min-norm solution of
     P^T alpha = target is alpha = P V Lambda^{-1} V^T target, from the
     eigendecomposition V Lambda V^T of the d x d Gram P^T P (the offset-0
-    Gram H_0 = E_0^T E_0 of the masks), dropping directions whose eigenvalue
-    is zero to roundoff.  A target with a part outside range(P^T) leaves a
+    Gram H_0 = E_0^T E_0 of the masks, ``_offset_gram`` of P alone),
+    dropping directions whose eigenvalue is zero to roundoff.  A target with a part outside range(P^T) leaves a
     residual, and a residual beyond 1e-8 relative raises RuntimeError.
     """
     d = eps.shape[1]
     patterns = eps**2  # (L, d)
     target = np.full(d, -beta / d)
-    lam, V = np.linalg.eigh(patterns.T @ patterns)
+    lam, V = np.linalg.eigh(_offset_gram(patterns[None])[0])
     kept = lam > d * np.finfo(float).eps * lam[-1]
     V = V[:, kept]
     alpha = patterns @ (V @ ((V.T @ target) / lam[kept]))

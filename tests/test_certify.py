@@ -48,6 +48,7 @@ from util import (
     dense_apply_A,
     dense_apply_A_adjoint,
     dense_frame_element,
+    dense_golfing_replay,
     dense_injectivity_lambda_min,
     dense_isotropy_deviation,
     dense_two_design_deviation,
@@ -754,6 +755,36 @@ def test_golfing_first_attempt_matches_dense_oracle(law, d, L1, seed, accepted):
         assert (rec.q_norm, rec.complement_norm) == (pytest.approx(1.0, abs=1e-12), 0.0)
 
 
+@pytest.mark.parametrize("law, seed, completes", [
+    ("ternary", 4, True),  # coarse attempts 3 and 5 fail the c test
+    ("ternary", 3, False),  # the spectrum rejects the second fine attempt
+    ("five-point", 0, True),
+    ("five-point", 4, False),
+])
+def test_golfing_construction_matches_dense_replay(law, seed, completes):
+    # every attempt of a whole construction at d = 5, successful or not, rebuilt
+    # with the dense A and A* and the complement's full spectrum per attempt
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    x = unit_signal(np.random.default_rng(400 + seed), 5)
+    out = golfing_construct(x, dist, GolfingParams(L1=100, L2=100, L_later=40), seed=seed)
+    assert isinstance(out, DualCertificate) is completes
+    log = out.construction_log
+    steps = dense_golfing_replay(x, dist, log, seed)
+    for rec, step in zip(log, steps):
+        assert rec.xi is step.xi
+        assert rec.truncated_terms == step.truncated_terms
+        assert rec.q_norm == pytest.approx(step.q_norm, rel=0, abs=1e-12)
+        assert rec.complement_norm == pytest.approx(step.complement_norm, rel=0, abs=1e-12)
+    decided_by = {step.decided_by for step in steps}
+    assert "spectrum" in decided_by  # attempts the Frobenius bound cannot decide
+    if completes:
+        assert "frobenius" in decided_by
+        assert out.complement_norm == log[-1].complement_norm
+    if (law, seed) == ("ternary", 4):
+        assert [step.decided_by for step in steps].count("c") == 2
+        assert [rec.xi for rec in log[2:5]] == [False, True, False]
+
+
 def test_golfing_leaves_the_callers_anchor_writable():
     x = unit_signal(np.random.default_rng(103), 15)
     out = golfing_construct(x, ternary_mask_distribution(), GolfingParams(), seed=0)
@@ -772,6 +803,25 @@ def test_identity_fold_matches_lstsq_on_a_tall_union(certificate):
     _, cert = certificate
     assert cert.masks.L >= 2000
     _assert_fold_matches_lstsq(cert.masks.epsilon, 2.75)
+
+
+@pytest.mark.parametrize("law, L", [("ternary", 2800), ("five-point", 1000), ("ternary", 40)])
+def test_identity_fold_gram_is_the_pattern_product(monkeypatch, law, L):
+    # the Gram the fold eigendecomposes is P^T P of the patterns P = eps^2
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    eps = sample_masks(dist, 15, L, seed=105).epsilon
+    grams, gram = [], certify_module._offset_gram
+
+    def recording_gram(blocks):
+        grams.append(gram(blocks))
+        return grams[-1]
+
+    monkeypatch.setattr(certify_module, "_offset_gram", recording_gram)
+    _identity_fold(eps, 1.5)
+    patterns = eps**2
+    expected = patterns.T @ patterns
+    assert len(grams) == 1 and grams[0].shape == (1, 15, 15)
+    assert np.max(np.abs(grams[0][0] - expected)) <= 1e-12 * np.abs(expected).max()
 
 
 def test_identity_fold_matches_lstsq_when_two_positions_share_a_pattern():
@@ -841,6 +891,23 @@ def test_format_construction_log(certificate):
     lines = text.splitlines()
     assert lines[0].startswith("i phase L")
     assert len(lines) == len(cert.construction_log) + 1
+
+
+def test_format_construction_log_prints_twelve_significant_digits(certificate):
+    # records that differ past the 12th significant digit print alike
+    _, cert = certificate
+    rec = cert.construction_log[0]
+    nudged = dataclasses.replace(
+        rec, t=rec.t * (1 + 1e-14), c=rec.c * (1 - 1e-14),
+        q_norm=np.nextafter(rec.q_norm, 1.0), complement_norm=rec.complement_norm * (1 + 2e-14))
+    assert nudged != rec
+    text = format_construction_log([rec])
+    assert format_construction_log([nudged]) == text
+    header, line = text.splitlines()
+    assert header == "i phase L t c xi q_norm complement_norm"
+    assert line == (f"1 fine {rec.L} 0.125 {rec.c:.12g} 1 "
+                    f"{rec.q_norm:.12g} {rec.complement_norm:.12g}")
+    assert format_construction_log([]) == header
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,24 @@ def test_maskset_accepts_entries_within_tolerance(law):
         MaskSet(epsilon=support[None, :] + 2 * tol, distribution=dist)
 
 
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+def test_maskset_measures_the_entries_that_are_not_support_values(law):
+    # a sampled set with a few entries moved by 1e-13: the exact-membership
+    # pass misses them, and their distance to the support decides
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    eps = sample_masks(dist, 15, 200, seed=106).epsilon.copy()
+    eps[3, 4] += 1e-13
+    eps[150, 0] -= 1e-13
+    assert 1e-13 < MOMENT_TOL
+    masks = MaskSet(epsilon=eps, distribution=dist)
+    assert np.array_equal(masks.epsilon, eps)  # kept as given, not snapped
+    for bad in (np.nan, 0.5, dist.support[-1] + 1e-9):
+        broken = eps.copy()
+        broken[199, 14] = bad
+        with pytest.raises(ValueError, match="must lie in the distribution's support"):
+            MaskSet(epsilon=broken, distribution=dist)
+
+
 @settings(max_examples=60, deadline=None)
 @given(law=st.sampled_from(["ternary", "five-point"]), L=st.integers(0, 4),
        d=st.integers(1, 5), data=st.data())
@@ -558,6 +576,20 @@ def test_offset_gram_by_shift_matches_every_product(d, L, seed, law):
     for m in range(h, d):
         shifted = np.roll(expected[d - m], (-m, -m), axis=(0, 1))
         assert np.max(np.abs(expected[m] - shifted), initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("law", ["ternary", "five-point"])
+@pytest.mark.parametrize("L", [1000, 2800])
+def test_offset_gram_matches_every_product_on_tall_stacks(L, law):
+    # golfing's batch and union sizes at d = 15: the per-offset gemm against
+    # the oracle's one batched product of the two-array stack
+    dist = ternary_mask_distribution() if law == "ternary" else five_point_distribution()
+    eps = sample_masks(dist, 15, L, seed=L).epsilon
+    expected = offset_gram_every_product(eps)[:8]
+    half = _offset_gram(_offset_blocks(eps))
+    assert half.shape == (8, 15, 15)
+    assert np.max(np.abs(half - expected)) <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(half, half.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("call, key", [

@@ -12,6 +12,8 @@ from cdplift.diffraction import (
     _offset_blocks,
     apply_A,
     dft_vector,
+    sample_masks,
+    truncation_rate,
 )
 from cdplift.hermitian import TangentSpace, hermitize, norm, psd_project
 
@@ -61,6 +63,56 @@ def dense_apply_A_adjoint(eps, c):
         for k in range(1, d + 1):
             out += c[l * d + k - 1] * dense_frame_element(eps[l], k)
     return (out + out.conj().T) / 2
+
+
+GolfingStep = namedtuple("GolfingStep", "xi q_norm complement_norm truncated_terms decided_by")
+
+
+def dense_golfing_replay(x, dist, log, seed):
+    """Golfing's attempts replayed with the dense A and A*, one GolfingStep each.
+
+    Attempt i runs on the batch sample_masks(dist, d, L_i, s_i), s_i the i-th
+    integers(2**63) of default_rng(seed), with L, t and c read off record i
+    of ``log``.  It keeps the values within 2^{3/2} b^2 gamma log(d) ||Q||_2,
+    takes the truncated R_Q(Q) less tr(Q) Id, and accepts when the tangent
+    part is within c ||Q||_2 of Q and the complement part's spectral norm,
+    from its full spectrum, is within t ||Q||_2.  ``decided_by`` names the
+    first test that settles the attempt: "c" when the c test rejects,
+    "frobenius" when the complement part's Frobenius norm is within
+    t ||Q||_2, "spectrum" otherwise.
+    """
+    d = x.size
+    gamma = truncation_rate(dist)
+    tangent = TangentSpace(x)
+    X = np.outer(x, x.conj())
+    Q, Y, Y_T = X, np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+    complement_norm = 0.0
+    rng = np.random.default_rng(seed)
+    steps = []
+    for rec in log:
+        eps = sample_masks(dist, d, rec.L, int(rng.integers(2**63))).epsilon
+        q = float(np.linalg.norm(Q))
+        vals = dense_apply_A(eps, Q)
+        keep = np.abs(vals) <= 2.0**1.5 * dist.b**2 * gamma * np.log(d) * q
+        candidate = dense_apply_A_adjoint(eps, vals * keep / (dist.nu**2 * d * rec.L))
+        candidate -= np.trace(Q).real * np.eye(d)
+        candidate_T = tangent.project(candidate)
+        complement = candidate - candidate_T
+        c_ok = np.linalg.norm(candidate_T - Q) <= rec.c * q
+        xi = bool(c_ok and norm(complement, "operator") <= rec.t * q)
+        if not c_ok:
+            decided_by = "c"
+        elif np.linalg.norm(complement) <= rec.t * q:
+            decided_by = "frobenius"
+        else:
+            decided_by = "spectrum"
+        if xi:
+            Y, Y_T = Y + candidate, Y_T + candidate_T
+            Q = X - Y_T
+            complement_norm = norm(Y - Y_T, "operator")
+        steps.append(GolfingStep(xi, float(np.linalg.norm(Q)), complement_norm,
+                                 keep.size - int(np.count_nonzero(keep)), decided_by))
+    return steps
 
 
 def tangent_basis_gram_schmidt(x):
